@@ -10,7 +10,7 @@ subregularity) that govern convergence rates to invariant measures.
 __version__ = "0.1.0"
 
 from .geometry import EuclideanSpace, SpiderPoint, SpiderSpace, distance, geodesic_point
-from .operators import OperatorFamily, ProxTerm, SmoothTerm
+from .operators import OperatorFamily, SmoothTerm
 from .rfi import ChainConfig, Trajectory, run_chain, run_ensemble
 from .transport import Coupling, Ensemble, wasserstein
 
@@ -23,7 +23,6 @@ __all__ = [
     "geodesic_point",
     "OperatorFamily",
     "SmoothTerm",
-    "ProxTerm",
     "ChainConfig",
     "Trajectory",
     "run_chain",

@@ -19,7 +19,7 @@ the per-step distance rate is c = sqrt(gamma).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,26 +72,36 @@ class SubregularityFit:
         return {"r_hat": self.r_hat, "ls_slope": self.ls_slope, "n_used": self.n_used}
 
 
-def _resolve_window(series: Sequence[float], window: Optional[Tuple[int, int]]) -> Tuple[int, int]:
-    n = len(series)
+def _positive_window(
+    series: Sequence[float], window: Optional[Tuple[int, int]], steps: Optional[Sequence[int]]
+) -> Tuple[np.ndarray, np.ndarray, Tuple[int, int]]:
+    """Step axis and values of the window, cut before its first entry that is
+    not positive (a zero distance has no ratio or logarithm)."""
+    d = np.asarray(series, dtype=float)
+    n = len(d)
     lo, hi = (0, n - 1) if window is None else (int(window[0]), int(window[1]))
     if not (0 <= lo < hi <= n - 1):
         raise ValueError(f"window [{lo}, {hi}] invalid for a series of length {n}")
-    return lo, hi
-
-
-def fit_qlinear(series: Sequence[float], window: Optional[Tuple[int, int]] = None) -> QLinearFit:
-    """Max (and geometric mean) of d_{k+1}/d_k over the window; zeros end it."""
-    d = np.asarray(series, dtype=float)
-    lo, hi = _resolve_window(d, window)
-    if np.any(d[lo : hi + 1] < 0):
-        raise ValueError("distance series must be nonnegative")
-    zeros = np.flatnonzero(d[lo : hi + 1] == 0.0)
-    if zeros.size:
-        hi = lo + int(zeros[0]) - 1  # zero terminates the usable window
+    stop = np.flatnonzero(~(d[lo : hi + 1] > 0.0))
+    if stop.size:
+        hi = lo + int(stop[0]) - 1
     if hi - lo < 1:
         raise ValueError("window must contain at least two positive entries")
-    ratios = d[lo + 1 : hi + 1] / d[lo:hi]
+    k = np.arange(n, dtype=float) if steps is None else np.asarray(steps, dtype=float)
+    return k[lo : hi + 1], d[lo : hi + 1], (lo, hi)
+
+
+def fit_qlinear(
+    series: Sequence[float], window: Optional[Tuple[int, int]] = None, steps: Optional[Sequence[int]] = None
+) -> QLinearFit:
+    """Max (and geometric mean) of the per-step ratio over the window.
+
+    Entry i sits at chain step ``steps[i]`` (default i); a ratio spanning g
+    steps is taken to the power 1/g, so recording every r steps still gives
+    per-step rates.  The first non-positive entry ends the window.
+    """
+    k, d, (lo, hi) = _positive_window(series, window, steps)
+    ratios = (d[1:] / d[:-1]) ** (1.0 / np.diff(k))
     return QLinearFit(
         rate=float(np.max(ratios)),
         geometric_mean=float(np.exp(np.mean(np.log(ratios)))),
@@ -99,17 +109,12 @@ def fit_qlinear(series: Sequence[float], window: Optional[Tuple[int, int]] = Non
     )
 
 
-def fit_rlinear(series: Sequence[float], window: Optional[Tuple[int, int]] = None) -> RLinearFit:
-    """Least-squares (k, log d_k) fit: d_k ~ beta * rate^k."""
-    d = np.asarray(series, dtype=float)
-    lo, hi = _resolve_window(d, window)
-    if np.any(d[lo : hi + 1] <= 0):
-        zeros = np.flatnonzero(d[lo : hi + 1] <= 0.0)
-        hi = lo + int(zeros[0]) - 1
-    if hi - lo < 1:
-        raise ValueError("window must contain at least two positive entries")
-    k = np.arange(lo, hi + 1, dtype=float)
-    y = np.log(d[lo : hi + 1])
+def fit_rlinear(
+    series: Sequence[float], window: Optional[Tuple[int, int]] = None, steps: Optional[Sequence[int]] = None
+) -> RLinearFit:
+    """Least-squares (step, log d) fit: d ~ beta * rate^step, windowed as :func:`fit_qlinear`."""
+    k, d, (lo, hi) = _positive_window(series, window, steps)
+    y = np.log(d)
     coef = np.polyfit(k, y, 1)
     fitted = np.polyval(coef, k)
     residual = float(np.sqrt(np.mean((y - fitted) ** 2)))
@@ -351,29 +356,12 @@ def build_rate_report(
             elif below.size and below[0] <= lo + 1:
                 return RateReport(series, None, None, (lo, hi), converged_within_floor=True, floor=floor)
         window = (lo, hi)
-    lo, hi = window
-    seg = d[lo : hi + 1]
-    k_axis = np.asarray(steps[lo : hi + 1], dtype=float)
-    positive = seg > 0
-    if np.any(~positive):
-        cut = int(np.flatnonzero(~positive)[0])
-        seg, k_axis = seg[:cut], k_axis[:cut]
-    if seg.size < 2:
+    try:
+        q_fit = fit_qlinear(d, window, steps)
+    except ValueError:  # fewer than two positive entries in the window
         return RateReport(series, None, None, window, converged_within_floor=floor is not None, floor=floor)
-    # rates are per chain step even when recording skips steps
-    gaps = np.diff(k_axis)
-    per_step_ratios = (seg[1:] / seg[:-1]) ** (1.0 / gaps)
-    q_fit = QLinearFit(
-        rate=float(np.max(per_step_ratios)),
-        geometric_mean=float(np.exp(np.mean(np.log(per_step_ratios)))),
-        window=window,
-    )
-    coef = np.polyfit(k_axis, np.log(seg), 1)
-    fitted = np.polyval(coef, k_axis)
-    r_fit = RLinearFit(
-        beta=float(np.exp(coef[1])),
-        rate=float(np.exp(coef[0])),
-        residual=float(np.sqrt(np.mean((np.log(seg) - fitted) ** 2))),
-        window=window,
-    )
+    r_fit = fit_rlinear(d, window, steps)
+    # the report records the requested window, also when a zero cut it short
+    q_fit = replace(q_fit, window=window)
+    r_fit = replace(r_fit, window=window)
     return RateReport(series, q_fit, r_fit, window, floor=floor)

@@ -186,18 +186,13 @@ def _write_report(out_dir: Path, report: dict) -> None:
         fh.write("\n")
 
 
-def _empty_report(scenario) -> dict:
-    return {
-        "schema": REPORT_SCHEMA_ID,
-        "scenario": scenario.name,
-        "alpha": scenario.ground_truth.alpha,
-        "regularity": None,
-        "bound": scenario.ground_truth.violation_bound,
-        "rates": None,
-        "subregularity": None,
-        "predicted_rate": None,
-        "floor": None,
-    }
+def _empty_report(scenario=None) -> dict:
+    """Every report key, None unless the scenario fills it in."""
+    report = {**dict.fromkeys(REPORT_KEYS), "schema": REPORT_SCHEMA_ID}
+    if scenario is not None:
+        truth = scenario.ground_truth
+        report.update(scenario=scenario.name, alpha=truth.alpha, bound=truth.violation_bound)
+    return report
 
 
 def _reference_ensemble(scenario, cfg: dict, workers: int):
@@ -391,13 +386,7 @@ def cmd_rate(results_dir) -> int:
         raise ConfigError(f"{series_path}: no Wasserstein series recorded (enable diagnostics.wasserstein)")
 
     report_path = out / "report.json"
-    if report_path.exists():
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-    else:
-        report = {
-            "schema": REPORT_SCHEMA_ID, "scenario": None, "alpha": None, "regularity": None,
-            "bound": None, "rates": None, "subregularity": None, "predicted_rate": None, "floor": None,
-        }
+    report = json.loads(report_path.read_text(encoding="utf-8")) if report_path.exists() else _empty_report()
     rate_report = build_rate_report(steps, w2, floor=report.get("floor"))
     report["rates"] = rate_report.to_dict()
     psi_arr = np.asarray(psi)

@@ -1,13 +1,16 @@
 """Self-mappings on geodesic spaces and the weighted families driving the chains.
 
-Every operator is immutable after construction, evaluates points of one
-declared space, and supports batched evaluation on packed point arrays
-(``apply``).  Families pair a finite operator list with an explicit sampling
-weight vector, which keeps index expectations exactly computable.
+Every operator is immutable after construction and maps points of one
+declared space.  ``apply`` on a packed (N, ...) point array is the one
+implementation of each map; ``op(x)`` on a single point packs it as a
+one-row ensemble, applies, and unpacks.  Families pair a finite operator
+list with an explicit sampling weight vector, which keeps index
+expectations exactly computable.
 """
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -20,7 +23,6 @@ __all__ = [
     "Operator",
     "OperatorFamily",
     "SmoothTerm",
-    "ProxTerm",
     "Identity",
     "AffineMap",
     "PointProjection",
@@ -37,15 +39,7 @@ __all__ = [
     "DouglasRachford",
     "SpiderProx",
     "UnsupportedSpaceError",
-    "project_point",
-    "project_hyperplane",
     "project_magnitude",
-    "gradient_step",
-    "prox_quadratic",
-    "reflect",
-    "forward_backward",
-    "douglas_rachford",
-    "spider_prox_squared_distance",
     "quadratic_smooth_term",
     "with_linear_term",
 ]
@@ -61,17 +55,25 @@ def _require_euclidean(space: Space, what: str) -> EuclideanSpace:
     return space
 
 
-class Operator:
+def _require_same_space(space: Space, *parts: Operator) -> None:
+    for part in parts:
+        if part.space != space:
+            raise ValueError(f"component operator lives on {part.space}, not on {space}")
+
+
+class Operator(ABC):
     """Deterministic self-mapping on its declared space."""
 
     space: Space
 
     def __call__(self, x):
-        raise NotImplementedError
+        """Evaluate one point as a one-row ensemble through ``apply``."""
+        x = self.space.validate_point(x)
+        return self.space.unpack(self.apply(self.space.pack([x])))[0]
 
+    @abstractmethod
     def apply(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate on a packed (N, ...) array of points; default loops."""
-        return self.space.pack([self(p) for p in self.space.unpack(pts)])
+        """Evaluate on a packed (N, ...) array of points."""
 
 
 # ---------------------------------------------------------------------------
@@ -82,16 +84,14 @@ class Operator:
 class SmoothTerm:
     """Differentiable summand: gradient rule plus its regularity constants.
 
+    ``grad`` maps stacked (N, dim) points to their (N, dim) gradients.
     ``lipschitz`` bounds the gradient's Lipschitz constant; ``tau`` is the
     hypomonotonicity violation (negative for strongly monotone gradients).
-    ``vectorized`` marks gradients that accept stacked (N, dim) inputs.
     """
 
     grad: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
     tau: float = 0.0
-    value: Optional[Callable[[np.ndarray], float]] = None
-    vectorized: bool = False
     quadratic: Optional[tuple] = None  # (Q, q) when the term is x'Qx/2 + q'x
 
     def __post_init__(self):
@@ -99,24 +99,6 @@ class SmoothTerm:
             raise ValueError(f"gradient Lipschitz constant must be > 0, got {self.lipschitz}")
         if not np.isfinite(self.tau):
             raise ValueError("hypomonotonicity violation must be finite")
-
-    def grad_batch(self, pts: np.ndarray) -> np.ndarray:
-        if self.vectorized:
-            return np.asarray(self.grad(pts))
-        return np.stack([np.asarray(self.grad(p)) for p in pts])
-
-
-@dataclass(frozen=True)
-class ProxTerm:
-    """Nonsmooth summand represented by its (single-valued) resolvent."""
-
-    resolvent: "Operator"
-    tau: float = 0.0
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"prox parameter must be > 0, got {self.lam}")
 
 
 def quadratic_smooth_term(Q: np.ndarray, q: Optional[np.ndarray] = None) -> SmoothTerm:
@@ -130,13 +112,10 @@ def quadratic_smooth_term(Q: np.ndarray, q: Optional[np.ndarray] = None) -> Smoo
     eig = np.linalg.eigvalsh(Q)
     L = float(max(np.max(np.abs(eig)), 1e-300))
     tau = float(-eig.min())
-    value = lambda x: float(0.5 * x @ Q @ x + q @ x)
     return SmoothTerm(
         grad=lambda x: x @ Q + q,
         lipschitz=L,
         tau=tau,
-        value=value,
-        vectorized=True,
         quadratic=(Q, q),
     )
 
@@ -150,8 +129,6 @@ def with_linear_term(f: SmoothTerm, zeta: np.ndarray) -> SmoothTerm:
         grad=lambda x: base(x) + zeta,
         lipschitz=f.lipschitz,
         tau=f.tau,
-        value=None,
-        vectorized=f.vectorized,
         quadratic=quad,
     )
 
@@ -163,9 +140,6 @@ def with_linear_term(f: SmoothTerm, zeta: np.ndarray) -> SmoothTerm:
 @dataclass(frozen=True)
 class Identity(Operator):
     space: Space
-
-    def __call__(self, x):
-        return x
 
     def apply(self, pts):
         return np.array(pts, copy=True)
@@ -184,12 +158,6 @@ class AffineMap(Operator):
         object.__setattr__(self, "scale", np.asarray(self.scale, dtype=self.space.dtype))
         object.__setattr__(self, "shift", self.space.validate_point(self.shift))
 
-    def __call__(self, x):
-        x = self.space.validate_point(x)
-        if self.scale.ndim == 2:
-            return x @ self.scale.T + self.shift
-        return self.scale * x + self.shift
-
     def apply(self, pts):
         if self.scale.ndim == 2:
             return pts @ self.scale.T + self.shift
@@ -205,10 +173,6 @@ class PointProjection(Operator):
 
     def __post_init__(self):
         object.__setattr__(self, "target", self.space.validate_point(self.target))
-
-    def __call__(self, x):
-        self.space.validate_point(x)
-        return self.target
 
     def apply(self, pts):
         row = self.space.pack([self.target])
@@ -234,10 +198,6 @@ class HyperplaneProjection(Operator):
         object.__setattr__(self, "normal", a)
         object.__setattr__(self, "_nrm2", nrm2)
 
-    def __call__(self, x):
-        x = self.space.validate_point(x)
-        return x - ((self.normal @ x - self.offset) / self._nrm2) * self.normal
-
     def apply(self, pts):
         resid = (pts @ self.normal - self.offset) / self._nrm2
         return pts - resid[:, None] * self.normal
@@ -255,15 +215,6 @@ class SphereProjection(Operator):
         if self.radius <= 0:
             raise ValueError("sphere radius must be > 0")
 
-    def __call__(self, x):
-        x = self.space.validate_point(x)
-        nrm = float(np.linalg.norm(x))
-        if nrm == 0.0:
-            out = np.zeros_like(x)
-            out[0] = self.radius
-            return out
-        return (self.radius / nrm) * x
-
     def apply(self, pts):
         nrm = np.linalg.norm(pts, axis=1)
         out = np.empty_like(pts)
@@ -275,6 +226,18 @@ class SphereProjection(Operator):
             row[0] = self.radius
             out[zero] = row
         return out
+
+
+def project_magnitude(m, z):
+    """Coordinatewise projection of z onto circles of radius m (phase 1 at 0)."""
+    m = np.asarray(m, dtype=float)
+    z = np.asarray(z, dtype=np.complex128)
+    if np.any(m < 0):
+        raise ValueError("magnitudes must be nonnegative")
+    mag = np.abs(z)
+    zero = mag == 0.0
+    phase = np.where(zero, 1.0 + 0.0j, z / np.where(zero, 1.0, mag))
+    return m * phase
 
 
 @dataclass(frozen=True)
@@ -308,10 +271,6 @@ class MagnitudeProjection(Operator):
                 raise ValueError("mask entries must have unit modulus")
             object.__setattr__(self, "mask", mask)
 
-    def __call__(self, x):
-        x = self.space.validate_point(x)
-        return self.apply(x.reshape(1, -1))[0]
-
     def apply(self, pts):
         z = pts * self.mask if self.mask is not None else pts
         Z = np.fft.fft(z, axis=1, norm="ortho")
@@ -338,10 +297,6 @@ class SupportRealityProjection(Operator):
             raise ValueError(f"support mask must have dimension {space.dim}")
         object.__setattr__(self, "support", s)
 
-    def __call__(self, x):
-        x = self.space.validate_point(x)
-        return self.apply(x.reshape(1, -1))[0]
-
     def apply(self, pts):
         out = pts.real.astype(np.complex128)
         out[:, ~self.support] = 0.0
@@ -360,10 +315,7 @@ class RelaxedProjection(Operator):
     def __post_init__(self):
         if not 0.0 < self.relax <= 1.0:
             raise ValueError(f"relaxation must lie in (0, 1], got {self.relax}")
-
-    def __call__(self, x):
-        p = self.projector(x)
-        return x + self.relax * (p - x)
+        _require_same_space(self.space, self.projector)
 
     def apply(self, pts):
         proj = self.projector.apply(pts)
@@ -383,12 +335,8 @@ class GradientStep(Operator):
         if self.step <= 0:
             raise ValueError(f"step must be > 0, got {self.step}")
 
-    def __call__(self, x):
-        x = self.space.validate_point(x)
-        return x - self.step * np.asarray(self.smooth.grad(x))
-
     def apply(self, pts):
-        return pts - self.step * self.smooth.grad_batch(pts)
+        return pts - self.step * self.smooth.grad(pts)
 
 
 @dataclass(frozen=True)
@@ -415,10 +363,6 @@ class QuadraticProx(Operator):
         system = self.lam * Q + np.eye(self.space.dim)
         object.__setattr__(self, "_lu", scipy.linalg.lu_factor(system))
 
-    def __call__(self, x):
-        x = self.space.validate_point(x)
-        return scipy.linalg.lu_solve(self._lu, x - self.lam * self.q)
-
     def apply(self, pts):
         rhs = (pts - self.lam * self.q).T
         return scipy.linalg.lu_solve(self._lu, rhs).T
@@ -436,10 +380,6 @@ class SoftThreshold(Operator):
         if self.threshold < 0:
             raise ValueError("threshold must be >= 0")
 
-    def __call__(self, x):
-        x = self.space.validate_point(x)
-        return np.sign(x) * np.maximum(np.abs(x) - self.threshold, 0.0)
-
     def apply(self, pts):
         return np.sign(pts) * np.maximum(np.abs(pts) - self.threshold, 0.0)
 
@@ -453,9 +393,7 @@ class Reflection(Operator):
 
     def __post_init__(self):
         _require_euclidean(self.space, "Reflection")
-
-    def __call__(self, x):
-        return 2.0 * self.op(x) - x
+        _require_same_space(self.space, self.op)
 
     def apply(self, pts):
         return 2.0 * self.op.apply(pts) - pts
@@ -474,13 +412,10 @@ class ForwardBackward(Operator):
         _require_euclidean(self.space, "ForwardBackward")
         if self.step <= 0:
             raise ValueError(f"step must be > 0, got {self.step}")
-
-    def __call__(self, x):
-        x = self.space.validate_point(x)
-        return self.g_resolvent(x - self.step * np.asarray(self.smooth.grad(x)))
+        _require_same_space(self.space, self.g_resolvent)
 
     def apply(self, pts):
-        return self.g_resolvent.apply(pts - self.step * self.smooth.grad_batch(pts))
+        return self.g_resolvent.apply(pts - self.step * self.smooth.grad(pts))
 
 
 @dataclass(frozen=True)
@@ -493,12 +428,7 @@ class DouglasRachford(Operator):
 
     def __post_init__(self):
         _require_euclidean(self.space, "DouglasRachford")
-
-    def __call__(self, x):
-        x = self.space.validate_point(x)
-        rg = 2.0 * self.g_resolvent(x) - x
-        rf = 2.0 * self.f_resolvent(rg) - rg
-        return 0.5 * (rf + x)
+        _require_same_space(self.space, self.f_resolvent, self.g_resolvent)
 
     def apply(self, pts):
         rg = 2.0 * self.g_resolvent.apply(pts) - pts
@@ -524,88 +454,9 @@ class SpiderProx(Operator):
         object.__setattr__(self, "_t", self.lam / (1.0 + self.lam))
         object.__setattr__(self, "_anchor_row", self.space.pack([self.anchor]))
 
-    def __call__(self, x):
-        return self.space.geodesic(x, self.anchor, self._t)
-
     def apply(self, pts):
         anchors = np.repeat(self._anchor_row, len(pts), axis=0)
         return self.space.geodesic_arr(pts, anchors, self._t)
-
-
-# ---------------------------------------------------------------------------
-# point-level convenience functions
-# ---------------------------------------------------------------------------
-
-def project_point(c, x):
-    """Projection of x onto the singleton {c}."""
-    c = np.asarray(c, dtype=float) if not isinstance(c, SpiderPoint) else c
-    if isinstance(c, SpiderPoint) != isinstance(x, SpiderPoint):
-        raise ValueError("projection target and point live in different spaces")
-    if isinstance(c, np.ndarray):
-        x = np.asarray(x, dtype=c.dtype).reshape(c.shape)
-    return c
-
-
-def project_hyperplane(a, b: float, x):
-    a = np.asarray(a, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != a.shape:
-        raise ValueError("normal and point dimensions differ")
-    nrm2 = float(a @ a)
-    if nrm2 == 0.0:
-        raise ValueError("hyperplane normal must be nonzero")
-    return x - ((a @ x - b) / nrm2) * a
-
-
-def project_magnitude(m, z):
-    """Coordinatewise projection of z onto circles of radius m (phase 1 at 0)."""
-    m = np.asarray(m, dtype=float)
-    z = np.asarray(z, dtype=np.complex128)
-    if np.any(m < 0):
-        raise ValueError("magnitudes must be nonnegative")
-    mag = np.abs(z)
-    zero = mag == 0.0
-    phase = np.where(zero, 1.0 + 0.0j, z / np.where(zero, 1.0, mag))
-    return m * phase
-
-
-def gradient_step(f: SmoothTerm, t: float, x):
-    if t <= 0:
-        raise ValueError(f"step must be > 0, got {t}")
-    x = np.asarray(x, dtype=float)
-    return x - t * np.asarray(f.grad(x))
-
-
-def prox_quadratic(Q, q, lam: float, x):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    space = EuclideanSpace(x.shape[0])
-    op = QuadraticProx(space, np.asarray(Q, dtype=float), q, lam)
-    y = op(x)
-    residual = np.linalg.norm((lam * op.Q + np.eye(space.dim)) @ y - (x - lam * op.q))
-    if residual > 1e-10 * (1.0 + np.linalg.norm(x)):
-        raise ArithmeticError(f"prox solve residual {residual:.3e} too large")
-    return y
-
-
-def reflect(op: Operator, x):
-    _require_euclidean(op.space, "reflect")
-    return 2.0 * op(x) - x
-
-
-def forward_backward(g: ProxTerm, f: SmoothTerm, t: float) -> Operator:
-    space = _require_euclidean(g.resolvent.space, "forward_backward")
-    return ForwardBackward(space, g.resolvent, f, t)
-
-
-def douglas_rachford(f: ProxTerm, g: ProxTerm) -> Operator:
-    space = _require_euclidean(f.resolvent.space, "douglas_rachford")
-    if g.resolvent.space != space:
-        raise ValueError("both resolvents must share one space")
-    return DouglasRachford(space, f.resolvent, g.resolvent)
-
-
-def spider_prox_squared_distance(space: SpiderSpace, anchor: SpiderPoint, lam: float) -> Operator:
-    return SpiderProx(space, anchor, lam)
 
 
 # ---------------------------------------------------------------------------

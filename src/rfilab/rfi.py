@@ -11,19 +11,16 @@ bit.
 
 from __future__ import annotations
 
-import json
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
 from .operators import OperatorFamily
 from .transport import Ensemble
 
-__all__ = ["ChainConfig", "Trajectory", "run_chain", "run_ensemble", "write_trajectory", "derive_seed"]
+__all__ = ["ChainConfig", "Trajectory", "run_chain", "run_ensemble", "derive_seed"]
 
 # stream namespaces keeping independent uses of one seed from colliding
 STREAM_STEP = 0
@@ -67,12 +64,10 @@ class ChainConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded ensembles along a run plus per-step stream metadata."""
+    """Recorded ensembles along a run with their step numbers."""
 
     steps: List[int]
     ensembles: List[Ensemble]
-    seed: int
-    stream_positions: List[int] = field(default_factory=list)
 
     def final(self) -> Ensemble:
         return self.ensembles[-1]
@@ -120,7 +115,6 @@ def run_ensemble(cfg: ChainConfig) -> Trajectory:
     n = len(pts)
     recorded_steps = [0]
     ensembles = [Ensemble(cfg.initial.space, pts)]
-    positions = [0]
     for k in range(cfg.iterations):
         gen = _generator(cfg.seed, STREAM_STEP, k)
         if cfg.common_noise:
@@ -132,25 +126,4 @@ def run_ensemble(cfg: ChainConfig) -> Trajectory:
         if step % cfg.record_every == 0 or step == cfg.iterations:
             recorded_steps.append(step)
             ensembles.append(Ensemble(cfg.initial.space, pts))
-            positions.append(step)
-    return Trajectory(steps=recorded_steps, ensembles=ensembles, seed=cfg.seed, stream_positions=positions)
-
-
-def write_trajectory(out_dir, trajectory: Trajectory, manifest_extra: Optional[dict] = None) -> None:
-    """Stream recorded ensembles to CSV files plus a JSON manifest."""
-    out = Path(out_dir)
-    ens_dir = out / "ensembles"
-    ens_dir.mkdir(parents=True, exist_ok=True)
-    for step, ens in zip(trajectory.steps, trajectory.ensembles):
-        ens.to_csv(ens_dir / f"step_{step:06d}.csv")
-    manifest = {
-        "seed": trajectory.seed,
-        "recorded_steps": trajectory.steps,
-        "stream_positions": trajectory.stream_positions,
-        "written_at": time.time(),
-    }
-    if manifest_extra:
-        manifest.update(manifest_extra)
-    with (out / "manifest.json").open("w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return Trajectory(steps=recorded_steps, ensembles=ensembles)

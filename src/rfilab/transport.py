@@ -222,12 +222,11 @@ def markov_transport_discrepancy(family: OperatorFamily, mu: Ensemble, pi_candid
     return float(best)
 
 
-def coarse_ricci_estimate(family: OperatorFamily, x, y, n_samples: int = 0, p: float = 2.0) -> float:
+def coarse_ricci_estimate(family: OperatorFamily, x, y, p: float = 2.0) -> float:
     """Coarse Ricci curvature 1 - W_p^p(delta_x P, delta_y P) / d(x, y)^p.
 
     Push-forwards of point masses under a finite-support family are computed
-    exactly as weighted atom sets, so ``n_samples`` is ignored (reserved for
-    pre-sampled continuous families).
+    exactly as weighted atom sets.
     """
     space = family.space
     d = space.dist(x, y)

@@ -22,13 +22,12 @@ from rfilab.cli import main as cli_main
 from rfilab.geometry import EuclideanSpace, SpiderPoint, SpiderSpace
 from rfilab.operators import (
     DouglasRachford,
+    ForwardBackward,
     HyperplaneProjection,
     Identity,
     OperatorFamily,
-    ProxTerm,
     QuadraticProx,
     SoftThreshold,
-    forward_backward,
     quadratic_smooth_term,
 )
 from rfilab.regularity import (
@@ -219,7 +218,7 @@ def test_c05_fb_violation_bound():
         t = float(gen.uniform(0.05, 0.6) / f.lipschitz)
         space = EuclideanSpace(dim)
         for g_res in (Identity(space), SoftThreshold(space, float(gen.uniform(0.1, 1.0)))):
-            op = forward_backward(ProxTerm(g_res), f, t)
+            op = ForwardBackward(space, g_res, f, t)
             rep = estimate_violation(
                 op, 2.0 / 3.0, BoxPairSampler(space, -5, 5, seed=SEED + 8 + trial), 10_000
             )

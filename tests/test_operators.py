@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,30 +9,31 @@ from rfilab.geometry import EuclideanSpace, SpiderPoint, SpiderSpace
 from rfilab.operators import (
     AffineMap,
     DouglasRachford,
+    ForwardBackward,
+    GradientStep,
     HyperplaneProjection,
     Identity,
+    MagnitudeProjection,
+    Operator,
     OperatorFamily,
     PointProjection,
-    ProxTerm,
     QuadraticProx,
+    Reflection,
+    RelaxedProjection,
     SoftThreshold,
+    SphereProjection,
     SpiderProx,
+    SupportRealityProjection,
     UnsupportedSpaceError,
-    douglas_rachford,
-    forward_backward,
-    gradient_step,
-    project_hyperplane,
     project_magnitude,
-    project_point,
-    prox_quadratic,
     quadratic_smooth_term,
-    reflect,
-    spider_prox_squared_distance,
     with_linear_term,
 )
 
 R1 = EuclideanSpace(1)
 R2 = EuclideanSpace(2)
+C4 = EuclideanSpace(4, complex_coords=True)
+SPIDER = SpiderSpace(3)
 
 
 # ---------------------------------------------------------------------------
@@ -38,18 +41,18 @@ R2 = EuclideanSpace(2)
 # ---------------------------------------------------------------------------
 
 def test_project_point_examples():
-    assert float(project_point(-1.0, 7.0)) == -1.0
-    assert float(project_point(3.0, 3.0)) == 3.0
-    assert np.allclose(project_point(np.array([1.0, 0.0]), np.array([5.0, 5.0])), [1.0, 0.0])
+    assert PointProjection(R1, [-1.0])([7.0])[0] == -1.0
+    assert PointProjection(R1, [3.0])([3.0])[0] == 3.0
+    assert np.allclose(PointProjection(R2, np.array([1.0, 0.0]))(np.array([5.0, 5.0])), [1.0, 0.0])
 
 
 def test_project_hyperplane_examples():
-    assert np.allclose(project_hyperplane([1.0, 0.0], 0.0, [3.0, 4.0]), [0.0, 4.0])
+    assert np.allclose(HyperplaneProjection(R2, [1.0, 0.0], 0.0)([3.0, 4.0]), [0.0, 4.0])
     on_plane = np.array([2.0, 5.0])
-    assert np.allclose(project_hyperplane([1.0, 0.0], 2.0, on_plane), on_plane)
-    assert np.allclose(project_hyperplane([1.0, 1.0], 2.0, [0.0, 0.0]), [1.0, 1.0])
+    assert np.allclose(HyperplaneProjection(R2, [1.0, 0.0], 2.0)(on_plane), on_plane)
+    assert np.allclose(HyperplaneProjection(R2, [1.0, 1.0], 2.0)([0.0, 0.0]), [1.0, 1.0])
     with pytest.raises(ValueError):
-        project_hyperplane([0.0, 0.0], 1.0, [1.0, 1.0])
+        HyperplaneProjection(R2, [0.0, 0.0], 1.0)
 
 
 def test_project_hyperplane_against_constrained_least_squares(rng):
@@ -63,7 +66,7 @@ def test_project_hyperplane_against_constrained_least_squares(rng):
         K[:3, 3] = a
         K[3, :3] = a
         sol = np.linalg.solve(K, np.concatenate([2 * x, [b]]))
-        y = project_hyperplane(a, b, x)
+        y = HyperplaneProjection(EuclideanSpace(3), a, b)(x)
         assert np.allclose(y, sol[:3], atol=1e-10)
         assert abs(a @ y - b) <= 1e-12 * max(1.0, abs(b))
 
@@ -90,8 +93,6 @@ def test_projection_idempotence_bulk(rng):
         twice = op.apply(once)
         assert np.max(np.abs(twice - once)) <= 1e-12
     cspace = EuclideanSpace(4, complex_coords=True)
-    from rfilab.operators import MagnitudeProjection
-
     mags = rng.uniform(0.1, 2.0, size=4)
     op = MagnitudeProjection(cspace, mags, None)
     Z = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
@@ -106,20 +107,20 @@ def test_projection_idempotence_bulk(rng):
 
 def test_gradient_step_examples():
     f = quadratic_smooth_term(np.eye(1))
-    assert np.allclose(gradient_step(f, 1.0, np.array([3.0])), [0.0])
-    assert np.allclose(gradient_step(f, 0.5, np.array([4.0])), [2.0])
+    assert np.allclose(GradientStep(R1, f, 1.0)(np.array([3.0])), [0.0])
+    assert np.allclose(GradientStep(R1, f, 0.5)(np.array([4.0])), [2.0])
     # f(x) = (x-1)^2/2 has gradient x - 1
     g = quadratic_smooth_term(np.eye(1), np.array([-1.0]))
-    assert np.allclose(gradient_step(g, 0.1, np.array([0.0])), [0.1])
+    assert np.allclose(GradientStep(R1, g, 0.1)(np.array([0.0])), [0.1])
 
 
 def test_prox_quadratic_examples():
-    assert np.allclose(prox_quadratic(np.eye(1), np.zeros(1), 1.0, np.array([2.0])), [1.0])
+    assert np.allclose(QuadraticProx(R1, np.eye(1), np.zeros(1), 1.0)(np.array([2.0])), [1.0])
     x = np.array([3.0, -7.0])
-    assert np.allclose(prox_quadratic(np.zeros((2, 2)), np.zeros(2), 5.0, x), x)
-    assert np.allclose(prox_quadratic(np.diag([1.0, 0.0]), np.zeros(2), 1.0, np.array([2.0, 2.0])), [1.0, 2.0])
+    assert np.allclose(QuadraticProx(R2, np.zeros((2, 2)), np.zeros(2), 5.0)(x), x)
+    assert np.allclose(QuadraticProx(R2, np.diag([1.0, 0.0]), np.zeros(2), 1.0)(np.array([2.0, 2.0])), [1.0, 2.0])
     with pytest.raises(ValueError):
-        prox_quadratic(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2), 1.0, x)
+        QuadraticProx(R2, np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2), 1.0)
 
 
 def test_prox_quadratic_is_the_argmin(rng):
@@ -129,7 +130,7 @@ def test_prox_quadratic_is_the_argmin(rng):
         q = rng.normal(size=3)
         lam = float(rng.uniform(0.2, 3.0))
         x = rng.normal(size=3) * 3
-        y = prox_quadratic(Q, q, lam, x)
+        y = QuadraticProx(EuclideanSpace(3), Q, q, lam)(x)
 
         def objective(z):
             return 0.5 * z @ Q @ z + q @ z + (0.5 / lam) * np.sum((z - x) ** 2)
@@ -148,18 +149,16 @@ def test_soft_threshold_grid_oracle():
 
 def test_reflect_examples():
     ident = Identity(R1)
-    assert np.allclose(reflect(ident, np.array([3.0])), [3.0])
+    assert np.allclose(Reflection(R1, ident)(np.array([3.0])), [3.0])
     origin = PointProjection(R1, np.array([0.0]))
-    assert np.allclose(reflect(origin, np.array([3.0])), [-3.0])
+    assert np.allclose(Reflection(R1, origin)(np.array([3.0])), [-3.0])
     wall = HyperplaneProjection(R2, np.array([1.0, 0.0]), 0.0)
-    assert np.allclose(reflect(wall, np.array([3.0, 4.0])), [-3.0, 4.0])
+    assert np.allclose(Reflection(R2, wall)(np.array([3.0, 4.0])), [-3.0, 4.0])
 
 
 def test_reflection_is_involution_for_affine_projections(rng):
     wall = HyperplaneProjection(R2, np.array([2.0, -1.0]), 1.3)
     X = rng.normal(size=(1000, 2)) * 4
-    from rfilab.operators import Reflection
-
     R = Reflection(R2, wall)
     assert np.max(np.abs(R.apply(R.apply(X)) - X)) <= 1e-10
 
@@ -168,7 +167,7 @@ def test_reflect_rejects_spider():
     spider = SpiderSpace(3)
     op = PointProjection(spider, SpiderPoint(1, 1.0))
     with pytest.raises(UnsupportedSpaceError):
-        reflect(op, SpiderPoint(0, 1.0))
+        Reflection(spider, op)
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +176,16 @@ def test_reflect_rejects_spider():
 
 def test_forward_backward_examples():
     f = quadratic_smooth_term(np.eye(1))
-    g_zero = ProxTerm(Identity(R1))
-    fb = forward_backward(g_zero, f, 1.0)
+    fb = ForwardBackward(R1, Identity(R1), f, 1.0)
     assert np.allclose(fb(np.array([4.0])), [0.0])
 
-    g_point = ProxTerm(PointProjection(R1, np.array([2.0])))
+    g_point = PointProjection(R1, np.array([2.0]))
     tiny = quadratic_smooth_term(1e-12 * np.eye(1))  # f = 0 up to numerics
-    fb = forward_backward(g_point, tiny, 1.0)
+    fb = ForwardBackward(R1, g_point, tiny, 1.0)
     assert np.allclose(fb(np.array([100.0])), [2.0], atol=1e-9)
 
-    g_l1 = ProxTerm(SoftThreshold(R1, 1.0))
-    fb = forward_backward(g_l1, tiny, 1.0)
+    g_l1 = SoftThreshold(R1, 1.0)
+    fb = ForwardBackward(R1, g_l1, tiny, 1.0)
     assert np.allclose(fb(np.array([2.5])), [1.5], atol=1e-9)
 
 
@@ -197,8 +195,6 @@ def test_forward_backward_nonexpansive_in_expectation(rng):
     f = quadratic_smooth_term(Q)
     t = abs(f.tau) / f.lipschitz**2
     atoms = [np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.array([0.0, 2.0])]
-    from rfilab.operators import GradientStep
-
     ops = [GradientStep(R2, with_linear_term(f, z), t) for z in atoms]
     family = OperatorFamily.uniform(ops)
     X = rng.normal(size=(2000, 2)) * 5
@@ -212,12 +208,12 @@ def test_forward_backward_nonexpansive_in_expectation(rng):
 
 
 def test_douglas_rachford_examples():
-    zero = ProxTerm(PointProjection(R1, np.array([0.0])))
-    dr = douglas_rachford(zero, zero)
+    zero = PointProjection(R1, np.array([0.0]))
+    dr = DouglasRachford(R1, zero, zero)
     assert np.allclose(dr(np.array([4.0])), [4.0])
 
-    plane = ProxTerm(HyperplaneProjection(R2, np.array([0.0, 1.0]), 0.0))
-    dr = douglas_rachford(plane, plane)
+    plane = HyperplaneProjection(R2, np.array([0.0, 1.0]), 0.0)
+    dr = DouglasRachford(R2, plane, plane)
     x = np.array([3.0, 0.0])  # on the plane: both reflections fix it
     assert np.allclose(dr(x), x)
 
@@ -238,9 +234,9 @@ def test_douglas_rachford_parallel_lines_translation(rng):
 
 def test_douglas_rachford_rejects_spider():
     spider = SpiderSpace(3)
-    p = ProxTerm(PointProjection(spider, SpiderPoint(1, 1.0)))
+    p = PointProjection(spider, SpiderPoint(1, 1.0))
     with pytest.raises(UnsupportedSpaceError):
-        douglas_rachford(p, p)
+        DouglasRachford(spider, p, p)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +246,10 @@ def test_douglas_rachford_rejects_spider():
 def test_spider_prox_examples():
     space = SpiderSpace(3)
     anchor = SpiderPoint(1, 4.0)
-    op = spider_prox_squared_distance(space, anchor, 1.0)
+    op = SpiderProx(space, anchor, 1.0)
     assert op(SpiderPoint(1, 0.0)) == SpiderPoint(1, 2.0)
     assert op(anchor) == anchor
-    heavy = spider_prox_squared_distance(space, anchor, 1e9)
+    heavy = SpiderProx(space, anchor, 1e9)
     moved = heavy(SpiderPoint(2, 3.0))
     assert moved.leg == anchor.leg and abs(moved.radius - anchor.radius) < 1e-6
 
@@ -303,3 +299,69 @@ def test_family_apply_index_matches_pointwise(rng):
     out = fam.apply_index(idx, X)
     for k in range(64):
         assert np.allclose(out[k], fam.operators[idx[k]](X[k]))
+
+
+# ---------------------------------------------------------------------------
+# one evaluation path
+# ---------------------------------------------------------------------------
+
+def _concrete_operator_classes():
+    found, todo = [], [Operator]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if not inspect.isabstract(cls):
+            found.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+_WALL = HyperplaneProjection(R2, np.array([1.0, 2.0]), 0.7)
+_QUAD = quadratic_smooth_term(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.1]))
+_Z = np.array([1.0 - 2.0j, 0.5j, -0.3, 2.0 + 1.0j])
+
+# one operator and one point of its space per concrete class
+SINGLE_PATH_CASES = {
+    Identity: lambda: (Identity(SPIDER), SpiderPoint(2, 1.5)),
+    AffineMap: lambda: (AffineMap(R2, np.array([[2.0, 1.0], [0.0, 1.0]]), np.array([1.0, -1.0])), [0.3, -0.7]),
+    PointProjection: lambda: (PointProjection(SPIDER, SpiderPoint(1, 2.0)), SpiderPoint(0, 0.5)),
+    HyperplaneProjection: lambda: (_WALL, [0.3, -0.7]),
+    SphereProjection: lambda: (SphereProjection(R2, 2.0), [0.3, -0.7]),
+    MagnitudeProjection: lambda: (MagnitudeProjection(C4, [1.0, 0.5, 2.0, 0.0], np.exp(1j * np.arange(4.0))), _Z),
+    SupportRealityProjection: lambda: (SupportRealityProjection(C4, [True, False, True, True]), _Z),
+    RelaxedProjection: lambda: (RelaxedProjection(R2, _WALL, 0.5), [0.3, -0.7]),
+    GradientStep: lambda: (GradientStep(R2, _QUAD, 0.3), [0.3, -0.7]),
+    QuadraticProx: lambda: (QuadraticProx(R2, _QUAD.quadratic[0], _QUAD.quadratic[1], 0.7), [0.3, -0.7]),
+    SoftThreshold: lambda: (SoftThreshold(R2, 0.4), [0.3, -0.7]),
+    Reflection: lambda: (Reflection(R2, _WALL), [0.3, -0.7]),
+    ForwardBackward: lambda: (ForwardBackward(R2, SoftThreshold(R2, 0.4), _QUAD, 0.3), [0.3, -0.7]),
+    DouglasRachford: lambda: (DouglasRachford(R2, _WALL, SoftThreshold(R2, 0.4)), [0.3, -0.7]),
+    SpiderProx: lambda: (SpiderProx(SPIDER, SpiderPoint(1, 2.0), 0.5), SpiderPoint(2, 1.0)),
+}
+
+
+@pytest.mark.parametrize("cls", _concrete_operator_classes(), ids=lambda cls: cls.__name__)
+def test_call_is_apply_on_a_one_row_ensemble(cls):
+    assert "__call__" not in cls.__dict__  # op(x) is derived once, in Operator
+    op, x = SINGLE_PATH_CASES[cls]()
+    space = op.space
+    assert np.array_equal(space.pack([op(x)]), op.apply(space.pack([x])))
+
+
+def _wrong_space_part():
+    return HyperplaneProjection(EuclideanSpace(3), np.array([1.0, 0.0, 0.0]), 0.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda part: DouglasRachford(R2, part, _WALL),
+        lambda part: DouglasRachford(R2, _WALL, part),
+        lambda part: ForwardBackward(R2, part, _QUAD, 0.3),
+        lambda part: Reflection(R2, part),
+        lambda part: RelaxedProjection(R2, part, 0.5),
+    ],
+    ids=["douglas_rachford_f", "douglas_rachford_g", "forward_backward", "reflection", "relaxed_projection"],
+)
+def test_composite_rejects_component_on_another_space(build):
+    with pytest.raises(ValueError, match="component operator"):
+        build(_wrong_space_part())

@@ -4,15 +4,14 @@ import pytest
 from rfilab.geometry import EuclideanSpace, SpiderPoint, SpiderSpace
 from rfilab.operators import (
     AffineMap,
+    ForwardBackward,
     HyperplaneProjection,
     Identity,
     OperatorFamily,
     PointProjection,
-    ProxTerm,
     SoftThreshold,
     SphereProjection,
     SpiderProx,
-    forward_backward,
     quadratic_smooth_term,
 )
 from rfilab.regularity import (
@@ -186,8 +185,7 @@ def test_fb_empirical_below_bound(rng):
         M = gen.normal(size=(2, 2))
         f = quadratic_smooth_term(M @ M.T)
         t = float(gen.uniform(0.05, 0.5))
-        g = ProxTerm(SoftThreshold(R2, 0.3))
-        op = forward_backward(g, f, t)
+        op = ForwardBackward(R2, SoftThreshold(R2, 0.3), f, t)
         rep = estimate_violation(op, 2.0 / 3.0, BoxPairSampler(R2, -5, 5, seed=trial), 5000)
         assert rep.epsilon_hat <= fb_violation_bound(t, f.lipschitz, f.tau, 0.0) + 1e-6
 

@@ -3,7 +3,7 @@ import pytest
 
 from rfilab.geometry import EuclideanSpace
 from rfilab.operators import AffineMap, Identity, OperatorFamily, PointProjection
-from rfilab.rfi import ChainConfig, derive_seed, run_chain, run_ensemble, write_trajectory
+from rfilab.rfi import ChainConfig, derive_seed, run_chain, run_ensemble
 from rfilab.transport import Ensemble, wasserstein
 
 R1 = EuclideanSpace(1)
@@ -161,10 +161,3 @@ def test_config_validation(rng):
     with pytest.raises(ValueError):
         ChainConfig(two_point_family(), init2, 1, seed=0)
 
-
-def test_write_trajectory(tmp_path, rng):
-    init = Ensemble(R1, rng.normal(size=(6, 1)))
-    traj = run_ensemble(ChainConfig(two_point_family(), init, 4, seed=8, record_every=2))
-    write_trajectory(tmp_path, traj, {"note": "test"})
-    assert (tmp_path / "manifest.json").exists()
-    assert (tmp_path / "ensembles" / "step_000004.csv").exists()
