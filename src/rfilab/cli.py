@@ -8,8 +8,9 @@ Subcommands:
 * ``wasserstein``  -- standalone W_p between two ensemble CSV files
 
 Configs are JSON documents validated against :data:`CONFIG_SCHEMA` before any
-computation.  All CSV outputs are byte-deterministic for a fixed config: the
-worker count never changes results, and reruns reproduce files exactly.
+computation.  All CSV outputs are byte-deterministic for a fixed config, and
+reruns reproduce files exactly.  The ``workers`` key is validated and
+recorded but selects nothing: every layer runs serially in one process.
 """
 
 from __future__ import annotations
@@ -48,17 +49,18 @@ CONFIG_SCHEMA = {
     "scenario": (dict, True, None, "object with 'name' (str) and optional 'params' (object)"),
     "ensemble_size": (int, True, None, ">= 1"),
     "iterations": (int, True, None, ">= 0"),
-    "seed": (int, True, None, "64-bit integer"),
+    "seed": (int, True, None, ">= 0"),
     "record_every": (int, False, 1, ">= 1"),
-    "workers": (int, False, 1, ">= 1 (never affects results)"),
+    "workers": (int, False, 1, ">= 1; accepted and recorded, changes no output or timing"),
     "common_noise": (bool, False, False, "all particles share one index draw"),
     "diagnostics": (dict, False, {}, "booleans: wasserstein, psi, regularity, rates"),
-    "reference": (dict, False, {"mode": "burn_in", "factor": 10}, "mode: burn_in | ground_truth | file"),
+    "reference": (dict, False, {"mode": "burn_in", "factor": 10}, "mode: burn_in | ground_truth | file; factor; path"),
     "regularity_pairs": (int, False, 2000, ">= 1, pair count for violation estimates"),
     "output_dir": (str, False, None, "results directory (--out overrides)"),
 }
 
 DIAGNOSTIC_DEFAULTS = {"wasserstein": True, "psi": True, "regularity": False, "rates": False}
+REFERENCE_KEYS = ("mode", "factor", "path")
 
 REPORT_SCHEMA_ID = "rfilab.report.v1"
 REPORT_KEYS = {"schema", "scenario", "alpha", "regularity", "bound", "rates", "subregularity", "predicted_rate", "floor"}
@@ -95,6 +97,8 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(f"config.scenario.name: must be one of {known}")
     if not isinstance(scenario.get("params", {}), dict):
         raise ConfigError("config.scenario.params: must be an object")
+    if cfg["seed"] < 0:
+        raise ConfigError("config.seed: must be >= 0")
     if cfg["ensemble_size"] < 1:
         raise ConfigError("config.ensemble_size: must be >= 1")
     if cfg["iterations"] < 0:
@@ -114,19 +118,24 @@ def validate_config(raw: dict) -> dict:
         diags[key] = val
     cfg["diagnostics"] = diags
     ref = cfg["reference"]
+    for key in ref:
+        if key not in REFERENCE_KEYS:
+            raise ConfigError(f"config.reference.{key}: unknown key (known: {', '.join(REFERENCE_KEYS)})")
     mode = ref.get("mode", "burn_in")
     if mode not in ("burn_in", "ground_truth", "file"):
         raise ConfigError("config.reference.mode: must be burn_in, ground_truth or file")
     if mode == "file" and not isinstance(ref.get("path"), str):
         raise ConfigError("config.reference.path: required for mode 'file'")
-    ref.setdefault("factor", 10)
-    if not isinstance(ref["factor"], int) or ref["factor"] < 1:
+    factor = ref.get("factor", 10)
+    if isinstance(factor, bool) or not isinstance(factor, int) or factor < 1:
         raise ConfigError("config.reference.factor: must be an integer >= 1")
-    cfg["reference"] = {"mode": mode, **{k: v for k, v in ref.items() if k != "mode"}}
+    cfg["reference"] = {"mode": mode, **ref, "factor": factor}
     return cfg
 
 
-def load_config(path) -> dict:
+def load_config(path, overrides: Optional[dict] = None) -> dict:
+    """Read and validate a config file; non-None ``overrides`` (command-line
+    values) replace top-level keys before validation."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -136,6 +145,8 @@ def load_config(path) -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
+    if isinstance(raw, dict) and overrides:
+        raw.update({k: v for k, v in overrides.items() if v is not None})
     return validate_config(raw)
 
 
@@ -195,7 +206,7 @@ def _empty_report(scenario=None) -> dict:
     return report
 
 
-def _reference_ensemble(scenario, cfg: dict, workers: int):
+def _reference_ensemble(scenario, cfg: dict):
     """Reference for the W2-to-invariant series, with provenance."""
     ref_cfg = cfg["reference"]
     n = cfg["ensemble_size"]
@@ -220,7 +231,7 @@ def _reference_ensemble(scenario, cfg: dict, workers: int):
         return sampler(n, ref_seed), {"mode": "ground_truth", "seed": ref_seed}
     steps = ref_cfg["factor"] * max(cfg["iterations"], 1)
     ref_seed = derive_seed(cfg["seed"], 0x6E)
-    ens = long_run_reference(scenario, n, steps, ref_seed, workers=workers)
+    ens = long_run_reference(scenario, n, steps, ref_seed)
     return ens, {"mode": "burn_in", "steps": steps, "seed": ref_seed}
 
 
@@ -231,19 +242,13 @@ def _reference_ensemble(scenario, cfg: dict, workers: int):
 def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[int] = None,
             record_every: Optional[int] = None) -> int:
     started = time.perf_counter()
-    cfg = load_config(config_path)
-    if workers is not None:
-        cfg["workers"] = workers
-    if seed is not None:
-        cfg["seed"] = seed
-    if record_every is not None:
-        cfg["record_every"] = record_every
+    cfg = load_config(config_path, {"workers": workers, "seed": seed, "record_every": record_every})
     out = Path(out_dir or cfg.get("output_dir") or "results")
     out.mkdir(parents=True, exist_ok=True)
 
     scenario = build_scenario(cfg["scenario"]["name"], cfg["scenario"].get("params", {}))
     initial = scenario.initial(cfg["ensemble_size"], derive_seed(cfg["seed"], 0x11))
-    reference, ref_provenance = _reference_ensemble(scenario, cfg, cfg["workers"])
+    reference, ref_provenance = _reference_ensemble(scenario, cfg)
 
     chain = ChainConfig(
         family=scenario.family,
@@ -252,7 +257,6 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
         seed=cfg["seed"],
         record_every=cfg["record_every"],
         common_noise=cfg["common_noise"],
-        workers=cfg["workers"],
     )
     trajectory = run_ensemble(chain)
 
@@ -260,13 +264,15 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     w2_series = []
     psi_series = []
     for ens in trajectory.ensembles:
+        coupling = None
         if diags["wasserstein"]:
-            value, _ = wasserstein(ens, reference, p=2.0)
+            value, coupling = wasserstein(ens, reference, p=2.0)
             w2_series.append(value)
         else:
             w2_series.append(None)
         if diags["psi"]:
-            psi_series.append(markov_transport_discrepancy(scenario.family, ens, [reference]))
+            # Psi reuses the W2 coupling: one optimal assignment per step
+            psi_series.append(markov_transport_discrepancy(scenario.family, ens, [reference], couplings=[coupling]))
         else:
             psi_series.append(None)
 
@@ -287,8 +293,7 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
         report["regularity"] = _regularity_block(scenario, sampler, cfg["regularity_pairs"])
     if diags["rates"] and diags["wasserstein"]:
         floor = monte_carlo_floor(
-            scenario, cfg["ensemble_size"], ref_provenance.get("steps", 10 * max(cfg["iterations"], 1)),
-            cfg["seed"], workers=cfg["workers"],
+            scenario, cfg["ensemble_size"], ref_provenance.get("steps", 10 * max(cfg["iterations"], 1)), cfg["seed"]
         )
         report["floor"] = floor
         rate_report = build_rate_report(trajectory.steps, [v for v in w2_series], floor=floor)
@@ -346,13 +351,11 @@ def _predicted_rate(report: dict) -> Optional[float]:
 
 
 def cmd_regularity(config_path, out_dir, seed: Optional[int] = None) -> int:
-    cfg = load_config(config_path)
-    if seed is not None:
-        cfg["seed"] = seed
+    cfg = load_config(config_path, {"seed": seed})
     out = Path(out_dir or cfg.get("output_dir") or "results")
     out.mkdir(parents=True, exist_ok=True)
     scenario = build_scenario(cfg["scenario"]["name"], cfg["scenario"].get("params", {}))
-    reference, _ = _reference_ensemble(scenario, cfg, cfg["workers"])
+    reference, _ = _reference_ensemble(scenario, cfg)
     sampler = _default_sampler(scenario, reference, cfg["seed"])
     report = _empty_report(scenario)
     report["regularity"] = _regularity_block(scenario, sampler, cfg["regularity_pairs"])
@@ -449,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True)
     run.add_argument("--out", default=None)
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--workers", type=int, default=None, help="parallel workers (never affects results)")
+    run.add_argument("--workers", type=int, default=None, help="accepted and recorded (>= 1); changes no output or timing")
     run.add_argument("--record-every", type=int, default=None)
 
     reg = sub.add_parser("regularity", help="estimate violation constants")

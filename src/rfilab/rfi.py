@@ -4,14 +4,12 @@ A chain applies a randomly selected member of an operator family at every
 step; an ensemble run evolves N particles, each under its own i.i.d. index
 stream.  Randomness is counter-based: the index draws for step k of a run
 come from a Philox generator keyed by (seed, stream, k), so the draw for
-particle p at step k is a pure function of (seed, p, k).  Work can be
-partitioned across any number of workers without changing a single output
-bit.
+particle p at step k is a pure function of (seed, p, k): the first M
+particles of an N-particle run take the same draws as an M-particle run.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List
 
@@ -49,15 +47,12 @@ class ChainConfig:
     seed: int
     record_every: int = 1
     common_noise: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iteration count must be >= 0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.family.space != self.initial.space:
             raise ValueError("family and initial ensemble live in different spaces")
 
@@ -91,25 +86,9 @@ def run_chain(family: OperatorFamily, x0, K: int, seed: int) -> list:
     return path
 
 
-def _step(family: OperatorFamily, pts: np.ndarray, idx: np.ndarray, workers: int) -> np.ndarray:
-    if workers <= 1 or len(pts) < 2 * workers:
-        return family.apply_index(idx, pts)
-    out = np.empty_like(pts)
-    bounds = np.linspace(0, len(pts), workers + 1, dtype=int)
-
-    def work(lo: int, hi: int) -> None:
-        out[lo:hi] = family.apply_index(idx[lo:hi], pts[lo:hi])
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        for fut in futures:
-            fut.result()
-    return out
-
-
 def run_ensemble(cfg: ChainConfig) -> Trajectory:
     """Evolve the particle ensemble; particle p's draw at step k depends only
-    on (seed, p, k), never on the worker layout."""
+    on (seed, p, k), never on the ensemble size."""
     family = cfg.family
     pts = cfg.initial.points.copy()
     n = len(pts)
@@ -121,7 +100,7 @@ def run_ensemble(cfg: ChainConfig) -> Trajectory:
             idx = np.full(n, family.sample_indices(gen.random(1))[0], dtype=np.intp)
         else:
             idx = family.sample_indices(gen.random(n))
-        pts = _step(family, pts, idx, cfg.workers)
+        pts = family.apply_index(idx, pts)
         step = k + 1
         if step % cfg.record_every == 0 or step == cfg.iterations:
             recorded_steps.append(step)

@@ -479,7 +479,7 @@ def scenario_dr_parallel_lines(gap: float = 2.0, init_scale: float = 1.0) -> Sce
 # long-run references and Monte-Carlo floors
 # ---------------------------------------------------------------------------
 
-def long_run_reference(scenario: Scenario, n: int, steps: int, seed: int, workers: int = 1) -> Ensemble:
+def long_run_reference(scenario: Scenario, n: int, steps: int, seed: int) -> Ensemble:
     """Burn-in ensemble used as the invariant-measure stand-in."""
     init = scenario.initial(n, derive_seed(seed, STREAM_BURNIN))
     if steps == 0:
@@ -490,14 +490,11 @@ def long_run_reference(scenario: Scenario, n: int, steps: int, seed: int, worker
         iterations=steps,
         seed=derive_seed(seed, STREAM_BURNIN + 1),
         record_every=max(1, steps),
-        workers=workers,
     )
     return run_ensemble(cfg).final()
 
 
-def monte_carlo_floor(
-    scenario: Scenario, n: int, steps: int, seed: int, workers: int = 1, repeats: int = 3
-) -> float:
+def monte_carlo_floor(scenario: Scenario, n: int, steps: int, seed: int, repeats: int = 3) -> float:
     """Two-independent-run agreement: the resolution limit of W2 estimates.
 
     A single agreement draw fluctuates by a factor of 2-3, so the floor is
@@ -505,8 +502,8 @@ def monte_carlo_floor(
     """
     draws = []
     for i in range(repeats):
-        a = long_run_reference(scenario, n, steps, derive_seed(seed, 11 + 2 * i), workers=workers)
-        b = long_run_reference(scenario, n, steps, derive_seed(seed, 12 + 2 * i), workers=workers)
+        a = long_run_reference(scenario, n, steps, derive_seed(seed, 11 + 2 * i))
+        b = long_run_reference(scenario, n, steps, derive_seed(seed, 12 + 2 * i))
         draws.append(wasserstein(a, b, p=2.0)[0])
     return float(np.median(draws))
 

@@ -191,7 +191,12 @@ def _weighted_wasserstein_pp(space: Space, atoms_a: np.ndarray, wa: np.ndarray, 
     return float(res.fun)
 
 
-def markov_transport_discrepancy(family: OperatorFamily, mu: Ensemble, pi_candidates: Sequence[Ensemble]) -> float:
+def markov_transport_discrepancy(
+    family: OperatorFamily,
+    mu: Ensemble,
+    pi_candidates: Sequence[Ensemble],
+    couplings: Optional[Sequence[Coupling]] = None,
+) -> float:
     """Estimated Markov transport discrepancy of ``mu``.
 
     For each candidate invariant ensemble, couples ``mu`` to it optimally in
@@ -199,6 +204,10 @@ def markov_transport_discrepancy(family: OperatorFamily, mu: Ensemble, pi_candid
     coupled pairs with exact index weights, and returns the smallest square
     root.  The candidate list plays the role of the (unknown) invariant set:
     the result is an upper bound on the true discrepancy.
+
+    ``couplings``, if given, holds one optimal W_2 coupling of ``mu`` per
+    candidate (the second value of ``wasserstein(mu, cand)``), used in place
+    of solving again; a ``None`` entry is solved for.
     """
     candidates = list(pi_candidates)
     if not candidates:
@@ -206,11 +215,18 @@ def markov_transport_discrepancy(family: OperatorFamily, mu: Ensemble, pi_candid
             "no invariant-measure candidates supplied; the Markov transport "
             "discrepancy is +inf by convention when that set is empty"
         )
+    if couplings is None:
+        couplings = [None] * len(candidates)
+    elif len(couplings) != len(candidates):
+        raise ValueError(f"need one coupling per candidate ({len(couplings)} for {len(candidates)})")
     space = family.space
     best = np.inf
-    for cand in candidates:
+    for cand, coupling in zip(candidates, couplings):
         _check_pair(mu, cand)
-        _, coupling = wasserstein(mu, cand, p=2.0)
+        if coupling is None:
+            _, coupling = wasserstein(mu, cand, p=2.0)
+        elif len(coupling.permutation) != len(mu):
+            raise ValueError(f"coupling pairs {len(coupling.permutation)} particles, ensemble has {len(mu)}")
         X = mu.points
         Y = cand.points[coupling.permutation]
         total = 0.0

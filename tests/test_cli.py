@@ -51,6 +51,10 @@ def test_validate_config_defaults():
         ({"diagnostics": {"nope": True}}, "diagnostics.nope"),
         ({"reference": {"mode": "psychic"}}, "reference.mode"),
         ({"surplus_key": 1}, "surplus_key"),
+        ({"seed": -1}, "seed"),
+        ({"workers": 0}, "workers"),
+        ({"reference": {"factor": True}}, "reference.factor"),
+        ({"reference": {"foo": 3}}, "reference.foo"),
     ],
 )
 def test_validate_config_rejects(patch, fragment):
@@ -71,6 +75,25 @@ def test_invalid_config_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "overrides, argv, fragment",
+    [
+        ({"seed": -1}, [], "config.seed"),
+        ({"reference": {"factor": True}}, [], "config.reference.factor"),
+        ({"reference": {"foo": 3}}, [], "config.reference.foo"),
+        ({}, ["--seed", "-1"], "config.seed"),
+        ({}, ["--workers", "0"], "config.workers"),
+        ({}, ["--record-every", "0"], "config.record_every"),
+    ],
+)
+def test_run_invalid_value_exits_2_naming_the_key(tmp_path, capsys, overrides, argv, fragment):
+    cfg = write_config(tmp_path, diagnostics={}, **overrides)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out), *argv]) == EXIT_CONFIG
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +144,32 @@ def test_run_determinism_across_reruns_and_workers(tmp_path):
     for other in outs[1:]:
         assert (other / "series.csv").read_bytes() == base_series
         assert (other / "ensembles" / "step_000010.csv").read_bytes() == base_final
+
+
+def test_run_solves_one_assignment_per_recorded_step(tmp_path, monkeypatch):
+    # W2 and Psi share one optimal coupling per recorded step; the floor adds
+    # one solve per pair of burn-ins (3 pairs)
+    import rfilab.transport
+
+    solves = []
+    original = rfilab.transport.linear_sum_assignment
+
+    def counted(cost):
+        solves.append(cost.shape)
+        return original(cost)
+
+    monkeypatch.setattr(rfilab.transport, "linear_sum_assignment", counted)
+    cfg = write_config(
+        tmp_path,
+        scenario={"name": "kaczmarz", "params": {"m": 3, "n": 2, "consistent": False, "instance_seed": 0}},
+        ensemble_size=30,
+        iterations=4,
+    )
+    out = tmp_path / "kz"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    recorded = len(json.loads((out / "manifest.json").read_text())["recorded_steps"])
+    assert recorded == 5
+    assert len(solves) == recorded + 3
 
 
 def test_run_ground_truth_reference(tmp_path):

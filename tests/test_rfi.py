@@ -74,15 +74,17 @@ def test_record_every_and_final_step(rng):
     assert traj.steps == [0, 3, 6, 7]
 
 
-def test_reproducibility_across_workers(rng):
+def test_particle_draws_depend_only_on_seed_particle_and_step(rng):
+    # particle p's draw at step k is a function of (seed, p, k) alone: the
+    # first M particles of an N-particle run are an M-particle run
     init = Ensemble(R1, rng.normal(size=(101, 1)))
-    runs = []
-    for workers in (1, 2, 5):
-        cfg = ChainConfig(contraction_family(), init, 25, seed=77, workers=workers)
-        runs.append(run_ensemble(cfg))
-    for other in runs[1:]:
-        for a, b in zip(runs[0].ensembles, other.ensembles):
-            assert np.array_equal(a.points, b.points)
+    full = run_ensemble(ChainConfig(contraction_family(), init, 25, seed=77))
+    assert np.array_equal(full.final().points, run_ensemble(ChainConfig(contraction_family(), init, 25, seed=77)).final().points)
+    for m in (1, 2, 50):
+        head = run_ensemble(ChainConfig(contraction_family(), Ensemble(R1, init.points[:m]), 25, seed=77))
+        assert head.steps == full.steps
+        for a, b in zip(full.ensembles, head.ensembles):
+            assert np.array_equal(a.points[:m], b.points)
 
 
 def test_rerun_is_bit_identical(rng):

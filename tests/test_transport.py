@@ -157,6 +157,30 @@ def test_psi_hat_takes_min_over_candidates(rng):
     assert both == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("space", [R1, EuclideanSpace(2)], ids=["sorted", "assignment"])
+def test_psi_hat_given_couplings_equals_solving(rng, space):
+    # a caller that already holds the W2 couplings gets the same Psi, exactly
+    d = space.dim
+    fam = OperatorFamily.uniform([AffineMap(space, 0.5 * np.eye(d), np.ones(d)), Identity(space)])
+    mu = Ensemble(space, rng.normal(size=(20, d)))
+    near = Ensemble(space, rng.normal(size=(20, d)) + 0.5)
+    far = Ensemble(space, rng.normal(size=(20, d)) + 50)
+    for cands in ([near], [far, mu], [far, near]):
+        couplings = [wasserstein(mu, c)[1] for c in cands]
+        given = markov_transport_discrepancy(fam, mu, cands, couplings=couplings)
+        assert given == markov_transport_discrepancy(fam, mu, cands)
+
+
+def test_psi_hat_rejects_mismatched_couplings(rng):
+    fam = two_point_family()
+    mu = Ensemble(R1, rng.normal(size=(6, 1)))
+    coupling = wasserstein(mu, mu)[1]
+    with pytest.raises(ValueError, match="one coupling per candidate"):
+        markov_transport_discrepancy(fam, mu, [mu, mu], couplings=[coupling])
+    with pytest.raises(ValueError, match="pairs 1 particles"):
+        markov_transport_discrepancy(fam, mu, [mu], couplings=[Coupling([0])])
+
+
 # ---------------------------------------------------------------------------
 # coarse Ricci curvature
 # ---------------------------------------------------------------------------
