@@ -9,23 +9,32 @@ Subcommands:
 
 Configs are JSON documents validated against :data:`CONFIG_SCHEMA` before any
 computation.  All CSV outputs are byte-deterministic for a fixed config, and
-reruns reproduce files exactly.  The ``workers`` key is validated and
-recorded but selects nothing: every layer runs serially in one process.
+reruns reproduce files exactly.  ``run`` splits its independent work into
+jobs (the burn-in reference, the floor's burn-ins and W2 draws, one W2 + Psi
+job per recorded step) and runs them on ``workers`` forked processes, capped
+at the usable CPUs, while this process runs the chain, writes the files and
+estimates regularity.  The worker count changes no output byte: every job is
+a pure function of its arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import os
+import resource
 import sys
 import time
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, transport
 from .analysis import build_rate_report, estimate_subregularity, rate_bound_from_theorem
 from .geometry import SpiderSpace
 from .regularity import (
@@ -35,7 +44,15 @@ from .regularity import (
     estimate_violation_in_expectation,
 )
 from .rfi import ChainConfig, derive_seed, run_ensemble
-from .scenarios import SCENARIO_BUILDERS, build_scenario, long_run_reference, monte_carlo_floor
+# monte_carlo_floor is not called here, but perfbench/spans.py wraps cli.monte_carlo_floor
+from .scenarios import (  # noqa: F401
+    SCENARIO_BUILDERS,
+    build_scenario,
+    floor_pair_seeds,
+    long_run_reference,
+    monte_carlo_floor,
+    unknown_params,
+)
 from .transport import Ensemble, markov_transport_discrepancy, wasserstein
 
 __all__ = ["main", "CONFIG_SCHEMA", "validate_config", "validate_report", "cmd_run", "cmd_regularity", "cmd_rate"]
@@ -51,7 +68,7 @@ CONFIG_SCHEMA = {
     "iterations": (int, True, None, ">= 0"),
     "seed": (int, True, None, ">= 0"),
     "record_every": (int, False, 1, ">= 1"),
-    "workers": (int, False, 1, ">= 1; accepted and recorded, changes no output or timing"),
+    "workers": (int, False, 1, ">= 1; worker processes, capped at usable CPUs; changes no output byte"),
     "common_noise": (bool, False, False, "all particles share one index draw"),
     "diagnostics": (dict, False, {}, "booleans: wasserstein, psi, regularity, rates"),
     "reference": (dict, False, {"mode": "burn_in", "factor": 10}, "mode: burn_in | ground_truth | file; factor; path"),
@@ -61,6 +78,7 @@ CONFIG_SCHEMA = {
 
 DIAGNOSTIC_DEFAULTS = {"wasserstein": True, "psi": True, "regularity": False, "rates": False}
 REFERENCE_KEYS = ("mode", "factor", "path")
+SCENARIO_KEYS = ("name", "params")
 
 REPORT_SCHEMA_ID = "rfilab.report.v1"
 REPORT_KEYS = {"schema", "scenario", "alpha", "regularity", "bound", "rates", "subregularity", "predicted_rate", "floor"}
@@ -91,12 +109,19 @@ def validate_config(raw: dict) -> dict:
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"config.{key}: unknown key")
     scenario = cfg["scenario"]
+    for key in scenario:
+        if key not in SCENARIO_KEYS:
+            raise ConfigError(f"config.scenario.{key}: unknown key (known: {', '.join(SCENARIO_KEYS)})")
     name = scenario.get("name")
     if not isinstance(name, str) or name not in SCENARIO_BUILDERS:
         known = ", ".join(sorted(SCENARIO_BUILDERS))
         raise ConfigError(f"config.scenario.name: must be one of {known}")
-    if not isinstance(scenario.get("params", {}), dict):
+    params = scenario.get("params", {})
+    if not isinstance(params, dict):
         raise ConfigError("config.scenario.params: must be an object")
+    for key in unknown_params(name, params):
+        known = ", ".join(SCENARIO_BUILDERS[name].params) or "none"
+        raise ConfigError(f"config.scenario.params.{key}: not a parameter of '{name}' (known: {known})")
     if cfg["seed"] < 0:
         raise ConfigError("config.seed: must be >= 0")
     if cfg["ensemble_size"] < 1:
@@ -126,6 +151,8 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError("config.reference.mode: must be burn_in, ground_truth or file")
     if mode == "file" and not isinstance(ref.get("path"), str):
         raise ConfigError("config.reference.path: required for mode 'file'")
+    if mode != "file" and "path" in ref:
+        raise ConfigError(f"config.reference.path: only read with mode 'file' (mode is '{mode}')")
     factor = ref.get("factor", 10)
     if isinstance(factor, bool) or not isinstance(factor, int) or factor < 1:
         raise ConfigError("config.reference.factor: must be an integer >= 1")
@@ -206,21 +233,33 @@ def _empty_report(scenario=None) -> dict:
     return report
 
 
-def _reference_ensemble(scenario, cfg: dict):
-    """Reference for the W2-to-invariant series, with provenance."""
+def _scenario_spec(cfg: dict) -> tuple:
+    """``(name, params)``: what a job needs to rebuild the scenario, whose
+    closures cannot be pickled."""
+    return cfg["scenario"]["name"], cfg["scenario"].get("params", {})
+
+
+def _read_reference(path: str, n: int) -> Ensemble:
+    try:
+        ens = Ensemble.from_csv(path)
+    except OSError as exc:
+        raise ConfigError(f"config.reference.path: cannot read {path} ({exc})") from exc
+    if len(ens) != n:
+        raise ConfigError(
+            f"config.reference.path: reference has {len(ens)} particles but "
+            f"ensemble_size is {n} (equal sizes required)"
+        )
+    return ens
+
+
+def _reference_ensemble(scenario, cfg: dict, pool: "_Pool"):
+    """Job making the reference of the W2-to-invariant series, with its
+    provenance.  A burn-in runs on the pool; a file or a ground-truth sample
+    is made here and now, so a config error stops the run before any job."""
     ref_cfg = cfg["reference"]
     n = cfg["ensemble_size"]
     if ref_cfg["mode"] == "file":
-        try:
-            ens = Ensemble.from_csv(ref_cfg["path"])
-        except OSError as exc:
-            raise ConfigError(f"config.reference.path: cannot read {ref_cfg['path']} ({exc})") from exc
-        if len(ens) != n:
-            raise ConfigError(
-                f"config.reference.path: reference has {len(ens)} particles but "
-                f"ensemble_size is {n} (equal sizes required)"
-            )
-        return ens, {"mode": "file", "path": ref_cfg["path"]}
+        return pool.here(_read_reference, ref_cfg["path"], n), {"mode": "file", "path": ref_cfg["path"]}
     if ref_cfg["mode"] == "ground_truth":
         sampler = scenario.ground_truth.invariant_sampler
         if sampler is None:
@@ -228,11 +267,175 @@ def _reference_ensemble(scenario, cfg: dict):
                 f"config.reference.mode: scenario '{scenario.name}' has no ground-truth invariant sampler"
             )
         ref_seed = derive_seed(cfg["seed"], 0x6D)
-        return sampler(n, ref_seed), {"mode": "ground_truth", "seed": ref_seed}
+        return pool.here(sampler, n, ref_seed), {"mode": "ground_truth", "seed": ref_seed}
     steps = ref_cfg["factor"] * max(cfg["iterations"], 1)
     ref_seed = derive_seed(cfg["seed"], 0x6E)
-    ens = long_run_reference(scenario, n, steps, ref_seed)
-    return ens, {"mode": "burn_in", "steps": steps, "seed": ref_seed}
+    job, = pool.submit((_burn_in, _scenario_spec(cfg), n, steps, ref_seed))
+    return job, {"mode": "burn_in", "steps": steps, "seed": ref_seed}
+
+
+# ---------------------------------------------------------------------------
+# jobs, and the pool that runs them
+# ---------------------------------------------------------------------------
+
+LAYERS = ("reference", "chain", "w2_psi", "floor", "regularity", "io")
+
+# what the jobs of one lane keep: the scenario, the shared reference and
+# floor burn-ins waiting for their draw
+_LANE: dict = {}
+
+
+def _lane_scenario(spec: tuple):
+    if _LANE.get("spec") != spec:
+        _LANE.update(spec=spec, scenario=build_scenario(*spec))
+    return _LANE["scenario"]
+
+
+def _burn_in(spec: tuple, n: int, steps: int, seed: int) -> Ensemble:
+    return long_run_reference(_lane_scenario(spec), n, steps, seed)
+
+
+def _share_reference(spec: tuple, reference: Ensemble) -> None:
+    _lane_scenario(spec)
+    _LANE["reference"] = reference
+
+
+def _series_point(ens: Ensemble, want_w2: bool, want_psi: bool) -> tuple:
+    """(W2, Psi) of one recorded ensemble against the shared reference;
+    Psi reuses the W2 coupling: one optimal assignment per step."""
+    reference = _LANE["reference"]
+    w2 = psi = coupling = None
+    if want_w2:
+        w2, coupling = wasserstein(ens, reference, p=2.0)
+    if want_psi:
+        psi = markov_transport_discrepancy(_LANE["scenario"].family, ens, [reference], couplings=[coupling])
+    return w2, psi
+
+
+def _floor_burn_in(spec: tuple, n: int, steps: int, seed: int) -> None:
+    """One burn-in of the floor, kept on this lane for the draw that follows."""
+    _LANE.setdefault("floor", {})[seed] = _burn_in(spec, n, steps, seed)
+
+
+def _floor_draw(seed_a: int, seed_b: int) -> float:
+    """W2 between the two floor burn-ins made on this lane before it."""
+    floor = _LANE["floor"]
+    return wasserstein(floor.pop(seed_a), floor.pop(seed_b), p=2.0)[0]
+
+
+def _job(fn, args) -> tuple:
+    """Run one job in this process: its value, seconds and exact-OT solves."""
+    before = dict(transport.SOLVES)
+    start = time.perf_counter()
+    value = fn(*args)
+    seconds = time.perf_counter() - start
+    return value, seconds, {path: transport.SOLVES[path] - count for path, count in before.items()}
+
+
+def _done(fn, *args) -> Future:
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+class _InProcess:
+    """The one lane of a pool of size 1: this process, which runs each job
+    when it is submitted."""
+
+    submit = staticmethod(_done)
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        _LANE.clear()
+
+
+def usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _peak_rss_mib(who) -> float:
+    return resource.getrusage(who).ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+
+
+class _Pool:
+    """Runs jobs on ``size`` lanes and tallies where the time went.
+
+    Job i goes to lane i % size in submission order, so which process runs
+    a job never depends on timing.  A lane is one forked process, a
+    single-worker ProcessPoolExecutor: one executor shared by all lanes
+    would hand each job to whichever worker is idle first.  Fork, stated
+    explicitly, lets a lane start without importing numpy and scipy again.
+    Each lane answers a first empty job before the next lane is forked, so
+    no fork happens while an earlier lane's helper threads are mid-call.
+    At size 1 the lane is this process and no child starts.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.seconds = dict.fromkeys(LAYERS, 0.0)
+        self.solves = dict.fromkeys(transport.SOLVES, 0)
+        self._submitted = 0
+        self._lanes = [_InProcess()] if size == 1 else []
+        fork = multiprocessing.get_context("fork")
+        while len(self._lanes) < size:
+            self._lanes.append(ProcessPoolExecutor(1, mp_context=fork))
+            self._lanes[-1].submit(int).result()
+
+    def submit(self, *calls) -> list:
+        """Queue ``calls``, each a tuple ``(fn, *args)``, in order on the
+        next lane in turn; one future per call."""
+        lane = self._lanes[self._submitted % self.size]
+        self._submitted += 1
+        return [lane.submit(_job, fn, args) for fn, *args in calls]
+
+    def share(self, fn, *args) -> list:
+        """Run ``fn(*args)`` once on every lane, before the jobs submitted
+        later; one future per lane."""
+        return [lane.submit(_job, fn, args) for lane in self._lanes]
+
+    @staticmethod
+    def here(fn, *args) -> Future:
+        """Run ``fn(*args)`` now, in this process, as a job of no lane."""
+        return _done(_job, fn, args)
+
+    def take(self, layer: str, job: Future):
+        """The value of ``job``; its seconds and solves count to ``layer``."""
+        value, seconds, solves = job.result()
+        self.seconds[layer] += seconds
+        for path, count in solves.items():
+            self.solves[path] += count
+        return value
+
+    @contextmanager
+    def timed(self, layer: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[layer] += time.perf_counter() - start
+
+    def timings(self) -> dict:
+        """The manifest's ``timings``: seconds per layer (job seconds summed
+        over lanes), exact-OT solves, lanes, and peak RSS of this process and
+        of its largest reaped child (read after the pool has shut down)."""
+        return {
+            "seconds": dict(self.seconds),
+            "assignment_solves": self.solves["assignment"],
+            "sorted_solves": self.solves["sorted"],
+            "workers_used": self.size,
+            "peak_rss_mib": {
+                "main": _peak_rss_mib(resource.RUSAGE_SELF),
+                "children": _peak_rss_mib(resource.RUSAGE_CHILDREN),
+            },
+        }
+
+    def __enter__(self) -> "_Pool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for lane in self._lanes:
+            lane.shutdown(wait=True, cancel_futures=exc_type is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -246,66 +449,80 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     out = Path(out_dir or cfg.get("output_dir") or "results")
     out.mkdir(parents=True, exist_ok=True)
 
-    scenario = build_scenario(cfg["scenario"]["name"], cfg["scenario"].get("params", {}))
-    initial = scenario.initial(cfg["ensemble_size"], derive_seed(cfg["seed"], 0x11))
-    reference, ref_provenance = _reference_ensemble(scenario, cfg)
-
+    spec = _scenario_spec(cfg)
+    scenario = build_scenario(*spec)
+    n = cfg["ensemble_size"]
     chain = ChainConfig(
         family=scenario.family,
-        initial=initial,
+        initial=scenario.initial(n, derive_seed(cfg["seed"], 0x11)),
         iterations=cfg["iterations"],
         seed=cfg["seed"],
         record_every=cfg["record_every"],
         common_noise=cfg["common_noise"],
     )
-    trajectory = run_ensemble(chain)
-
     diags = cfg["diagnostics"]
-    w2_series = []
-    psi_series = []
-    for ens in trajectory.ensembles:
-        coupling = None
-        if diags["wasserstein"]:
-            value, coupling = wasserstein(ens, reference, p=2.0)
-            w2_series.append(value)
-        else:
-            w2_series.append(None)
-        if diags["psi"]:
-            # Psi reuses the W2 coupling: one optimal assignment per step
-            psi_series.append(markov_transport_discrepancy(scenario.family, ens, [reference], couplings=[coupling]))
-        else:
-            psi_series.append(None)
+    series = diags["wasserstein"] or diags["psi"]
+    floor = diags["rates"] and diags["wasserstein"]
+    floor_pairs = floor_pair_seeds(cfg["seed"]) if floor else []
+    # one pool submission each: the reference burn-in, a floor pair (two
+    # burn-ins and their W2, on one lane) and a recorded step's W2 + Psi
+    submissions = (cfg["reference"]["mode"] == "burn_in") + len(floor_pairs) + series * len(chain.recorded_steps())
+    with _Pool(max(1, min(cfg["workers"], usable_cpus(), submissions))) as pool:
+        reference_job, ref_provenance = _reference_ensemble(scenario, cfg, pool)
+        floor_steps = ref_provenance.get("steps", 10 * max(cfg["iterations"], 1))
+        # a floor pair stays on one lane, so no burn-in travels for its W2
+        floor_jobs = [
+            pool.submit((_floor_burn_in, spec, n, floor_steps, a), (_floor_burn_in, spec, n, floor_steps, b),
+                        (_floor_draw, a, b))
+            for a, b in floor_pairs
+        ]
 
-    ens_dir = out / "ensembles"
-    ens_dir.mkdir(exist_ok=True)
-    for step, ens in zip(trajectory.steps, trajectory.ensembles):
-        ens.to_csv(ens_dir / f"step_{step:06d}.csv")
-    reference.to_csv(out / "reference.csv")
+        # regularity first: its temporary arrays are freed before the chain's ensembles exist
+        reference = pool.take("reference", reference_job)
+        report = _empty_report(scenario)
+        if diags["regularity"]:
+            with pool.timed("regularity"):
+                sampler = _default_sampler(scenario, reference, cfg["seed"])
+                report["regularity"] = _regularity_block(scenario, sampler, cfg["regularity_pairs"])
+        with pool.timed("chain"):
+            trajectory = run_ensemble(chain)
+        if series:
+            shares = pool.share(_share_reference, spec, reference)
+            series_jobs = [pool.submit((_series_point, ens, diags["wasserstein"], diags["psi"]))[0]
+                           for ens in trajectory.ensembles]
+        ens_dir = out / "ensembles"
+        ens_dir.mkdir(exist_ok=True)
+        with pool.timed("io"):
+            for step, ens in zip(trajectory.steps, trajectory.ensembles):
+                ens.to_csv(ens_dir / f"step_{step:06d}.csv")
+            reference.to_csv(out / "reference.csv")
+        values = [(None, None)] * len(trajectory.steps)
+        if series:
+            for job in shares:  # read, so that a failed share raises here
+                pool.take("w2_psi", job)
+            values = [pool.take("w2_psi", job) for job in series_jobs]
+        with pool.timed("io"):
+            with (out / "series.csv").open("w", newline="", encoding="utf-8") as fh:
+                fh.write("k,W2_to_reference,psi_hat\n")
+                for step, (w2, psi) in zip(trajectory.steps, values):
+                    fh.write(f"{step},{_float_repr(w2)},{_float_repr(psi)}\n")
+        if floor:
+            draws = [[pool.take("floor", job) for job in jobs][-1] for jobs in floor_jobs]
+            report["floor"] = float(np.median(draws))
 
-    with (out / "series.csv").open("w", newline="", encoding="utf-8") as fh:
-        fh.write("k,W2_to_reference,psi_hat\n")
-        for step, w2, psi in zip(trajectory.steps, w2_series, psi_series):
-            fh.write(f"{step},{_float_repr(w2)},{_float_repr(psi)}\n")
-
-    report = _empty_report(scenario)
-    if diags["regularity"]:
-        sampler = _default_sampler(scenario, reference, cfg["seed"])
-        report["regularity"] = _regularity_block(scenario, sampler, cfg["regularity_pairs"])
-    if diags["rates"] and diags["wasserstein"]:
-        floor = monte_carlo_floor(
-            scenario, cfg["ensemble_size"], ref_provenance.get("steps", 10 * max(cfg["iterations"], 1)), cfg["seed"]
-        )
-        report["floor"] = floor
-        rate_report = build_rate_report(trajectory.steps, [v for v in w2_series], floor=floor)
+    if floor:
+        w2_series = [w2 for w2, _ in values]
+        rate_report = build_rate_report(trajectory.steps, w2_series, floor=report["floor"])
         report["rates"] = rate_report.to_dict()
         if diags["psi"]:
-            psi = np.asarray(psi_series, dtype=float)
+            psi = np.asarray([p for _, p in values], dtype=float)
             dist = np.asarray(w2_series, dtype=float)
             usable = psi > 0
             if np.any(usable):
                 report["subregularity"] = estimate_subregularity(psi[usable], dist[usable]).to_dict()
         report["predicted_rate"] = _predicted_rate(report)
-    _write_report(out, report)
+    with pool.timed("io"):
+        _write_report(out, report)
 
     manifest = {
         "config": cfg,
@@ -316,6 +533,7 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
         "versions": {"rfilab": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
         "seed": cfg["seed"],
         "wall_time_s": time.perf_counter() - started,
+        "timings": pool.timings(),
         "notes": scenario.notes,
     }
     with (out / "manifest.json").open("w", encoding="utf-8") as fh:
@@ -354,8 +572,9 @@ def cmd_regularity(config_path, out_dir, seed: Optional[int] = None) -> int:
     cfg = load_config(config_path, {"seed": seed})
     out = Path(out_dir or cfg.get("output_dir") or "results")
     out.mkdir(parents=True, exist_ok=True)
-    scenario = build_scenario(cfg["scenario"]["name"], cfg["scenario"].get("params", {}))
-    reference, _ = _reference_ensemble(scenario, cfg)
+    scenario = build_scenario(*_scenario_spec(cfg))
+    with _Pool(1) as pool:
+        reference = pool.take("reference", _reference_ensemble(scenario, cfg, pool)[0])
     sampler = _default_sampler(scenario, reference, cfg["seed"])
     report = _empty_report(scenario)
     report["regularity"] = _regularity_block(scenario, sampler, cfg["regularity_pairs"])
@@ -452,7 +671,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True)
     run.add_argument("--out", default=None)
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--workers", type=int, default=None, help="accepted and recorded (>= 1); changes no output or timing")
+    run.add_argument("--workers", type=int, default=None,
+                     help="worker processes (>= 1), capped at usable CPUs; changes no output byte")
     run.add_argument("--record-every", type=int, default=None)
 
     reg = sub.add_parser("regularity", help="estimate violation constants")

@@ -56,6 +56,10 @@ class ChainConfig:
         if self.family.space != self.initial.space:
             raise ValueError("family and initial ensemble live in different spaces")
 
+    def recorded_steps(self) -> List[int]:
+        """Step 0, every ``record_every``-th step and the last step."""
+        return sorted({0, self.iterations, *range(self.record_every, self.iterations + 1, self.record_every)})
+
 
 @dataclass
 class Trajectory:
@@ -92,7 +96,8 @@ def run_ensemble(cfg: ChainConfig) -> Trajectory:
     family = cfg.family
     pts = cfg.initial.points.copy()
     n = len(pts)
-    recorded_steps = [0]
+    recorded_steps = cfg.recorded_steps()
+    record = set(recorded_steps)
     ensembles = [Ensemble(cfg.initial.space, pts)]
     for k in range(cfg.iterations):
         gen = _generator(cfg.seed, STREAM_STEP, k)
@@ -101,8 +106,6 @@ def run_ensemble(cfg: ChainConfig) -> Trajectory:
         else:
             idx = family.sample_indices(gen.random(n))
         pts = family.apply_index(idx, pts)
-        step = k + 1
-        if step % cfg.record_every == 0 or step == cfg.iterations:
-            recorded_steps.append(step)
+        if k + 1 in record:
             ensembles.append(Ensemble(cfg.initial.space, pts))
     return Trajectory(steps=recorded_steps, ensembles=ensembles)

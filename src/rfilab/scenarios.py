@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +54,9 @@ __all__ = [
     "phase_error",
     "long_run_reference",
     "monte_carlo_floor",
+    "floor_pair_seeds",
     "build_scenario",
+    "unknown_params",
     "SCENARIO_BUILDERS",
 ]
 
@@ -500,12 +502,17 @@ def monte_carlo_floor(scenario: Scenario, n: int, steps: int, seed: int, repeats
     A single agreement draw fluctuates by a factor of 2-3, so the floor is
     the median over ``repeats`` independent pairs.
     """
-    draws = []
-    for i in range(repeats):
-        a = long_run_reference(scenario, n, steps, derive_seed(seed, 11 + 2 * i))
-        b = long_run_reference(scenario, n, steps, derive_seed(seed, 12 + 2 * i))
-        draws.append(wasserstein(a, b, p=2.0)[0])
+    draws = [
+        wasserstein(long_run_reference(scenario, n, steps, a), long_run_reference(scenario, n, steps, b), p=2.0)[0]
+        for a, b in floor_pair_seeds(seed, repeats)
+    ]
     return float(np.median(draws))
+
+
+def floor_pair_seeds(seed: int, repeats: int = 3) -> list:
+    """Burn-in seeds of the ``repeats`` independent pairs behind
+    :func:`monte_carlo_floor`, one ``(a, b)`` tuple per pair."""
+    return [(derive_seed(seed, 11 + 2 * i), derive_seed(seed, 12 + 2 * i)) for i in range(repeats)]
 
 
 # ---------------------------------------------------------------------------
@@ -584,19 +591,40 @@ def _build_dr_lines(params: dict) -> Scenario:
     )
 
 
+class ScenarioBuilder(NamedTuple):
+    """Registry entry: ``build(params)`` and the parameter keys it reads."""
+
+    build: Callable[[dict], Scenario]
+    params: Tuple[str, ...]
+
+
 SCENARIO_BUILDERS = {
-    "two_point": _build_two_point,
-    "contraction": _build_contraction,
-    "kaczmarz": _build_kaczmarz,
-    "sgd_linear_noise": _build_sgd,
-    "phase_retrieval": _build_phase_retrieval,
-    "spider_frechet": _build_spider,
-    "dr_parallel_lines": _build_dr_lines,
+    "two_point": ScenarioBuilder(_build_two_point, ()),
+    "contraction": ScenarioBuilder(_build_contraction, ("r", "offset")),
+    "kaczmarz": ScenarioBuilder(
+        _build_kaczmarz, ("A", "b", "consistent", "m", "n", "instance_seed", "perturbation", "init_scale")
+    ),
+    "sgd_linear_noise": ScenarioBuilder(_build_sgd, ("Q", "dim", "q", "atoms", "t")),
+    "phase_retrieval": ScenarioBuilder(
+        _build_phase_retrieval, ("n", "n_masks", "instance_seed", "relax", "init_noise")
+    ),
+    "spider_frechet": ScenarioBuilder(_build_spider, ("anchors", "lam", "legs")),
+    "dr_parallel_lines": ScenarioBuilder(_build_dr_lines, ("gap", "init_scale")),
 }
+
+
+def unknown_params(name: str, params: dict) -> list:
+    """Keys of ``params`` that scenario ``name`` does not read, sorted."""
+    return sorted(set(params) - set(SCENARIO_BUILDERS[name].params))
 
 
 def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
     if name not in SCENARIO_BUILDERS:
         known = ", ".join(sorted(SCENARIO_BUILDERS))
         raise ValueError(f"unknown scenario '{name}' (known: {known})")
-    return SCENARIO_BUILDERS[name](dict(params or {}))
+    params = dict(params or {})
+    unknown = unknown_params(name, params)
+    if unknown:
+        known = ", ".join(SCENARIO_BUILDERS[name].params) or "none"
+        raise ValueError(f"scenario '{name}' has no parameter '{unknown[0]}' (known: {known})")
+    return SCENARIO_BUILDERS[name].build(params)

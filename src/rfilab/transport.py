@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 
+# exact W_p solves made by this process, by path (`rfilab run` reports them)
+SOLVES = {"assignment": 0, "sorted": 0}
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Equal-weight empirical measure: N particles of one space, packed."""
@@ -155,12 +159,14 @@ def wasserstein(A: Ensemble, B: Ensemble, p: float = 2.0):
     space = A.space
     if isinstance(space, EuclideanSpace) and space.dim == 1 and not space.complex_coords:
         # on the line the monotone (sorted) coupling is optimal for any p >= 1
+        SOLVES["sorted"] += 1
         ia = np.argsort(A.points[:, 0], kind="stable")
         ib = np.argsort(B.points[:, 0], kind="stable")
         sigma = np.empty(len(A), dtype=np.intp)
         sigma[ia] = ib
         dist = np.abs(A.points[:, 0] - B.points[sigma, 0])
     else:
+        SOLVES["assignment"] += 1
         cost = space.cross_dist(A.points, B.points) ** p
         rows, cols = linear_sum_assignment(cost)
         sigma = np.empty(len(A), dtype=np.intp)

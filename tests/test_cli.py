@@ -1,7 +1,9 @@
 import json
+import multiprocessing
 
 import pytest
 
+import rfilab.cli
 from rfilab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -55,6 +57,8 @@ def test_validate_config_defaults():
         ({"workers": 0}, "workers"),
         ({"reference": {"factor": True}}, "reference.factor"),
         ({"reference": {"foo": 3}}, "reference.foo"),
+        ({"reference": {"mode": "burn_in", "path": "ref.csv"}}, "reference.path"),
+        ({"scenario": {"name": "two_point", "parms": {}}}, "scenario.parms"),
     ],
 )
 def test_validate_config_rejects(patch, fragment):
@@ -86,6 +90,8 @@ def test_invalid_config_exit_code(tmp_path):
         ({}, ["--seed", "-1"], "config.seed"),
         ({}, ["--workers", "0"], "config.workers"),
         ({}, ["--record-every", "0"], "config.record_every"),
+        ({"reference": {"mode": "ground_truth", "path": "ref.csv"}}, [], "config.reference.path"),
+        ({"scenario": {"name": "contraction", "params": {"R": 0.9}}}, [], "config.scenario.params.R"),
     ],
 )
 def test_run_invalid_value_exits_2_naming_the_key(tmp_path, capsys, overrides, argv, fragment):
@@ -93,6 +99,22 @@ def test_run_invalid_value_exits_2_naming_the_key(tmp_path, capsys, overrides, a
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out), *argv]) == EXIT_CONFIG
     assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+SCENARIOS = ("two_point", "contraction", "kaczmarz", "sgd_linear_noise", "phase_retrieval", "spider_frechet",
+             "dr_parallel_lines")
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_run_unknown_scenario_param_exits_2_naming_it(tmp_path, capsys, name):
+    from rfilab.scenarios import SCENARIO_BUILDERS
+
+    assert sorted(SCENARIO_BUILDERS) == sorted(SCENARIOS)
+    cfg = write_config(tmp_path, scenario={"name": name, "params": {"no_such_key": 1}}, diagnostics={})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "config.scenario.params.no_such_key" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -130,25 +152,40 @@ def test_run_k0_outputs_initial_only(tmp_path):
     assert len(series) == 2 and series[1].startswith("0,")
 
 
-def test_run_determinism_across_reruns_and_workers(tmp_path):
-    cfg = write_config(tmp_path, diagnostics={"wasserstein": True, "psi": True})
-    outs = []
-    for name, workers in (("a", None), ("b", None), ("c", 4)):
-        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / name)]
-        if workers:
-            argv += ["--workers", str(workers)]
-        assert main(argv) == EXIT_OK
-        outs.append(tmp_path / name)
-    base_series = (outs[0] / "series.csv").read_bytes()
-    base_final = (outs[0] / "ensembles" / "step_000010.csv").read_bytes()
-    for other in outs[1:]:
-        assert (other / "series.csv").read_bytes() == base_series
-        assert (other / "ensembles" / "step_000010.csv").read_bytes() == base_final
+def _result_files(out):
+    names = ["series.csv", "reference.csv", "report.json"]
+    names += [f"ensembles/{p.name}" for p in sorted((out / "ensembles").glob("step_*.csv"))]
+    return {name: (out / name).read_bytes() for name in names}
+
+
+def test_run_determinism_across_reruns_and_workers(tmp_path, monkeypatch):
+    # every result file, the floor in report.json included, is the same
+    # whether the jobs run in this process or on 2 or 4 worker processes;
+    # contraction takes the sorted W2 path, kaczmarz the assignment path
+    monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 4)
+    for scenario in ({"name": "contraction", "params": {"r": 0.5, "offset": 5.0}},
+                     {"name": "kaczmarz", "params": {"m": 3, "n": 2, "instance_seed": 0}}):
+        cfg = write_config(tmp_path, scenario=scenario)
+        outs = {}
+        for name, workers in (("a", None), ("b", None), ("c", 2), ("d", 4)):
+            out = tmp_path / f"{scenario['name']}-{name}"
+            argv = ["run", "--config", str(cfg), "--out", str(out)]
+            if workers:
+                argv += ["--workers", str(workers)]
+            assert main(argv) == EXIT_OK
+            used = json.loads((out / "manifest.json").read_text())["timings"]["workers_used"]
+            assert used == (workers or 1)
+            outs[name] = _result_files(out)
+        assert len(outs["a"]) == 14  # series, reference, report, 11 ensembles
+        assert json.loads(outs["a"]["report.json"])["floor"] > 0
+        for name in "bcd":
+            assert outs[name] == outs["a"], (scenario["name"], name)
 
 
 def test_run_solves_one_assignment_per_recorded_step(tmp_path, monkeypatch):
     # W2 and Psi share one optimal coupling per recorded step; the floor adds
-    # one solve per pair of burn-ins (3 pairs)
+    # one solve per pair of burn-ins (3 pairs).  In process the solves are
+    # counted at the solver; on worker processes, from the manifest.
     import rfilab.transport
 
     solves = []
@@ -159,17 +196,65 @@ def test_run_solves_one_assignment_per_recorded_step(tmp_path, monkeypatch):
         return original(cost)
 
     monkeypatch.setattr(rfilab.transport, "linear_sum_assignment", counted)
+    monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
     cfg = write_config(
         tmp_path,
         scenario={"name": "kaczmarz", "params": {"m": 3, "n": 2, "consistent": False, "instance_seed": 0}},
         ensemble_size=30,
         iterations=4,
     )
-    out = tmp_path / "kz"
+    for workers in (1, 2):
+        out = tmp_path / f"kz{workers}"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", str(workers)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        recorded = len(manifest["recorded_steps"])
+        assert recorded == 5
+        assert manifest["timings"]["workers_used"] == workers
+        assert manifest["timings"]["assignment_solves"] == recorded + 3
+        assert manifest["timings"]["sorted_solves"] == 0
+        if workers == 1:
+            assert len(solves) == recorded + 3
+    assert len(solves) == recorded + 3  # none made in this process at 2 workers
+
+
+def test_run_manifest_timings(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "t"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    recorded = len(json.loads((out / "manifest.json").read_text())["recorded_steps"])
-    assert recorded == 5
-    assert len(solves) == recorded + 3
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert set(timings["seconds"]) == {"reference", "chain", "w2_psi", "floor", "regularity", "io"}
+    assert all(seconds >= 0.0 for seconds in timings["seconds"].values())
+    assert timings["seconds"]["reference"] > 0.0 and timings["seconds"]["io"] > 0.0
+    # contraction lives on the line: 11 recorded steps + 3 floor pairs, all sorted
+    assert (timings["sorted_solves"], timings["assignment_solves"]) == (14, 0)
+    assert timings["workers_used"] == 1
+    assert timings["peak_rss_mib"]["main"] > 0.0
+
+
+def test_run_pool_is_capped_at_usable_cpus(tmp_path, monkeypatch):
+    monkeypatch.setattr(rfilab.cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = write_config(tmp_path, diagnostics={"wasserstein": True, "psi": True})
+    out = tmp_path / "w64"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", "64"]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["workers"] == 64
+    assert 1 <= manifest["timings"]["workers_used"] <= 2
+    assert multiprocessing.active_children() == []
+
+
+def test_run_worker_failure_exits_like_in_process(tmp_path, monkeypatch, capsys):
+    def failing_burn_in(scenario, n, steps, seed):
+        raise RuntimeError(f"burn-in of {n} particles failed")
+
+    monkeypatch.setattr(rfilab.cli, "long_run_reference", failing_burn_in)
+    monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path)
+    errors = []
+    for workers in ("1", "2"):
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / workers), "--workers", workers])
+        errors.append((code, capsys.readouterr().err))
+        assert multiprocessing.active_children() == []
+    assert errors[0] == errors[1] == (1, "failure: RuntimeError: burn-in of 200 particles failed\n")
 
 
 def test_run_ground_truth_reference(tmp_path):

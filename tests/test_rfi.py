@@ -52,6 +52,17 @@ def test_run_chain_identity_family():
 # ensembles
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("iterations, every, want", [
+    (0, 1, [0]), (0, 5, [0]), (4, 1, [0, 1, 2, 3, 4]), (10, 10, [0, 10]), (10, 4, [0, 4, 8, 10]), (3, 7, [0, 3]),
+])
+def test_recorded_steps_are_the_steps_run_ensemble_records(rng, iterations, every, want):
+    init = Ensemble(R1, rng.normal(size=(5, 1)))
+    cfg = ChainConfig(two_point_family(), init, iterations, seed=2, record_every=every)
+    assert cfg.recorded_steps() == want
+    traj = run_ensemble(cfg)
+    assert traj.steps == want and len(traj.ensembles) == len(want)
+
+
 def test_run_ensemble_k0_returns_initial(rng):
     init = Ensemble(R1, rng.normal(size=(20, 1)))
     traj = run_ensemble(ChainConfig(two_point_family(), init, 0, seed=5))

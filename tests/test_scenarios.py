@@ -14,7 +14,9 @@ from rfilab.regularity import (
 )
 from rfilab.rfi import ChainConfig, run_chain, run_ensemble
 from rfilab.scenarios import (
+    SCENARIO_BUILDERS,
     build_scenario,
+    floor_pair_seeds,
     long_run_reference,
     monte_carlo_floor,
     phase_error,
@@ -370,6 +372,23 @@ def test_build_scenario_registry():
     assert sc.params["n"] == 16
     with pytest.raises(ValueError, match="unknown scenario"):
         build_scenario("nope", {})
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_build_scenario_rejects_unknown_params(name):
+    # {"R": 0.9} used to build contraction with r = 0.5, the default
+    assert "R" not in SCENARIO_BUILDERS[name].params
+    with pytest.raises(ValueError, match=f"scenario '{name}' has no parameter 'R'"):
+        build_scenario(name, {"R": 0.9})
+
+
+def test_monte_carlo_floor_is_the_median_over_its_pair_seeds():
+    sc = scenario_contraction()
+    draws = [
+        wasserstein(long_run_reference(sc, 40, 5, a), long_run_reference(sc, 40, 5, b))[0]
+        for a, b in floor_pair_seeds(9, 3)
+    ]
+    assert monte_carlo_floor(sc, 40, 5, seed=9) == float(np.median(draws))
 
 
 def test_builders_are_seed_deterministic():
