@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .geometry import EuclideanSpace, SpiderPoint, SpiderSpace, distance, geodesic_point
 from .operators import OperatorFamily, SmoothTerm
-from .rfi import ChainConfig, Trajectory, run_chain, run_ensemble
+from .rfi import ChainConfig, Trajectory, run_ensemble
 from .transport import Coupling, Ensemble, wasserstein
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "SmoothTerm",
     "ChainConfig",
     "Trajectory",
-    "run_chain",
     "run_ensemble",
     "Ensemble",
     "Coupling",

@@ -1,4 +1,4 @@
-"""Post-processing: rate fits, gauge-function checks, subregularity constants.
+"""Post-processing: rate fits, the linear-gauge rate bound, subregularity constants.
 
 A distance series (d_k) is classified by two fits.  The Q-linear rate is the
 maximum consecutive ratio over a window (conservative: the defining
@@ -28,13 +28,10 @@ __all__ = [
     "QLinearFit",
     "RLinearFit",
     "SubregularityFit",
-    "GaugeSpec",
-    "ThetaCheck",
     "RateReport",
     "fit_qlinear",
     "fit_rlinear",
     "theta_linear",
-    "check_theta_admissible",
     "estimate_subregularity",
     "rate_bound_from_theorem",
     "build_rate_report",
@@ -157,126 +154,6 @@ def rate_bound_from_theorem(alpha: float, epsilon: float, r: float) -> float:
         raise ValueError(f"r={r} at or above the admissibility bound sqrt((1-a)/(a eps))={upper}")
     gamma = theta_linear(epsilon, tau, r)
     return math.sqrt(max(gamma, 0.0))
-
-
-@dataclass(frozen=True)
-class GaugeSpec:
-    """A metric-subregularity gauge: linear with constant r, or a custom table.
-
-    For the linear kind the contraction factor gamma = 1 + epsilon - tau/r^2
-    must land in [0, 1], which pins r to the admissibility window
-    sqrt(tau/(1+epsilon)) <= r <= sqrt(tau/epsilon).
-    """
-
-    kind: str  # "linear" | "table"
-    epsilon: float
-    tau: float
-    r: Optional[float] = None
-    table: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.kind == "linear":
-            if self.r is None:
-                raise ValueError("linear gauge needs the constant r")
-            theta_linear(self.epsilon, self.tau, self.r)  # validates the window
-        elif self.kind == "table":
-            if not self.table:
-                raise ValueError("table gauge needs theta samples")
-            object.__setattr__(self, "table", tuple((float(t), float(v)) for t, v in self.table))
-        else:
-            raise ValueError(f"unknown gauge kind {self.kind!r}")
-
-    @classmethod
-    def linear(cls, epsilon: float, tau: float, r: float) -> "GaugeSpec":
-        return cls(kind="linear", epsilon=epsilon, tau=tau, r=r)
-
-    @classmethod
-    def from_table(cls, epsilon: float, tau: float, table) -> "GaugeSpec":
-        return cls(kind="table", epsilon=epsilon, tau=tau, table=tuple(table))
-
-    def gamma(self) -> float:
-        if self.kind != "linear":
-            raise ValueError("gamma is defined for the linear gauge only")
-        return theta_linear(self.epsilon, self.tau, self.r)
-
-    def admissible(self, budget: int = 20000) -> "ThetaCheck":
-        """Check the gauge's theta function against the three conditions."""
-        if self.kind == "linear":
-            g = float(self.gamma())
-            ok = bool(0.0 < g < 1.0)
-            return ThetaCheck(ok, "linear gauge factor in (0, 1)" if ok else f"gamma={g} outside (0, 1)", 0, 0.0)
-        return check_theta_admissible(self.table, budget=budget)
-
-
-@dataclass(frozen=True)
-class ThetaCheck:
-    """Outcome of the gauge admissibility check; ok=None means inconclusive."""
-
-    ok: Optional[bool]
-    reason: str
-    iterations: int
-    partial_sum: float
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "reason": self.reason, "iterations": self.iterations, "partial_sum": self.partial_sum}
-
-
-def check_theta_admissible(theta_table: Sequence[Tuple[float, float]], budget: int = 20000) -> ThetaCheck:
-    """Check the three gauge conditions on a tabulated theta.
-
-    (i) theta(0) = 0 and (ii) 0 < theta(t) < t for t > 0 are verified on the
-    table nodes.  (iii) summability of the iterates theta^(j)(t) is probed by
-    iterating from the largest node with linear interpolation: the partial
-    sum either stabilizes (admissible), keeps adding dyadic blocks of nearly
-    constant mass (divergent tail, inadmissible), or the budget runs out
-    without a clear signal (inconclusive).
-    """
-    table = sorted((float(t), float(v)) for t, v in theta_table)
-    if not table:
-        raise ValueError("theta table is empty")
-    ts = np.asarray([t for t, _ in table])
-    vs = np.asarray([v for _, v in table])
-    if np.any(ts < 0):
-        raise ValueError("theta table arguments must be >= 0")
-    if np.unique(ts).size != ts.size:
-        raise ValueError("theta table arguments must be distinct")
-    if ts[0] == 0.0 and vs[0] != 0.0:
-        return ThetaCheck(False, "theta(0) != 0", 0, 0.0)
-    pos = ts > 0
-    if np.any(vs[pos] <= 0.0) or np.any(vs[pos] >= ts[pos]):
-        return ThetaCheck(False, "0 < theta(t) < t violated at a table node", 0, 0.0)
-
-    def interp(t: float) -> float:
-        # linear interpolation pinned at (0, 0); beyond the table keep the
-        # last slope ratio, capped below t to stay inside condition (ii)
-        if t <= 0.0:
-            return 0.0
-        if t >= ts[-1]:
-            return min(vs[-1] / ts[-1] * t, np.nextafter(t, 0.0))
-        return float(np.interp(t, np.concatenate(([0.0], ts)), np.concatenate(([0.0], vs))))
-
-    t = float(ts[-1])
-    partial = 0.0
-    block_sums: List[float] = []
-    block = 0.0
-    next_boundary = 1
-    for j in range(1, budget + 1):
-        t = interp(t)
-        partial += t
-        block += t
-        if j == next_boundary:
-            block_sums.append(block)
-            block = 0.0
-            next_boundary *= 2
-        if t < 1e-14 * (1.0 + ts[-1]):
-            return ThetaCheck(True, "iterates stabilized", j, partial)
-        if len(block_sums) >= 4:
-            b1, b2 = block_sums[-2], block_sums[-1]
-            if b1 > 0 and b2 < 0.5 * b1:
-                return ThetaCheck(True, "dyadic block sums decay geometrically", j, partial)
-            if b1 > 0 and b2 > 0.9 * b1:
-                return ThetaCheck(False, "dyadic block sums do not decay (divergent tail)", j, partial)
-    return ThetaCheck(None, "iteration budget exceeded without a clear signal", budget, partial)
 
 
 # ---------------------------------------------------------------------------

@@ -239,11 +239,17 @@ def _scenario_spec(cfg: dict) -> tuple:
     return cfg["scenario"]["name"], cfg["scenario"].get("params", {})
 
 
-def _read_reference(path: str, n: int) -> Ensemble:
+def _read_ensemble(path, key: str) -> Ensemble:
+    """``Ensemble.from_csv(path)``; a file that cannot be read is a
+    ConfigError naming ``key`` and the path."""
     try:
-        ens = Ensemble.from_csv(path)
+        return Ensemble.from_csv(path)
     except OSError as exc:
-        raise ConfigError(f"config.reference.path: cannot read {path} ({exc})") from exc
+        raise ConfigError(f"{key}: cannot read {path} ({exc})") from exc
+
+
+def _read_reference(path: str, n: int) -> Ensemble:
+    ens = _read_ensemble(path, "config.reference.path")
     if len(ens) != n:
         raise ConfigError(
             f"config.reference.path: reference has {len(ens)} particles but "
@@ -447,7 +453,6 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     started = time.perf_counter()
     cfg = load_config(config_path, {"workers": workers, "seed": seed, "record_every": record_every})
     out = Path(out_dir or cfg.get("output_dir") or "results")
-    out.mkdir(parents=True, exist_ok=True)
 
     spec = _scenario_spec(cfg)
     scenario = build_scenario(*spec)
@@ -469,6 +474,7 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     submissions = (cfg["reference"]["mode"] == "burn_in") + len(floor_pairs) + series * len(chain.recorded_steps())
     with _Pool(max(1, min(cfg["workers"], usable_cpus(), submissions))) as pool:
         reference_job, ref_provenance = _reference_ensemble(scenario, cfg, pool)
+        out.mkdir(parents=True, exist_ok=True)  # only now: a bad scenario or reference leaves none behind
         floor_steps = ref_provenance.get("steps", 10 * max(cfg["iterations"], 1))
         # a floor pair stays on one lane, so no burn-in travels for its W2
         floor_jobs = [
@@ -571,10 +577,10 @@ def _predicted_rate(report: dict) -> Optional[float]:
 def cmd_regularity(config_path, out_dir, seed: Optional[int] = None) -> int:
     cfg = load_config(config_path, {"seed": seed})
     out = Path(out_dir or cfg.get("output_dir") or "results")
-    out.mkdir(parents=True, exist_ok=True)
     scenario = build_scenario(*_scenario_spec(cfg))
     with _Pool(1) as pool:
         reference = pool.take("reference", _reference_ensemble(scenario, cfg, pool)[0])
+    out.mkdir(parents=True, exist_ok=True)
     sampler = _default_sampler(scenario, reference, cfg["seed"])
     report = _empty_report(scenario)
     report["regularity"] = _regularity_block(scenario, sampler, cfg["regularity_pairs"])
@@ -648,8 +654,10 @@ def cmd_rate(results_dir) -> int:
 
 
 def cmd_wasserstein(path_a, path_b, p: float) -> int:
-    a = Ensemble.from_csv(path_a)
-    b = Ensemble.from_csv(path_b)
+    if not (np.isfinite(p) and p >= 1.0):
+        raise ConfigError(f"--p: must be a finite number >= 1, got {p}")
+    a = _read_ensemble(path_a, "ensemble_a")
+    b = _read_ensemble(path_b, "ensemble_b")
     value, _ = wasserstein(a, b, p=p)
     print(repr(value))
     return EXIT_OK

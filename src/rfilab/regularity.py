@@ -22,7 +22,6 @@ the sampling region travels with the report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,14 +34,12 @@ __all__ = [
     "GaussianPairSampler",
     "SpiderPairSampler",
     "RegularityReport",
-    "transport_discrepancy",
     "psi_array",
     "psi_estimation_array",
     "estimate_violation",
     "estimate_violation_in_expectation",
     "fb_violation_bound",
     "dr_violation_bound",
-    "check_hypomonotone",
     "check_submonotone",
 ]
 
@@ -61,15 +58,6 @@ def psi_array(space: Space, X: np.ndarray, X0: np.ndarray, FX: np.ndarray, FX0: 
         - d(FX, X0) ** 2
         - d(X, FX0) ** 2
     )
-
-
-def transport_discrepancy(space: Space, x, x0, Fx, Fx0) -> float:
-    """psi of F at (x, x0) given the images Fx, Fx0."""
-    X = space.pack([x])
-    X0 = space.pack([x0])
-    FX = space.pack([Fx])
-    FX0 = space.pack([Fx0])
-    return float(psi_array(space, X, X0, FX, FX0)[0])
 
 
 def psi_estimation_array(space: Space, X: np.ndarray, X0: np.ndarray, FX: np.ndarray, FX0: np.ndarray) -> np.ndarray:
@@ -289,23 +277,8 @@ def dr_violation_bound(tau_f: float, tau_g: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sampled monotonicity constants
+# sampled submonotonicity constant
 # ---------------------------------------------------------------------------
-
-def check_hypomonotone(grad: Callable[[np.ndarray], np.ndarray], sampler: PairSampler, n_pairs: int) -> float:
-    """Smallest tau with -tau ||x-y||^2 <= <grad x - grad y, x - y> on the sample.
-
-    Negative values indicate strong monotonicity of the sampled gradient.
-    """
-    A, B = sampler.pairs(n_pairs)
-    dx = A - B
-    d2 = np.sum((dx * np.conj(dx)).real, axis=1)
-    keep = d2 >= MIN_PAIR_DISTANCE**2
-    gA = np.stack([np.asarray(grad(a)) for a in A[keep]])
-    gB = np.stack([np.asarray(grad(b)) for b in B[keep]])
-    inner = np.sum(((gA - gB) * np.conj(dx[keep])).real, axis=1)
-    return float(np.max(-inner / d2[keep]))
-
 
 def check_submonotone(resolvent: Operator, sampler: PairSampler, n_pairs: int) -> float:
     """Smallest tau_g making the resolvent's graph submonotonicity hold on the sample.

@@ -18,11 +18,11 @@ import numpy as np
 from .operators import OperatorFamily
 from .transport import Ensemble
 
-__all__ = ["ChainConfig", "Trajectory", "run_chain", "run_ensemble", "derive_seed"]
+__all__ = ["ChainConfig", "Trajectory", "run_ensemble", "derive_seed"]
 
-# stream namespaces keeping independent uses of one seed from colliding
+# stream namespaces keeping independent uses of one seed from colliding; the
+# numbers key every draw, so they stay fixed (stream 1 is no longer used)
 STREAM_STEP = 0
-STREAM_CHAIN = 1
 STREAM_INIT = 2
 STREAM_BURNIN = 3
 
@@ -70,24 +70,6 @@ class Trajectory:
 
     def final(self) -> Ensemble:
         return self.ensembles[-1]
-
-    def ensemble_at(self, step: int) -> Ensemble:
-        return self.ensembles[self.steps.index(step)]
-
-
-def run_chain(family: OperatorFamily, x0, K: int, seed: int) -> list:
-    """Single-chain path [X_0, ..., X_K] under i.i.d. operator selection."""
-    if K < 0:
-        raise ValueError("iteration count must be >= 0")
-    space = family.space
-    x = space.validate_point(x0)
-    gen = _generator(seed, STREAM_CHAIN)
-    idx = family.sample_indices(gen.random(K)) if K > 0 else np.empty(0, dtype=np.intp)
-    path = [x]
-    for k in range(K):
-        x = family.operators[int(idx[k])](x)
-        path.append(x)
-    return path
 
 
 def run_ensemble(cfg: ChainConfig) -> Trajectory:

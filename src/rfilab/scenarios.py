@@ -49,9 +49,6 @@ __all__ = [
     "scenario_dr_parallel_lines",
     "random_kaczmarz_instance",
     "spider_frechet_mean",
-    "spider_frechet_mean_grid",
-    "spider_diminishing_comparison",
-    "phase_error",
     "long_run_reference",
     "monte_carlo_floor",
     "floor_pair_seeds",
@@ -332,15 +329,6 @@ def scenario_phase_retrieval(
     )
 
 
-def phase_error(rho: np.ndarray, rho_star: np.ndarray) -> float:
-    """Distance to rho* modulo the global phase ambiguity of magnitude sets."""
-    rho = np.asarray(rho, dtype=np.complex128).reshape(-1)
-    rho_star = np.asarray(rho_star, dtype=np.complex128).reshape(-1)
-    inner = abs(np.sum(rho * rho_star.conj()))
-    sq = np.sum(np.abs(rho) ** 2) + np.sum(np.abs(rho_star) ** 2) - 2.0 * inner
-    return float(np.sqrt(max(sq, 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # Frechet means on a spider
 # ---------------------------------------------------------------------------
@@ -379,34 +367,6 @@ def scenario_spider_frechet(
     return Scenario("spider_frechet", space, family, initial, truth, params={"lam": lam})
 
 
-def spider_diminishing_comparison(
-    anchors: Sequence[SpiderPoint], lam0: float, x0: SpiderPoint, steps: int, seed: int, legs: Optional[int] = None
-) -> list:
-    """Contrast run with the classical decaying schedule lam_k = lam0/(k+1).
-
-    The engine proper keeps proximal parameters fixed per family; this
-    comparison path rebuilds the prox at every step, trading the stationary
-    cloud of the fixed-lam chain for a drift toward the Frechet mean itself.
-    """
-    anchors = [a if isinstance(a, SpiderPoint) else SpiderPoint(*a) for a in anchors]
-    needed = max(a.leg for a in anchors) + 1
-    space = SpiderSpace(max(2, needed if legs is None else legs))
-    gen = np.random.default_rng(np.random.SeedSequence((int(seed), 0xD1)))
-    idx = gen.integers(0, len(anchors), size=steps)
-    x = space.validate_point(x0)
-    path = [x]
-    for k in range(steps):
-        op = SpiderProx(space, anchors[int(idx[k])], lam0 / (k + 1.0))
-        x = op(x)
-        path.append(x)
-    return path
-
-
-def _spider_objective(space: SpiderSpace, candidate_row: np.ndarray, points: np.ndarray, weights: np.ndarray) -> float:
-    cand = np.repeat(candidate_row.reshape(1, 2), len(points), axis=0)
-    return float(np.sum(weights * space.pair_dist(points, cand) ** 2))
-
-
 def spider_frechet_mean(space: SpiderSpace, points: np.ndarray, weights: Optional[np.ndarray] = None) -> SpiderPoint:
     """Exact Frechet mean of weighted spider points by the per-leg closed form.
 
@@ -423,29 +383,11 @@ def spider_frechet_mean(space: SpiderSpace, points: np.ndarray, weights: Optiona
         same = pts[:, 0] == leg
         rho = float(np.sum(w[same] * pts[same, 1]) - np.sum(w[~same] * pts[~same, 1]))
         rho = max(rho, 0.0)
-        val = _spider_objective(space, np.array([float(leg), rho]), pts, w)
+        cand = np.repeat(np.array([[float(leg), rho]]), len(pts), axis=0)
+        val = float(np.sum(w * space.pair_dist(pts, cand) ** 2))
         if val < best_val - 1e-15:
             best_val = val
             best = SpiderPoint(leg, rho)
-    return best
-
-
-def spider_frechet_mean_grid(
-    space: SpiderSpace, points: np.ndarray, resolution: float = 1e-3
-) -> SpiderPoint:
-    """Brute-force oracle: scan a radius grid on every leg."""
-    pts = space.pack(points)
-    w = np.full(len(pts), 1.0 / len(pts))
-    rmax = float(pts[:, 1].max(initial=0.0)) + resolution
-    radii = np.arange(0.0, rmax + resolution, resolution)
-    best = SpiderPoint(0, 0.0)
-    best_val = np.inf
-    for leg in range(space.legs):
-        for rho in radii:
-            val = _spider_objective(space, np.array([float(leg), float(rho)]), pts, w)
-            if val < best_val - 1e-15:
-                best_val = val
-                best = SpiderPoint(leg, float(rho))
     return best
 
 

@@ -4,21 +4,19 @@ Restricting to equal-size, equal-weight ensembles turns Wasserstein
 distances into assignment problems with exact solvers and explicit optimal
 couplings (permutations).  On the real line the sorted matching is optimal
 and used directly; elsewhere the cost matrix goes through an exact
-assignment solver.  Weighted finite measures (needed only for the coarse
-Ricci estimator's point-mass push-forwards) are handled by a small
-transportation LP.
+assignment solver.  The Markov transport discrepancy of an ensemble reuses
+such a coupling to its candidate invariant ensemble.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
 
 from .geometry import EuclideanSpace, Space, SpiderSpace
 from .operators import OperatorFamily
@@ -29,7 +27,6 @@ __all__ = [
     "Coupling",
     "wasserstein",
     "markov_transport_discrepancy",
-    "coarse_ricci_estimate",
 ]
 
 
@@ -48,10 +45,6 @@ class Ensemble:
         object.__setattr__(self, "points", self.space.pack(self.points).copy())
         if len(self.points) < 1:
             raise ValueError("ensemble needs at least one particle")
-
-    @classmethod
-    def from_points(cls, space: Space, points) -> "Ensemble":
-        return cls(space, space.pack(points))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -87,18 +80,6 @@ class Ensemble:
             writer.writerow(self.column_names())
             for row in self.rows():
                 writer.writerow([repr(float(v)) for v in row])
-
-    def to_json(self) -> dict:
-        return {
-            "space": {"kind": self.space.kind}
-            | (
-                {"legs": self.space.legs}
-                if isinstance(self.space, SpiderSpace)
-                else {"dim": self.space.dim, "complex": self.space.complex_coords}
-            ),
-            "columns": self.column_names(),
-            "points": [[float(v) for v in row] for row in self.rows()],
-        }
 
     @classmethod
     def from_csv(cls, path, space: Optional[Space] = None) -> "Ensemble":
@@ -176,27 +157,6 @@ def wasserstein(A: Ensemble, B: Ensemble, p: float = 2.0):
     return value, Coupling(sigma)
 
 
-def _weighted_wasserstein_pp(space: Space, atoms_a: np.ndarray, wa: np.ndarray, atoms_b: np.ndarray, wb: np.ndarray, p: float) -> float:
-    """W_p^p between weighted finite measures via the transportation LP."""
-    cost = space.cross_dist(atoms_a, atoms_b) ** p
-    na, nb = cost.shape
-    # marginal constraints: row sums = wa, column sums = wb
-    A_eq = []
-    for i in range(na):
-        row = np.zeros((na, nb))
-        row[i, :] = 1.0
-        A_eq.append(row.ravel())
-    for j in range(nb):
-        col = np.zeros((na, nb))
-        col[:, j] = 1.0
-        A_eq.append(col.ravel())
-    b_eq = np.concatenate([wa, wb])
-    res = linprog(cost.ravel(), A_eq=np.asarray(A_eq)[:-1], b_eq=b_eq[:-1], bounds=(0, None), method="highs")
-    if not res.success:
-        raise ArithmeticError(f"transport LP failed: {res.message}")
-    return float(res.fun)
-
-
 def markov_transport_discrepancy(
     family: OperatorFamily,
     mu: Ensemble,
@@ -242,19 +202,3 @@ def markov_transport_discrepancy(
             total += w * float(np.mean(psi_estimation_array(space, X, Y, op.apply(X), op.apply(Y))))
         best = min(best, np.sqrt(max(total, 0.0)))
     return float(best)
-
-
-def coarse_ricci_estimate(family: OperatorFamily, x, y, p: float = 2.0) -> float:
-    """Coarse Ricci curvature 1 - W_p^p(delta_x P, delta_y P) / d(x, y)^p.
-
-    Push-forwards of point masses under a finite-support family are computed
-    exactly as weighted atom sets.
-    """
-    space = family.space
-    d = space.dist(x, y)
-    if d == 0.0:
-        raise ValueError("coarse Ricci curvature needs two distinct points")
-    atoms_x = space.pack([op(x) for op in family.operators])
-    atoms_y = space.pack([op(y) for op in family.operators])
-    wpp = _weighted_wasserstein_pp(space, atoms_x, family.weights, atoms_y, family.weights, p)
-    return float(1.0 - wpp / d**p)

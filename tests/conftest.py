@@ -1,5 +1,6 @@
 """Shared oracles for the test suite: brute-force solvers kept deliberately
-independent of the library code paths they check."""
+independent of the library code paths they check, and the one-chain view of
+the ensemble engine."""
 
 from __future__ import annotations
 
@@ -7,6 +8,10 @@ import itertools
 
 import numpy as np
 import pytest
+
+from rfilab.geometry import SpiderPoint
+from rfilab.rfi import ChainConfig, run_ensemble
+from rfilab.transport import Ensemble
 
 
 def brute_force_wasserstein(space, A: np.ndarray, B: np.ndarray, p: float = 2.0) -> float:
@@ -25,6 +30,41 @@ def grid_minimize(objective, lo: float, hi: float, resolution: float) -> tuple:
     vals = np.asarray([objective(t) for t in grid])
     k = int(np.argmin(vals))
     return float(grid[k]), float(vals[k])
+
+
+def spider_frechet_mean_grid(space, points, resolution: float = 1e-3) -> SpiderPoint:
+    """Brute-force Frechet mean of equal-weight spider points: scan a radius
+    grid on every leg."""
+    pts = space.pack(points)
+    w = np.full(len(pts), 1.0 / len(pts))
+    rmax = float(pts[:, 1].max(initial=0.0)) + resolution
+    radii = np.arange(0.0, rmax + resolution, resolution)
+    best = SpiderPoint(0, 0.0)
+    best_val = np.inf
+    for leg in range(space.legs):
+        for rho in radii:
+            cand = np.repeat(np.array([[float(leg), float(rho)]]), len(pts), axis=0)
+            val = float(np.sum(w * space.pair_dist(pts, cand) ** 2))
+            if val < best_val - 1e-15:
+                best_val = val
+                best = SpiderPoint(leg, float(rho))
+    return best
+
+
+def phase_error(rho: np.ndarray, rho_star: np.ndarray) -> float:
+    """Distance to rho* modulo the global phase ambiguity of magnitude sets."""
+    rho = np.asarray(rho, dtype=np.complex128).reshape(-1)
+    rho_star = np.asarray(rho_star, dtype=np.complex128).reshape(-1)
+    inner = abs(np.sum(rho * rho_star.conj()))
+    sq = np.sum(np.abs(rho) ** 2) + np.sum(np.abs(rho_star) ** 2) - 2.0 * inner
+    return float(np.sqrt(max(sq, 0.0)))
+
+
+def chain_path(family, x0, K: int, seed: int) -> list:
+    """Points [X_0, ..., X_K] of one chain: ``run_ensemble`` on a one-particle
+    ensemble, recording every step."""
+    traj = run_ensemble(ChainConfig(family, Ensemble(family.space, [x0]), K, seed))
+    return [ens.point(0) for ens in traj.ensembles]
 
 
 @pytest.fixture

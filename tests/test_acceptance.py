@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from conftest import brute_force_wasserstein
+from conftest import brute_force_wasserstein, chain_path, spider_frechet_mean_grid
 
 from rfilab.analysis import build_rate_report, estimate_subregularity, rate_bound_from_theorem, theta_linear
 from rfilab.cli import main as cli_main
@@ -42,7 +42,7 @@ from rfilab.regularity import (
     fb_violation_bound,
     psi_array,
 )
-from rfilab.rfi import ChainConfig, run_chain, run_ensemble
+from rfilab.rfi import ChainConfig, run_ensemble
 from rfilab.scenarios import (
     long_run_reference,
     monte_carlo_floor,
@@ -54,7 +54,6 @@ from rfilab.scenarios import (
     scenario_spider_frechet,
     scenario_two_point,
     spider_frechet_mean,
-    spider_frechet_mean_grid,
 )
 from rfilab.transport import Ensemble, markov_transport_discrepancy, wasserstein
 
@@ -480,7 +479,7 @@ def test_c11_phase_retrieval_properties():
 
     fixed_ok = all(np.linalg.norm(op(rho) - rho) <= 1e-12 * scale for op in sc.family.operators)
 
-    path = run_chain(sc.family, sc.initial(1, 23).point(0), 500, seed=SEED + 22)
+    path = chain_path(sc.family, sc.initial(1, 23).point(0), 500, seed=SEED + 22)
     bounded_ok = max(float(np.linalg.norm(x)) for x in path) <= 10.0 * scale
 
     sampler = GaussianPairSampler(sc.space, rho, scale=0.1, seed=SEED + 23)

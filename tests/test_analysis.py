@@ -3,7 +3,6 @@ import pytest
 
 from rfilab.analysis import (
     build_rate_report,
-    check_theta_admissible,
     estimate_subregularity,
     fit_qlinear,
     fit_rlinear,
@@ -103,56 +102,6 @@ def test_rate_bound_matches_theta_linear(rng):
         c = rate_bound_from_theorem(alpha, eps, r)
         gamma = theta_linear(eps, tau, r)
         assert abs(c**2 - gamma) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# gauge admissibility
-# ---------------------------------------------------------------------------
-
-def _table(fn, ts):
-    return [(t, fn(t)) for t in ts]
-
-
-def test_theta_admissible_geometric():
-    ts = np.linspace(0.0, 4.0, 50)
-    check = check_theta_admissible(_table(lambda t: 0.5 * t, ts))
-    assert check.ok is True
-
-
-def test_theta_identity_violates_strict_decrease():
-    ts = np.linspace(0.0, 2.0, 20)
-    check = check_theta_admissible(_table(lambda t: t, ts[1:]))
-    assert check.ok is False
-
-
-def test_theta_harmonic_tail_diverges():
-    # theta(t) = t/(1+t): iterates from 1 are 1/(1+j), a divergent sum
-    ts = np.linspace(0.0, 1.0, 200)
-    check = check_theta_admissible(_table(lambda t: t / (1 + t), ts))
-    assert check.ok is False
-    assert "tail" in check.reason
-
-
-def test_theta_malformed_table():
-    with pytest.raises(ValueError):
-        check_theta_admissible([])
-    with pytest.raises(ValueError):
-        check_theta_admissible([(1.0, 0.5), (1.0, 0.4)])
-
-
-def test_gauge_spec():
-    from rfilab.analysis import GaugeSpec
-
-    lin = GaugeSpec.linear(epsilon=0.0, tau=1.0, r=np.sqrt(2.0))
-    assert lin.gamma() == pytest.approx(0.5, abs=1e-14)
-    assert lin.admissible().ok is True
-    with pytest.raises(ValueError):
-        GaugeSpec.linear(epsilon=0.0, tau=1.0, r=0.1)  # below the window
-    ts = np.linspace(0.0, 2.0, 40)
-    tab = GaugeSpec.from_table(0.0, 1.0, [(t, 0.4 * t) for t in ts])
-    assert tab.admissible().ok is True
-    with pytest.raises(ValueError):
-        tab.gamma()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import rfilab.cli
 from rfilab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_RUNTIME,
     ConfigError,
     load_config,
     main,
@@ -257,6 +258,23 @@ def test_run_worker_failure_exits_like_in_process(tmp_path, monkeypatch, capsys)
     assert errors[0] == errors[1] == (1, "failure: RuntimeError: burn-in of 200 particles failed\n")
 
 
+@pytest.mark.parametrize("command", ["run", "regularity"])
+@pytest.mark.parametrize(
+    "overrides, code",
+    [
+        ({"scenario": {"name": "contraction", "params": {"r": 2.0}}}, EXIT_RUNTIME),
+        ({"reference": {"mode": "file", "path": "no_such_reference.csv"}}, EXIT_CONFIG),
+        ({"scenario": {"name": "dr_parallel_lines"}, "reference": {"mode": "ground_truth"}}, EXIT_CONFIG),
+    ],
+    ids=["bad_param_value", "missing_reference_file", "no_ground_truth_sampler"],
+)
+def test_failed_command_leaves_no_results_directory(tmp_path, command, overrides, code):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+    assert not out.exists()
+
+
 def test_run_ground_truth_reference(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -349,3 +367,54 @@ def test_cmd_wasserstein(tmp_path, capsys):
     b.to_csv(tmp_path / "b.csv")
     assert main(["wasserstein", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == EXIT_OK
     assert float(capsys.readouterr().out.strip()) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["--p", "0.5"], "--p: must be a finite number >= 1"),
+        (["--p", "nan"], "--p: must be a finite number >= 1"),
+        (["--p", "inf"], "--p: must be a finite number >= 1"),
+        (["missing.csv"], "missing.csv"),
+    ],
+    ids=["p_below_1", "p_nan", "p_inf", "missing_file"],
+)
+def test_cmd_wasserstein_invalid_input_exits_2(tmp_path, capsys, argv, fragment):
+    from rfilab.geometry import EuclideanSpace
+    from rfilab.transport import Ensemble
+
+    Ensemble(EuclideanSpace(1), [[0.0], [1.0]]).to_csv(tmp_path / "a.csv")
+    paths = [str(tmp_path / "a.csv"), str(tmp_path / "a.csv")]
+    if not argv[0].startswith("--"):
+        paths[1] = str(tmp_path / argv.pop())
+    assert main(["wasserstein", *paths, *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
+# ---------------------------------------------------------------------------
+# predicted rate
+# ---------------------------------------------------------------------------
+
+def _regularity(epsilon_hat):
+    return {"in_expectation": {"epsilon_hat": epsilon_hat}}
+
+
+@pytest.mark.parametrize(
+    "report, epsilon",
+    [
+        ({"alpha": None, "subregularity": {"r_hat": 1.2}, "regularity": None, "bound": 0.0}, None),
+        ({"alpha": 0.5, "subregularity": None, "regularity": None, "bound": 0.0}, None),
+        ({"alpha": 0.5, "subregularity": {"r_hat": 1.2}, "regularity": _regularity(0.1), "bound": 0.3}, 0.1),
+        ({"alpha": 0.5, "subregularity": {"r_hat": 1.2}, "regularity": None, "bound": 0.3}, 0.3),
+        ({"alpha": 0.5, "subregularity": {"r_hat": 0.5}, "regularity": None, "bound": 0.0}, None),
+        ({"alpha": 0.5, "subregularity": {"r_hat": 1.2}, "regularity": None, "bound": None}, 0.0),
+    ],
+    ids=["no_alpha", "no_subregularity", "regularity_wins", "bound_fallback", "r_hat_outside_window", "admissible"],
+)
+def test_predicted_rate(report, epsilon):
+    from rfilab.analysis import rate_bound_from_theorem
+    from rfilab.cli import _predicted_rate
+
+    want = None if epsilon is None else rate_bound_from_theorem(0.5, epsilon, 1.2)
+    assert _predicted_rate(report) == want

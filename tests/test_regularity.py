@@ -17,14 +17,12 @@ from rfilab.operators import (
 from rfilab.regularity import (
     BoxPairSampler,
     SpiderPairSampler,
-    check_hypomonotone,
     check_submonotone,
     dr_violation_bound,
     estimate_violation,
     estimate_violation_in_expectation,
     fb_violation_bound,
     psi_array,
-    transport_discrepancy,
 )
 
 R1 = EuclideanSpace(1)
@@ -36,16 +34,18 @@ R2 = EuclideanSpace(2)
 # ---------------------------------------------------------------------------
 
 def test_psi_trivial_cancellations():
-    x = np.array([0.7])
-    assert transport_discrepancy(R1, x, x, np.array([2.0]), np.array([2.0])) == pytest.approx(0.0, abs=1e-14)
+    x = R1.pack([0.7])
+    two = R1.pack([2.0])
+    assert psi_array(R1, x, x, two, two)[0] == pytest.approx(0.0, abs=1e-14)
     # F = Id: displacement difference vanishes
-    a, b = np.array([1.3]), np.array([-0.4])
-    assert transport_discrepancy(R1, a, b, a, b) == pytest.approx(0.0, abs=1e-14)
+    a, b = R1.pack([1.3]), R1.pack([-0.4])
+    assert psi_array(R1, a, b, a, b)[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_psi_displacement_identity_example():
     # both the six-term form and the displacement form give 1 here
-    val = transport_discrepancy(R1, np.array([0.0]), np.array([1.0]), np.array([0.0]), np.array([0.0]))
+    zero, one = R1.pack([0.0]), R1.pack([1.0])
+    val = psi_array(R1, zero, one, zero, zero)[0]
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -193,13 +193,6 @@ def test_fb_empirical_below_bound(rng):
 # ---------------------------------------------------------------------------
 # monotonicity constants
 # ---------------------------------------------------------------------------
-
-def test_check_hypomonotone_examples():
-    samp = BoxPairSampler(R2, -4, 4, seed=11)
-    assert check_hypomonotone(lambda x: x, samp, 2000) == pytest.approx(-1.0, abs=1e-9)
-    assert check_hypomonotone(lambda x: np.ones(2), samp, 2000) == pytest.approx(0.0, abs=1e-12)
-    assert check_hypomonotone(lambda x: -x, samp, 2000) == pytest.approx(1.0, abs=1e-9)
-
 
 def test_check_submonotone_examples():
     samp = BoxPairSampler(EuclideanSpace(3), -5, 5, seed=7)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import chain_path
+
 from rfilab.geometry import EuclideanSpace
 from rfilab.operators import AffineMap, Identity, OperatorFamily, PointProjection
-from rfilab.rfi import ChainConfig, derive_seed, run_chain, run_ensemble
+from rfilab.rfi import ChainConfig, derive_seed, run_ensemble
 from rfilab.transport import Ensemble, wasserstein
 
 R1 = EuclideanSpace(1)
@@ -22,11 +24,11 @@ def contraction_family(r=0.5):
 
 
 # ---------------------------------------------------------------------------
-# single chains
+# single chains: one-particle ensembles
 # ---------------------------------------------------------------------------
 
 def test_run_chain_two_point_support():
-    path = run_chain(two_point_family(), np.array([5.0]), 30, seed=1)
+    path = chain_path(two_point_family(), np.array([5.0]), 30, seed=1)
     assert len(path) == 31
     assert float(path[0][0]) == 5.0
     assert all(float(x[0]) in (-1.0, 1.0) for x in path[1:])
@@ -35,7 +37,7 @@ def test_run_chain_two_point_support():
 def test_run_chain_single_operator_is_deterministic():
     op = AffineMap(R1, np.asarray(0.5), np.array([1.0]))
     fam = OperatorFamily.uniform([op])
-    path = run_chain(fam, np.array([0.0]), 10, seed=3)
+    path = chain_path(fam, np.array([0.0]), 10, seed=3)
     x = np.array([0.0])
     for k in range(10):
         x = op(x)
@@ -44,7 +46,7 @@ def test_run_chain_single_operator_is_deterministic():
 
 def test_run_chain_identity_family():
     fam = OperatorFamily.uniform([Identity(R1)])
-    path = run_chain(fam, np.array([2.5]), 5, seed=0)
+    path = chain_path(fam, np.array([2.5]), 5, seed=0)
     assert all(float(x[0]) == 2.5 for x in path)
 
 

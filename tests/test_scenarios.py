@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import chain_path, phase_error, spider_frechet_mean_grid
+
 from rfilab.geometry import SpiderPoint
 from rfilab.operators import quadratic_smooth_term
 from rfilab.regularity import (
@@ -12,14 +14,13 @@ from rfilab.regularity import (
     estimate_violation_in_expectation,
     fb_violation_bound,
 )
-from rfilab.rfi import ChainConfig, run_chain, run_ensemble
+from rfilab.rfi import ChainConfig, run_ensemble
 from rfilab.scenarios import (
     SCENARIO_BUILDERS,
     build_scenario,
     floor_pair_seeds,
     long_run_reference,
     monte_carlo_floor,
-    phase_error,
     random_kaczmarz_instance,
     scenario_contraction,
     scenario_dr_parallel_lines,
@@ -29,7 +30,6 @@ from rfilab.scenarios import (
     scenario_spider_frechet,
     scenario_two_point,
     spider_frechet_mean,
-    spider_frechet_mean_grid,
 )
 from rfilab.transport import Ensemble, markov_transport_discrepancy, wasserstein
 
@@ -138,7 +138,7 @@ def test_kaczmarz_consistent_collapse():
 
 def test_kaczmarz_single_hyperplane_one_step():
     sc = scenario_kaczmarz(np.array([[1.0, 0.0]]), np.array([2.0]), consistent=True)
-    path = run_chain(sc.family, np.array([7.0, 3.0]), 3, seed=0)
+    path = chain_path(sc.family, np.array([7.0, 3.0]), 3, seed=0)
     assert np.allclose(path[1], [2.0, 3.0])
     assert np.allclose(path[2], path[1])  # idempotent from then on
 
@@ -185,7 +185,7 @@ def test_sgd_example_rate_and_bound():
 def test_sgd_zero_atoms_is_deterministic_descent():
     f = quadratic_smooth_term(np.eye(2))
     sc = scenario_sgd_linear_noise(f, [np.zeros(2)], t=0.5)
-    path = run_chain(sc.family, np.array([4.0, -2.0]), 30, seed=1)
+    path = chain_path(sc.family, np.array([4.0, -2.0]), 30, seed=1)
     assert np.linalg.norm(path[-1]) <= 1e-8
 
 
@@ -205,7 +205,7 @@ def test_phase_retrieval_fixed_points_and_boundedness():
     rho = sc.ground_truth.extras["rho_star"]
     for op in sc.family.operators:
         assert np.linalg.norm(op(rho) - rho) <= 1e-12 * max(1.0, np.linalg.norm(rho))
-    path = run_chain(sc.family, sc.initial(1, 50).point(0), 500, seed=51)
+    path = chain_path(sc.family, sc.initial(1, 50).point(0), 500, seed=51)
     norms = [float(np.linalg.norm(x)) for x in path]
     assert max(norms) <= 10.0 * max(1.0, np.linalg.norm(rho))
     errs = [phase_error(x, rho) for x in path]
@@ -273,7 +273,7 @@ def test_spider_closed_form_matches_grid(rng):
 def test_spider_single_anchor_converges_to_anchor():
     anchor = SpiderPoint(2, 1.5)
     sc = scenario_spider_frechet([anchor], lam=0.5, legs=3)
-    path = run_chain(sc.family, SpiderPoint(0, 2.0), 80, seed=3)
+    path = chain_path(sc.family, SpiderPoint(0, 2.0), 80, seed=3)
     assert sc.space.dist(path[-1], anchor) <= 1e-6
 
 
@@ -297,17 +297,6 @@ def test_spider_two_anchor_bias_curve():
 # ---------------------------------------------------------------------------
 # Douglas-Rachford on parallel lines
 # ---------------------------------------------------------------------------
-
-def test_spider_diminishing_comparison_reaches_the_mean():
-    from rfilab.scenarios import spider_diminishing_comparison
-
-    anchors = [SpiderPoint(1, 0.0), SpiderPoint(1, 2.0)]
-    path = spider_diminishing_comparison(anchors, lam0=2.0, x0=SpiderPoint(2, 1.0), steps=4000, seed=3, legs=3)
-    final = path[-1]
-    # decaying steps average out the anchor noise and drift to the mean
-    assert final.leg == 1
-    assert abs(final.radius - 1.0) <= 0.15
-
 
 def test_dr_parallel_lines_convex_violation_zero():
     sc = scenario_dr_parallel_lines(gap=2.0)

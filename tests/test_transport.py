@@ -8,7 +8,6 @@ from rfilab.operators import AffineMap, Identity, OperatorFamily, PointProjectio
 from rfilab.transport import (
     Coupling,
     Ensemble,
-    coarse_ricci_estimate,
     markov_transport_discrepancy,
     wasserstein,
 )
@@ -182,31 +181,6 @@ def test_psi_hat_rejects_mismatched_couplings(rng):
 
 
 # ---------------------------------------------------------------------------
-# coarse Ricci curvature
-# ---------------------------------------------------------------------------
-
-def test_coarse_ricci_contraction():
-    fam = OperatorFamily.uniform([AffineMap(R1, np.asarray(0.5), np.array([0.0]))])
-    k2 = coarse_ricci_estimate(fam, np.array([1.0]), np.array([3.0]), p=2.0)
-    assert k2 == pytest.approx(0.75, abs=1e-9)
-
-
-def test_coarse_ricci_identity():
-    fam = OperatorFamily.uniform([Identity(R1)])
-    k2 = coarse_ricci_estimate(fam, np.array([0.0]), np.array([2.0]))
-    assert k2 == pytest.approx(0.0, abs=1e-9)
-
-
-def test_coarse_ricci_two_point():
-    # both push-forwards coincide, so the curvature saturates at 1
-    fam = two_point_family()
-    k2 = coarse_ricci_estimate(fam, np.array([5.0]), np.array([-3.0]))
-    assert k2 == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        coarse_ricci_estimate(fam, np.array([1.0]), np.array([1.0]))
-
-
-# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
@@ -226,11 +200,3 @@ def test_ensemble_csv_roundtrip(tmp_path, rng):
     comp.to_csv(tmp_path / "complex.csv")
     back = Ensemble.from_csv(tmp_path / "complex.csv")
     assert np.array_equal(back.points, comp.points)
-
-
-def test_ensemble_json_shape():
-    ens = Ensemble(SpiderSpace(3), [[1, 2.0]])
-    doc = ens.to_json()
-    assert doc["space"] == {"kind": "spider", "legs": 3}
-    assert doc["columns"] == ["leg", "radius"]
-    assert doc["points"] == [[1.0, 2.0]]
