@@ -10,23 +10,24 @@ Subcommands:
 Configs are JSON documents validated against :data:`CONFIG_SCHEMA` before any
 computation.  All CSV outputs are byte-deterministic for a fixed config, and
 reruns reproduce files exactly.  ``run`` splits its independent work into
-jobs (the burn-in reference, the floor's burn-ins and W2 draws, one W2 + Psi
-job per recorded step) and runs them on ``workers`` forked processes, capped
-at the usable CPUs, while this process runs the chain, writes the files and
-estimates regularity.  The worker count changes no output byte: every job is
-a pure function of its arguments.
+jobs (the burn-in reference, one per floor pair of burn-ins, one W2 + Psi
+job per recorded step) and runs them on a pool of ``workers`` forked
+processes, capped at the usable CPUs, while this process runs the chain,
+writes the files and estimates regularity.  The worker count changes no
+output byte: every job is a pure function of its arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import multiprocessing
 import os
 import resource
 import sys
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
@@ -48,6 +49,7 @@ from .rfi import ChainConfig, derive_seed, run_ensemble
 from .scenarios import (  # noqa: F401
     SCENARIO_BUILDERS,
     build_scenario,
+    floor_draw,
     floor_pair_seeds,
     long_run_reference,
     monte_carlo_floor,
@@ -163,22 +165,25 @@ def validate_config(raw: dict) -> dict:
 def load_config(path, overrides: Optional[dict] = None) -> dict:
     """Read and validate a config file; non-None ``overrides`` (command-line
     values) replace top-level keys before validation."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config ({exc})") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
+    raw = _read_json(Path(path), "config")
     if isinstance(raw, dict) and overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     return validate_config(raw)
 
 
+def _read_json(path: Path, what: str):
+    """The JSON document at ``path``; one that cannot be read or parsed is a
+    ConfigError naming the path, and the line and column of a parse error."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read {what} ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
+
+
 def validate_report(report: dict) -> None:
-    if report.get("schema") != REPORT_SCHEMA_ID:
+    if not isinstance(report, dict) or report.get("schema") != REPORT_SCHEMA_ID:
         raise ValueError(f"report schema must be {REPORT_SCHEMA_ID}")
     missing = REPORT_KEYS - set(report)
     if missing:
@@ -239,17 +244,18 @@ def _scenario_spec(cfg: dict) -> tuple:
     return cfg["scenario"]["name"], cfg["scenario"].get("params", {})
 
 
-def _read_ensemble(path, key: str) -> Ensemble:
-    """``Ensemble.from_csv(path)``; a file that cannot be read is a
-    ConfigError naming ``key`` and the path."""
+def _read_ensemble(path, key: str, space=None) -> Ensemble:
+    """``Ensemble.from_csv(path, space)``; a file that cannot be read, or
+    that holds no ensemble of ``space``, is a ConfigError naming ``key`` and
+    the path."""
     try:
-        return Ensemble.from_csv(path)
-    except OSError as exc:
+        return Ensemble.from_csv(path, space)
+    except (OSError, ValueError, csv.Error) as exc:
         raise ConfigError(f"{key}: cannot read {path} ({exc})") from exc
 
 
-def _read_reference(path: str, n: int) -> Ensemble:
-    ens = _read_ensemble(path, "config.reference.path")
+def _read_reference(path: str, n: int, space) -> Ensemble:
+    ens = _read_ensemble(path, "config.reference.path", space)
     if len(ens) != n:
         raise ConfigError(
             f"config.reference.path: reference has {len(ens)} particles but "
@@ -265,7 +271,8 @@ def _reference_ensemble(scenario, cfg: dict, pool: "_Pool"):
     ref_cfg = cfg["reference"]
     n = cfg["ensemble_size"]
     if ref_cfg["mode"] == "file":
-        return pool.here(_read_reference, ref_cfg["path"], n), {"mode": "file", "path": ref_cfg["path"]}
+        reference = pool.here(_read_reference, ref_cfg["path"], n, scenario.space)
+        return reference, {"mode": "file", "path": ref_cfg["path"]}
     if ref_cfg["mode"] == "ground_truth":
         sampler = scenario.ground_truth.invariant_sampler
         if sampler is None:
@@ -276,7 +283,7 @@ def _reference_ensemble(scenario, cfg: dict, pool: "_Pool"):
         return pool.here(sampler, n, ref_seed), {"mode": "ground_truth", "seed": ref_seed}
     steps = ref_cfg["factor"] * max(cfg["iterations"], 1)
     ref_seed = derive_seed(cfg["seed"], 0x6E)
-    job, = pool.submit((_burn_in, _scenario_spec(cfg), n, steps, ref_seed))
+    job = pool.submit(_burn_in, _scenario_spec(cfg), n, steps, ref_seed)
     return job, {"mode": "burn_in", "steps": steps, "seed": ref_seed}
 
 
@@ -286,47 +293,24 @@ def _reference_ensemble(scenario, cfg: dict, pool: "_Pool"):
 
 LAYERS = ("reference", "chain", "w2_psi", "floor", "regularity", "io")
 
-# what the jobs of one lane keep: the scenario, the shared reference and
-# floor burn-ins waiting for their draw
-_LANE: dict = {}
-
-
-def _lane_scenario(spec: tuple):
-    if _LANE.get("spec") != spec:
-        _LANE.update(spec=spec, scenario=build_scenario(*spec))
-    return _LANE["scenario"]
-
 
 def _burn_in(spec: tuple, n: int, steps: int, seed: int) -> Ensemble:
-    return long_run_reference(_lane_scenario(spec), n, steps, seed)
+    return long_run_reference(build_scenario(*spec), n, steps, seed)
 
 
-def _share_reference(spec: tuple, reference: Ensemble) -> None:
-    _lane_scenario(spec)
-    _LANE["reference"] = reference
-
-
-def _series_point(ens: Ensemble, want_w2: bool, want_psi: bool) -> tuple:
-    """(W2, Psi) of one recorded ensemble against the shared reference;
-    Psi reuses the W2 coupling: one optimal assignment per step."""
-    reference = _LANE["reference"]
+def _series_point(spec: tuple, ens: Ensemble, reference: Ensemble, want_w2: bool, want_psi: bool) -> tuple:
+    """(W2, Psi) of one recorded ensemble against the reference; Psi reuses
+    the W2 coupling: one optimal assignment per step."""
     w2 = psi = coupling = None
     if want_w2:
         w2, coupling = wasserstein(ens, reference, p=2.0)
     if want_psi:
-        psi = markov_transport_discrepancy(_LANE["scenario"].family, ens, [reference], couplings=[coupling])
+        psi = markov_transport_discrepancy(build_scenario(*spec).family, ens, [reference], couplings=[coupling])
     return w2, psi
 
 
-def _floor_burn_in(spec: tuple, n: int, steps: int, seed: int) -> None:
-    """One burn-in of the floor, kept on this lane for the draw that follows."""
-    _LANE.setdefault("floor", {})[seed] = _burn_in(spec, n, steps, seed)
-
-
-def _floor_draw(seed_a: int, seed_b: int) -> float:
-    """W2 between the two floor burn-ins made on this lane before it."""
-    floor = _LANE["floor"]
-    return wasserstein(floor.pop(seed_a), floor.pop(seed_b), p=2.0)[0]
+def _floor_pair(spec: tuple, n: int, steps: int, seed_a: int, seed_b: int) -> float:
+    return floor_draw(build_scenario(*spec), n, steps, seed_a, seed_b)
 
 
 def _job(fn, args) -> tuple:
@@ -338,20 +322,14 @@ def _job(fn, args) -> tuple:
     return value, seconds, {path: transport.SOLVES[path] - count for path, count in before.items()}
 
 
-def _done(fn, *args) -> Future:
-    future = Future()
-    future.set_result(fn(*args))
-    return future
-
-
-class _InProcess:
-    """The one lane of a pool of size 1: this process, which runs each job
+class _InProcess(Executor):
+    """The executor of a pool of size 1: this process, which runs each job
     when it is submitted."""
 
-    submit = staticmethod(_done)
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        _LANE.clear()
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def usable_cpus() -> int:
@@ -365,45 +343,32 @@ def _peak_rss_mib(who) -> float:
 
 
 class _Pool:
-    """Runs jobs on ``size`` lanes and tallies where the time went.
+    """Runs jobs on ``size`` processes and tallies where the time went.
 
-    Job i goes to lane i % size in submission order, so which process runs
-    a job never depends on timing.  A lane is one forked process, a
-    single-worker ProcessPoolExecutor: one executor shared by all lanes
-    would hand each job to whichever worker is idle first.  Fork, stated
-    explicitly, lets a lane start without importing numpy and scipy again.
-    Each lane answers a first empty job before the next lane is forked, so
-    no fork happens while an earlier lane's helper threads are mid-call.
-    At size 1 the lane is this process and no child starts.
+    Every job takes all its inputs as arguments and keeps no state in the
+    process that runs it, so which process that is changes no output byte.
+    Above size 1 the processes belong to one ProcessPoolExecutor.  Fork,
+    stated explicitly, lets them start without importing numpy and scipy
+    again, and a fork executor starts all of them at the first submission,
+    before its own helper threads exist (cpython#90622).  At size 1 the jobs
+    run in this process and no child starts.
     """
 
     def __init__(self, size: int):
         self.size = size
         self.seconds = dict.fromkeys(LAYERS, 0.0)
         self.solves = dict.fromkeys(transport.SOLVES, 0)
-        self._submitted = 0
-        self._lanes = [_InProcess()] if size == 1 else []
         fork = multiprocessing.get_context("fork")
-        while len(self._lanes) < size:
-            self._lanes.append(ProcessPoolExecutor(1, mp_context=fork))
-            self._lanes[-1].submit(int).result()
+        self._executor = _InProcess() if size == 1 else ProcessPoolExecutor(size, mp_context=fork)
 
-    def submit(self, *calls) -> list:
-        """Queue ``calls``, each a tuple ``(fn, *args)``, in order on the
-        next lane in turn; one future per call."""
-        lane = self._lanes[self._submitted % self.size]
-        self._submitted += 1
-        return [lane.submit(_job, fn, args) for fn, *args in calls]
-
-    def share(self, fn, *args) -> list:
-        """Run ``fn(*args)`` once on every lane, before the jobs submitted
-        later; one future per lane."""
-        return [lane.submit(_job, fn, args) for lane in self._lanes]
+    def submit(self, fn, *args) -> Future:
+        """Queue the job ``fn(*args)``."""
+        return self._executor.submit(_job, fn, args)
 
     @staticmethod
     def here(fn, *args) -> Future:
-        """Run ``fn(*args)`` now, in this process, as a job of no lane."""
-        return _done(_job, fn, args)
+        """Run the job ``fn(*args)`` now, in this process."""
+        return _InProcess().submit(_job, fn, args)
 
     def take(self, layer: str, job: Future):
         """The value of ``job``; its seconds and solves count to ``layer``."""
@@ -423,8 +388,8 @@ class _Pool:
 
     def timings(self) -> dict:
         """The manifest's ``timings``: seconds per layer (job seconds summed
-        over lanes), exact-OT solves, lanes, and peak RSS of this process and
-        of its largest reaped child (read after the pool has shut down)."""
+        over processes), exact-OT solves, pool size, and peak RSS of this
+        process and of its largest child (read after the pool has shut down)."""
         return {
             "seconds": dict(self.seconds),
             "assignment_solves": self.solves["assignment"],
@@ -440,8 +405,7 @@ class _Pool:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        for lane in self._lanes:
-            lane.shutdown(wait=True, cancel_futures=exc_type is not None)
+        self._executor.shutdown(wait=True, cancel_futures=exc_type is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -469,19 +433,14 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     series = diags["wasserstein"] or diags["psi"]
     floor = diags["rates"] and diags["wasserstein"]
     floor_pairs = floor_pair_seeds(cfg["seed"]) if floor else []
-    # one pool submission each: the reference burn-in, a floor pair (two
-    # burn-ins and their W2, on one lane) and a recorded step's W2 + Psi
+    # one job each: the reference burn-in, a floor pair (two burn-ins and
+    # their W2) and a recorded step's W2 + Psi
     submissions = (cfg["reference"]["mode"] == "burn_in") + len(floor_pairs) + series * len(chain.recorded_steps())
     with _Pool(max(1, min(cfg["workers"], usable_cpus(), submissions))) as pool:
         reference_job, ref_provenance = _reference_ensemble(scenario, cfg, pool)
         out.mkdir(parents=True, exist_ok=True)  # only now: a bad scenario or reference leaves none behind
         floor_steps = ref_provenance.get("steps", 10 * max(cfg["iterations"], 1))
-        # a floor pair stays on one lane, so no burn-in travels for its W2
-        floor_jobs = [
-            pool.submit((_floor_burn_in, spec, n, floor_steps, a), (_floor_burn_in, spec, n, floor_steps, b),
-                        (_floor_draw, a, b))
-            for a, b in floor_pairs
-        ]
+        floor_jobs = [pool.submit(_floor_pair, spec, n, floor_steps, a, b) for a, b in floor_pairs]
 
         # regularity first: its temporary arrays are freed before the chain's ensembles exist
         reference = pool.take("reference", reference_job)
@@ -493,8 +452,7 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
         with pool.timed("chain"):
             trajectory = run_ensemble(chain)
         if series:
-            shares = pool.share(_share_reference, spec, reference)
-            series_jobs = [pool.submit((_series_point, ens, diags["wasserstein"], diags["psi"]))[0]
+            series_jobs = [pool.submit(_series_point, spec, ens, reference, diags["wasserstein"], diags["psi"])
                            for ens in trajectory.ensembles]
         ens_dir = out / "ensembles"
         ens_dir.mkdir(exist_ok=True)
@@ -504,8 +462,6 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
             reference.to_csv(out / "reference.csv")
         values = [(None, None)] * len(trajectory.steps)
         if series:
-            for job in shares:  # read, so that a failed share raises here
-                pool.take("w2_psi", job)
             values = [pool.take("w2_psi", job) for job in series_jobs]
         with pool.timed("io"):
             with (out / "series.csv").open("w", newline="", encoding="utf-8") as fh:
@@ -513,8 +469,7 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
                 for step, (w2, psi) in zip(trajectory.steps, values):
                     fh.write(f"{step},{_float_repr(w2)},{_float_repr(psi)}\n")
         if floor:
-            draws = [[pool.take("floor", job) for job in jobs][-1] for jobs in floor_jobs]
-            report["floor"] = float(np.median(draws))
+            report["floor"] = float(np.median([pool.take("floor", job) for job in floor_jobs]))
 
     if floor:
         w2_series = [w2 for w2, _ in values]
@@ -605,16 +560,23 @@ def cmd_rate(results_dir) -> int:
         header = fh.readline().strip().split(",")
         if header != ["k", "W2_to_reference", "psi_hat"]:
             raise ConfigError(f"{series_path}: unexpected header {header}")
-        for line in fh:
-            k, w, p = line.rstrip("\n").split(",")
-            steps.append(int(k))
-            w2.append(float(w) if w else np.nan)
-            psi.append(float(p) if p else np.nan)
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                k, w, p = line.rstrip("\n").split(",")
+                steps.append(int(k))
+                w2.append(float(w) if w else np.nan)
+                psi.append(float(p) if p else np.nan)
+            except ValueError as exc:
+                raise ConfigError(f"{series_path}:{lineno}: expected an integer step and two numbers ({exc})") from exc
     if all(np.isnan(w2)):
         raise ConfigError(f"{series_path}: no Wasserstein series recorded (enable diagnostics.wasserstein)")
 
     report_path = out / "report.json"
-    report = json.loads(report_path.read_text(encoding="utf-8")) if report_path.exists() else _empty_report()
+    report = _read_json(report_path, "report") if report_path.exists() else _empty_report()
+    try:
+        validate_report(report)
+    except ValueError as exc:
+        raise ConfigError(f"{report_path}: {exc}") from exc
     rate_report = build_rate_report(steps, w2, floor=report.get("floor"))
     report["rates"] = rate_report.to_dict()
     psi_arr = np.asarray(psi)

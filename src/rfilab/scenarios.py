@@ -50,6 +50,7 @@ __all__ = [
     "random_kaczmarz_instance",
     "spider_frechet_mean",
     "long_run_reference",
+    "floor_draw",
     "monte_carlo_floor",
     "floor_pair_seeds",
     "build_scenario",
@@ -438,17 +439,19 @@ def long_run_reference(scenario: Scenario, n: int, steps: int, seed: int) -> Ens
     return run_ensemble(cfg).final()
 
 
+def floor_draw(scenario: Scenario, n: int, steps: int, seed_a: int, seed_b: int) -> float:
+    """One agreement draw: W2 between two burn-ins under independent seeds."""
+    return wasserstein(long_run_reference(scenario, n, steps, seed_a),
+                       long_run_reference(scenario, n, steps, seed_b), p=2.0)[0]
+
+
 def monte_carlo_floor(scenario: Scenario, n: int, steps: int, seed: int, repeats: int = 3) -> float:
     """Two-independent-run agreement: the resolution limit of W2 estimates.
 
     A single agreement draw fluctuates by a factor of 2-3, so the floor is
     the median over ``repeats`` independent pairs.
     """
-    draws = [
-        wasserstein(long_run_reference(scenario, n, steps, a), long_run_reference(scenario, n, steps, b), p=2.0)[0]
-        for a, b in floor_pair_seeds(seed, repeats)
-    ]
-    return float(np.median(draws))
+    return float(np.median([floor_draw(scenario, n, steps, a, b) for a, b in floor_pair_seeds(seed, repeats)]))
 
 
 def floor_pair_seeds(seed: int, repeats: int = 3) -> list:

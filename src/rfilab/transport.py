@@ -86,8 +86,11 @@ class Ensemble:
         path = Path(path)
         with path.open("r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            data = np.asarray([[float(v) for v in row] for row in reader])
+            header = next(reader, [])
+            rows = [[float(v) for v in row] for row in reader]
+        if not header or any(len(row) != len(header) for row in rows):
+            raise ValueError("expected a header row, then one value per column on every row")
+        data = np.asarray(rows).reshape(len(rows), len(header))
         if space is None:
             space = _space_from_header(header, data)
         if isinstance(space, SpiderSpace):

@@ -4,6 +4,7 @@ import multiprocessing
 import pytest
 
 import rfilab.cli
+import rfilab.scenarios
 from rfilab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -243,19 +244,39 @@ def test_run_pool_is_capped_at_usable_cpus(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_run_worker_failure_exits_like_in_process(tmp_path, monkeypatch, capsys):
-    def failing_burn_in(scenario, n, steps, seed):
-        raise RuntimeError(f"burn-in of {n} particles failed")
+@pytest.mark.parametrize(
+    "module, name, reference",
+    [
+        ("cli", "long_run_reference", "burn_in"),
+        ("scenarios", "long_run_reference", "ground_truth"),
+        ("cli", "markov_transport_discrepancy", "burn_in"),
+    ],
+    ids=["reference_burn_in", "floor_pair", "w2_psi_step"],
+)
+def test_run_worker_failure_exits_like_in_process(tmp_path, monkeypatch, capsys, module, name, reference):
+    # each job kind in turn fails; the patch is made before the pool forks
+    def failing(*args, **kwargs):
+        raise RuntimeError(f"{name} failed")
 
-    monkeypatch.setattr(rfilab.cli, "long_run_reference", failing_burn_in)
+    monkeypatch.setattr(getattr(rfilab, module), name, failing)
     monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
-    cfg = write_config(tmp_path)
+    cfg = write_config(tmp_path, reference={"mode": reference})
     errors = []
     for workers in ("1", "2"):
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / workers), "--workers", workers])
         errors.append((code, capsys.readouterr().err))
         assert multiprocessing.active_children() == []
-    assert errors[0] == errors[1] == (1, "failure: RuntimeError: burn-in of 200 particles failed\n")
+    assert errors[0] == errors[1] == (EXIT_RUNTIME, f"failure: RuntimeError: {name} failed\n")
+
+
+def _write_reference_files(directory):
+    """Reference CSVs in the wrong space for the test config: R^2 points for
+    contraction (R^1), and a 5-leg spider for the 3-leg spider_frechet."""
+    from rfilab.geometry import EuclideanSpace, SpiderSpace
+    from rfilab.transport import Ensemble
+
+    Ensemble(EuclideanSpace(2), [[float(i), 1.0] for i in range(200)]).to_csv(directory / "r2.csv")
+    Ensemble(SpiderSpace(5), [[i % 5, 1.0] for i in range(200)]).to_csv(directory / "legs5.csv")
 
 
 @pytest.mark.parametrize("command", ["run", "regularity"])
@@ -265,10 +286,17 @@ def test_run_worker_failure_exits_like_in_process(tmp_path, monkeypatch, capsys)
         ({"scenario": {"name": "contraction", "params": {"r": 2.0}}}, EXIT_RUNTIME),
         ({"reference": {"mode": "file", "path": "no_such_reference.csv"}}, EXIT_CONFIG),
         ({"scenario": {"name": "dr_parallel_lines"}, "reference": {"mode": "ground_truth"}}, EXIT_CONFIG),
+        ({"reference": {"mode": "file", "path": "r2.csv"}}, EXIT_CONFIG),
+        ({"reference": {"mode": "file", "path": "r2.csv"}, "diagnostics": {"wasserstein": False, "psi": False}},
+         EXIT_CONFIG),
+        ({"scenario": {"name": "spider_frechet"}, "reference": {"mode": "file", "path": "legs5.csv"}}, EXIT_CONFIG),
     ],
-    ids=["bad_param_value", "missing_reference_file", "no_ground_truth_sampler"],
+    ids=["bad_param_value", "missing_reference_file", "no_ground_truth_sampler", "reference_wrong_dimension",
+         "reference_wrong_dimension_no_series", "reference_spider_legs"],
 )
-def test_failed_command_leaves_no_results_directory(tmp_path, command, overrides, code):
+def test_failed_command_leaves_no_results_directory(tmp_path, monkeypatch, command, overrides, code):
+    monkeypatch.chdir(tmp_path)
+    _write_reference_files(tmp_path)
     cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == code
@@ -357,6 +385,24 @@ def test_cmd_rate_missing_series(tmp_path):
     assert main(["rate", str(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "name, content, fragment",
+    [
+        ("series.csv", "k,W2_to_reference,psi_hat\n0,1.0,\n1,0.5\n", "series.csv:3: "),
+        ("series.csv", "k,W2_to_reference,psi_hat\n0,abc,\n", "series.csv:2: "),
+        ("report.json", "{not json", "report.json:1:2: invalid JSON"),
+        ("report.json", "[]", "report.json: report schema must be rfilab.report.v1"),
+    ],
+    ids=["series_short_row", "series_non_numeric", "report_invalid_json", "report_not_a_report"],
+)
+def test_cmd_rate_malformed_input_exits_2(tmp_path, capsys, name, content, fragment):
+    (tmp_path / "series.csv").write_text("k,W2_to_reference,psi_hat\n0,1.0,\n1,0.5,\n")
+    (tmp_path / name).write_text(content)
+    assert main(["rate", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err, err
+
+
 def test_cmd_wasserstein(tmp_path, capsys):
     from rfilab.geometry import EuclideanSpace
     from rfilab.transport import Ensemble
@@ -390,6 +436,33 @@ def test_cmd_wasserstein_invalid_input_exits_2(tmp_path, capsys, argv, fragment)
     assert main(["wasserstein", *paths, *argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
+
+
+MALFORMED_CSV = {
+    "non_numeric": "x0\n1.0\nabc\n",
+    "header_only": "x0\n",
+    "empty": "",
+    "ragged": "x0\n1.0\n2.0,3.0\n",
+}
+
+
+@pytest.mark.parametrize("command", ["wasserstein", "run"])
+@pytest.mark.parametrize("content", list(MALFORMED_CSV.values()), ids=list(MALFORMED_CSV))
+def test_malformed_ensemble_csv_exits_2_naming_the_file(tmp_path, capsys, command, content):
+    from rfilab.geometry import EuclideanSpace
+    from rfilab.transport import Ensemble
+
+    bad = tmp_path / "bad.csv"
+    bad.write_text(content)
+    if command == "wasserstein":
+        Ensemble(EuclideanSpace(1), [[0.0], [1.0]]).to_csv(tmp_path / "a.csv")
+        argv, key = ["wasserstein", str(tmp_path / "a.csv"), str(bad)], "ensemble_b"
+    else:
+        cfg = write_config(tmp_path, reference={"mode": "file", "path": str(bad)})
+        argv, key = ["run", "--config", str(cfg), "--out", str(tmp_path / "o")], "config.reference.path"
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {key}: cannot read {bad} (")
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from rfilab.rfi import ChainConfig, run_ensemble
 from rfilab.scenarios import (
     SCENARIO_BUILDERS,
     build_scenario,
+    floor_draw,
     floor_pair_seeds,
     long_run_reference,
     monte_carlo_floor,
@@ -377,6 +378,7 @@ def test_monte_carlo_floor_is_the_median_over_its_pair_seeds():
         wasserstein(long_run_reference(sc, 40, 5, a), long_run_reference(sc, 40, 5, b))[0]
         for a, b in floor_pair_seeds(9, 3)
     ]
+    assert [floor_draw(sc, 40, 5, a, b) for a, b in floor_pair_seeds(9, 3)] == draws
     assert monte_carlo_floor(sc, 40, 5, seed=9) == float(np.median(draws))
 
 
