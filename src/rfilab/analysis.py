@@ -122,17 +122,12 @@ def fit_rlinear(
 # gauge algebra
 # ---------------------------------------------------------------------------
 
-def _linear_window(epsilon: float, tau: float) -> Tuple[float, float]:
-    lower = math.sqrt(tau / (1.0 + epsilon))
-    upper = math.sqrt(tau / epsilon) if epsilon > 0 else math.inf
-    return lower, upper
-
-
 def theta_linear(epsilon: float, tau: float, r: float) -> float:
     """Linear-gauge contraction factor gamma = 1 + epsilon - tau / r^2."""
     if epsilon < 0 or tau <= 0 or r <= 0:
         raise ValueError("need epsilon >= 0, tau > 0, r > 0")
-    lower, upper = _linear_window(epsilon, tau)
+    lower = math.sqrt(tau / (1.0 + epsilon))
+    upper = math.sqrt(tau / epsilon) if epsilon > 0 else math.inf
     if r < lower * (1.0 - 1e-15):
         raise ValueError(f"r={r} below the admissibility bound sqrt(tau/(1+eps))={lower}")
     if r > upper:
@@ -141,19 +136,15 @@ def theta_linear(epsilon: float, tau: float, r: float) -> float:
 
 
 def rate_bound_from_theorem(alpha: float, epsilon: float, r: float) -> float:
-    """Linear rate c = sqrt(1 + eps - (1-alpha)/(r^2 alpha)) from the subregularity constant."""
+    """Linear rate c = sqrt(1 + eps - (1-alpha)/(r^2 alpha)) from the subregularity
+    constant; unlike :func:`theta_linear`, r = sqrt(tau/eps) is excluded."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if epsilon < 0:
-        raise ValueError("violation must be >= 0")
     tau = (1.0 - alpha) / alpha
-    lower, upper = _linear_window(epsilon, tau)
-    if r < lower * (1.0 - 1e-15):
-        raise ValueError(f"r={r} below the admissibility bound sqrt((1-a)/(a(1+eps)))={lower}")
+    upper = math.sqrt(tau / epsilon) if epsilon > 0 else math.inf
     if r >= upper:
         raise ValueError(f"r={r} at or above the admissibility bound sqrt((1-a)/(a eps))={upper}")
-    gamma = theta_linear(epsilon, tau, r)
-    return math.sqrt(max(gamma, 0.0))
+    return math.sqrt(max(theta_linear(epsilon, tau, r), 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,17 @@ Subcommands:
 * ``rate``         -- fit rates / subregularity on an existing results directory
 * ``wasserstein``  -- standalone W_p between two ensemble CSV files
 
-Configs are JSON documents validated against :data:`CONFIG_SCHEMA` before any
-computation.  All CSV outputs are byte-deterministic for a fixed config, and
-reruns reproduce files exactly.  ``run`` splits its independent work into
-jobs (the burn-in reference, one per floor pair of burn-ins, one W2 + Psi
-job per recorded step) and runs them on a pool of ``workers`` forked
-processes, capped at the usable CPUs, while this process runs the chain,
-writes the files and estimates regularity.  The worker count changes no
-output byte: every job is a pure function of its arguments.
+Configs are JSON documents validated against :data:`CONFIG_SCHEMA` (which
+states each integer key's lower bound) before any computation; parameters
+the scenario rejects are a config error too.  ``run`` and ``rate`` fit
+rates with one function, ``_fit_rates``.  All CSV outputs are
+byte-deterministic for a fixed config, and reruns reproduce files exactly.
+``run`` splits its independent work into jobs (the burn-in reference, one
+per floor pair of burn-ins, one W2 + Psi job per recorded step) and runs
+them on a pool of ``workers`` forked processes, capped at the usable CPUs,
+while this process runs the chain, writes the files and estimates
+regularity.  The worker count changes no output byte: every job is a pure
+function of its arguments.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
-# Published config schema: key -> (type, required, default, constraint note).
+# Published config schema: key -> (type, required, default, constraint note);
+# an integer key's note opens with its lower bound, ">= n", which is checked.
 CONFIG_SCHEMA = {
     "scenario": (dict, True, None, "object with 'name' (str) and optional 'params' (object)"),
     "ensemble_size": (int, True, None, ">= 1"),
@@ -74,7 +78,7 @@ CONFIG_SCHEMA = {
     "common_noise": (bool, False, False, "all particles share one index draw"),
     "diagnostics": (dict, False, {}, "booleans: wasserstein, psi, regularity, rates"),
     "reference": (dict, False, {"mode": "burn_in", "factor": 10}, "mode: burn_in | ground_truth | file; factor; path"),
-    "regularity_pairs": (int, False, 2000, ">= 1, pair count for violation estimates"),
+    "regularity_pairs": (int, False, 2000, ">= 1; pair count for violation estimates"),
     "output_dir": (str, False, None, "results directory (--out overrides)"),
 }
 
@@ -106,6 +110,8 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"config.{key}: expected integer, got boolean")
         if not isinstance(val, typ):
             raise ConfigError(f"config.{key}: expected {typ.__name__} ({note})")
+        if typ is int and val < (low := int(note.split(";")[0].removeprefix(">= "))):
+            raise ConfigError(f"config.{key}: must be >= {low}")
         cfg[key] = val
     for key in raw:
         if key not in CONFIG_SCHEMA:
@@ -124,18 +130,6 @@ def validate_config(raw: dict) -> dict:
     for key in unknown_params(name, params):
         known = ", ".join(SCENARIO_BUILDERS[name].params) or "none"
         raise ConfigError(f"config.scenario.params.{key}: not a parameter of '{name}' (known: {known})")
-    if cfg["seed"] < 0:
-        raise ConfigError("config.seed: must be >= 0")
-    if cfg["ensemble_size"] < 1:
-        raise ConfigError("config.ensemble_size: must be >= 1")
-    if cfg["iterations"] < 0:
-        raise ConfigError("config.iterations: must be >= 0")
-    if cfg["record_every"] < 1:
-        raise ConfigError("config.record_every: must be >= 1")
-    if cfg["workers"] < 1:
-        raise ConfigError("config.workers: must be >= 1")
-    if cfg["regularity_pairs"] < 1:
-        raise ConfigError("config.regularity_pairs: must be >= 1")
     diags = dict(DIAGNOSTIC_DEFAULTS)
     for key, val in cfg["diagnostics"].items():
         if key not in DIAGNOSTIC_DEFAULTS:
@@ -176,7 +170,7 @@ def _read_json(path: Path, what: str):
     ConfigError naming the path, and the line and column of a parse error."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read {what} ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
@@ -242,6 +236,14 @@ def _scenario_spec(cfg: dict) -> tuple:
     """``(name, params)``: what a job needs to rebuild the scenario, whose
     closures cannot be pickled."""
     return cfg["scenario"]["name"], cfg["scenario"].get("params", {})
+
+
+def _configured_scenario(spec: tuple):
+    """``build_scenario(*spec)``; parameters it rejects are a ConfigError."""
+    try:
+        return build_scenario(*spec)
+    except ValueError as exc:
+        raise ConfigError(f"config.scenario.params: {exc}") from exc
 
 
 def _read_ensemble(path, key: str, space=None) -> Ensemble:
@@ -419,7 +421,7 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     out = Path(out_dir or cfg.get("output_dir") or "results")
 
     spec = _scenario_spec(cfg)
-    scenario = build_scenario(*spec)
+    scenario = _configured_scenario(spec)
     n = cfg["ensemble_size"]
     chain = ChainConfig(
         family=scenario.family,
@@ -472,16 +474,7 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
             report["floor"] = float(np.median([pool.take("floor", job) for job in floor_jobs]))
 
     if floor:
-        w2_series = [w2 for w2, _ in values]
-        rate_report = build_rate_report(trajectory.steps, w2_series, floor=report["floor"])
-        report["rates"] = rate_report.to_dict()
-        if diags["psi"]:
-            psi = np.asarray([p for _, p in values], dtype=float)
-            dist = np.asarray(w2_series, dtype=float)
-            usable = psi > 0
-            if np.any(usable):
-                report["subregularity"] = estimate_subregularity(psi[usable], dist[usable]).to_dict()
-        report["predicted_rate"] = _predicted_rate(report)
+        _fit_rates(report, trajectory.steps, *zip(*values))
     with pool.timed("io"):
         _write_report(out, report)
 
@@ -511,6 +504,20 @@ def _jsonable(v):
     return v
 
 
+def _fit_rates(report: dict, steps, w2, psi):
+    """Fill in the report's rates, its subregularity fit over the steps with a
+    finite W2 and a positive Psi, and its predicted rate; return the rates."""
+    rate_report = build_rate_report(steps, w2, floor=report.get("floor"))
+    report["rates"] = rate_report.to_dict()
+    psi = np.asarray(psi, dtype=float)
+    w2 = np.asarray(w2, dtype=float)
+    usable = np.isfinite(psi) & (psi > 0) & np.isfinite(w2)
+    if np.any(usable):
+        report["subregularity"] = estimate_subregularity(psi[usable], w2[usable]).to_dict()
+    report["predicted_rate"] = _predicted_rate(report)
+    return rate_report
+
+
 def _predicted_rate(report: dict) -> Optional[float]:
     """Predicted linear rate from (alpha, violation, subregularity constant)."""
     alpha = report.get("alpha")
@@ -532,7 +539,7 @@ def _predicted_rate(report: dict) -> Optional[float]:
 def cmd_regularity(config_path, out_dir, seed: Optional[int] = None) -> int:
     cfg = load_config(config_path, {"seed": seed})
     out = Path(out_dir or cfg.get("output_dir") or "results")
-    scenario = build_scenario(*_scenario_spec(cfg))
+    scenario = _configured_scenario(_scenario_spec(cfg))
     with _Pool(1) as pool:
         reference = pool.take("reference", _reference_ensemble(scenario, cfg, pool)[0])
     out.mkdir(parents=True, exist_ok=True)
@@ -556,13 +563,13 @@ def cmd_rate(results_dir) -> int:
     steps = []
     w2 = []
     psi = []
-    with series_path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
+    with series_path.open("rb") as fh:
+        header = fh.readline().decode("utf-8", errors="replace").strip().split(",")
         if header != ["k", "W2_to_reference", "psi_hat"]:
             raise ConfigError(f"{series_path}: unexpected header {header}")
         for lineno, line in enumerate(fh, start=2):
             try:
-                k, w, p = line.rstrip("\n").split(",")
+                k, w, p = line.decode("utf-8").rstrip("\r\n").split(",")
                 steps.append(int(k))
                 w2.append(float(w) if w else np.nan)
                 psi.append(float(p) if p else np.nan)
@@ -577,14 +584,7 @@ def cmd_rate(results_dir) -> int:
         validate_report(report)
     except ValueError as exc:
         raise ConfigError(f"{report_path}: {exc}") from exc
-    rate_report = build_rate_report(steps, w2, floor=report.get("floor"))
-    report["rates"] = rate_report.to_dict()
-    psi_arr = np.asarray(psi)
-    w2_arr = np.asarray(w2)
-    usable = np.isfinite(psi_arr) & (psi_arr > 0) & np.isfinite(w2_arr)
-    if np.any(usable):
-        report["subregularity"] = estimate_subregularity(psi_arr[usable], w2_arr[usable]).to_dict()
-    report["predicted_rate"] = _predicted_rate(report)
+    rate_report = _fit_rates(report, steps, w2, psi)
     _write_report(out, report)
 
     with (out / "rates_series.csv").open("w", newline="", encoding="utf-8") as fh:

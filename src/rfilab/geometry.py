@@ -8,6 +8,9 @@ as :class:`SpiderPoint` values.  Ensembles of points are handled through a
 
 * Euclidean: shape ``(N, dim)`` array of the space dtype.
 * Spider: shape ``(N, 2)`` float array with columns ``(leg, radius)``.
+
+The metric (``pair_dist``, ``cross_dist``) and the geodesic (``geodesic_arr``)
+act on packed arrays only; :func:`distance` and :func:`geodesic_point` pack.
 """
 
 from __future__ import annotations
@@ -94,11 +97,6 @@ class EuclideanSpace:
             return np.ascontiguousarray(arr).view(np.float64).reshape(arr.shape[0], -1)
         return arr
 
-    def dist(self, a, b) -> float:
-        a = self.validate_point(a)
-        b = self.validate_point(b)
-        return float(np.linalg.norm(a - b))
-
     def pair_dist(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Elementwise distances between rows of two packed arrays."""
         d = A - B
@@ -117,11 +115,6 @@ class EuclideanSpace:
         return np.sqrt(sq)
 
     # -- geodesics -------------------------------------------------------
-    def geodesic(self, a, b, t: float):
-        a = self.validate_point(a)
-        b = self.validate_point(b)
-        return (1.0 - t) * a + t * b
-
     def geodesic_arr(self, A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
         return (1.0 - t) * A + t * B
 
@@ -173,13 +166,6 @@ class SpiderSpace:
         return x
 
     # -- metric ----------------------------------------------------------
-    def dist(self, a, b) -> float:
-        a = self.validate_point(a)
-        b = self.validate_point(b)
-        if a.leg == b.leg:
-            return abs(a.radius - b.radius)
-        return a.radius + b.radius
-
     def pair_dist(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         same = A[:, 0] == B[:, 0]
         return np.where(same, np.abs(A[:, 1] - B[:, 1]), A[:, 1] + B[:, 1])
@@ -191,10 +177,6 @@ class SpiderSpace:
         return np.where(same, np.abs(ra - rb), ra + rb)
 
     # -- geodesics -------------------------------------------------------
-    def geodesic(self, a, b, t: float) -> SpiderPoint:
-        arr = self.geodesic_arr(self.pack([a]), self.pack([b]), t)
-        return SpiderPoint(int(arr[0, 0]), float(arr[0, 1]))
-
     def geodesic_arr(self, A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
         same = A[:, 0] == B[:, 0]
         # same leg: interpolate the radius
@@ -212,16 +194,19 @@ class SpiderSpace:
 
 
 Space = Union[EuclideanSpace, SpiderSpace]
-SpacePoint = Union[np.ndarray, SpiderPoint]
+
+
+def _packed(space: Space, x) -> np.ndarray:
+    return space.pack([space.validate_point(x)])
 
 
 def distance(space: Space, a, b) -> float:
     """Metric distance between two points of ``space``."""
-    return space.dist(a, b)
+    return float(space.pair_dist(_packed(space, a), _packed(space, b))[0])
 
 
 def geodesic_point(space: Space, a, b, t: float):
     """Point w on the geodesic from a to b with d(a, w) = t * d(a, b)."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"geodesic parameter must lie in [0, 1], got {t}")
-    return space.geodesic(a, b, t)
+    return space.unpack(space.geodesic_arr(_packed(space, a), _packed(space, b), t))[0]

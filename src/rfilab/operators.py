@@ -494,7 +494,7 @@ class OperatorFamily:
     @classmethod
     def uniform(cls, operators: Sequence[Operator]) -> "OperatorFamily":
         n = len(operators)
-        return cls(tuple(operators), np.full(n, 1.0 / n))
+        return cls(tuple(operators), np.full(n, 1.0 / max(n, 1)))  # n = 0 fails as the constructor does
 
     @property
     def space(self) -> Space:

@@ -199,51 +199,18 @@ class RegularityReport:
         }
 
 
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return alpha
-
-
-def _violation_from_arrays(space, A, B, d2F, psi, alpha, region, n_pairs) -> RegularityReport:
-    d2 = space.pair_dist(A, B) ** 2
-    keep = d2 >= MIN_PAIR_DISTANCE**2
-    if not np.any(keep):
-        raise ValueError("all sampled pairs are degenerate (coincident points)")
-    ratio = (d2F[keep] + ((1.0 - alpha) / alpha) * psi[keep] - d2[keep]) / d2[keep]
-    k = int(np.argmax(ratio))
-    idx = np.flatnonzero(keep)[k]
-    eps_hat = max(0.0, float(ratio[k]))
-    worst = (space.unpack(A[idx : idx + 1])[0], space.unpack(B[idx : idx + 1])[0])
-    return RegularityReport(
-        alpha=alpha,
-        epsilon_hat=eps_hat,
-        worst_pair=worst,
-        n_pairs=n_pairs,
-        n_used=int(keep.sum()),
-        region=region,
-    )
-
-
 def estimate_violation(op: Operator, alpha: float, sampler: PairSampler, n_pairs: int) -> RegularityReport:
     """Smallest sampled violation of the alpha-firm inequality for one operator."""
-    _check_alpha(alpha)
-    if n_pairs < 1:
-        raise ValueError("need at least one pair")
-    A, B = sampler.pairs(n_pairs)
-    space = op.space
-    FA = op.apply(A)
-    FB = op.apply(B)
-    d2F = space.pair_dist(FA, FB) ** 2
-    psi = psi_estimation_array(space, A, B, FA, FB)
-    return _violation_from_arrays(space, A, B, d2F, psi, alpha, sampler.describe(), n_pairs)
+    return estimate_violation_in_expectation(OperatorFamily((op,), [1.0]), alpha, sampler, n_pairs)
 
 
 def estimate_violation_in_expectation(
     family: OperatorFamily, alpha: float, sampler: PairSampler, n_pairs: int
 ) -> RegularityReport:
-    """As estimate_violation, with exact index expectations over the weights."""
-    _check_alpha(alpha)
+    """Smallest sampled violation of the alpha-firm inequality in expectation
+    over the family's index, with exact weights."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if n_pairs < 1:
         raise ValueError("need at least one pair")
     A, B = sampler.pairs(n_pairs)
@@ -257,7 +224,21 @@ def estimate_violation_in_expectation(
         FB = op.apply(B)
         d2F += w * space.pair_dist(FA, FB) ** 2
         psi += w * psi_estimation_array(space, A, B, FA, FB)
-    return _violation_from_arrays(space, A, B, d2F, psi, alpha, sampler.describe(), n_pairs)
+    d2 = space.pair_dist(A, B) ** 2
+    keep = d2 >= MIN_PAIR_DISTANCE**2
+    if not np.any(keep):
+        raise ValueError("all sampled pairs are degenerate (coincident points)")
+    ratio = (d2F[keep] + ((1.0 - alpha) / alpha) * psi[keep] - d2[keep]) / d2[keep]
+    k = int(np.argmax(ratio))
+    idx = np.flatnonzero(keep)[k]
+    return RegularityReport(
+        alpha=alpha,
+        epsilon_hat=max(0.0, float(ratio[k])),
+        worst_pair=(space.unpack(A[idx : idx + 1])[0], space.unpack(B[idx : idx + 1])[0]),
+        n_pairs=n_pairs,
+        n_used=int(keep.sum()),
+        region=sampler.describe(),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -335,7 +336,9 @@ def scenario_phase_retrieval(
 # ---------------------------------------------------------------------------
 
 def scenario_spider_frechet(
-    anchors: Sequence[SpiderPoint], lam: float, legs: Optional[int] = None
+    anchors: Sequence[SpiderPoint] = (SpiderPoint(0, 1.0), SpiderPoint(1, 1.0), SpiderPoint(2, 1.0)),
+    lam: float = 0.1,
+    legs: Optional[int] = None,
 ) -> Scenario:
     """Randomized proximal splitting for the Frechet mean of spider anchors.
 
@@ -464,97 +467,62 @@ def floor_pair_seeds(seed: int, repeats: int = 3) -> list:
 # CLI-facing registry
 # ---------------------------------------------------------------------------
 
-def _build_two_point(params: dict) -> Scenario:
-    return scenario_two_point()
+def _build_kaczmarz(A=None, b=None, consistent: bool = False, m: int = 3, n: int = 2, instance_seed: int = 0,
+                    perturbation: Optional[float] = None, **options) -> Scenario:
+    """The system (A, b), or a random m x n instance when neither is given."""
+    if (A is None) != (b is None):
+        raise ValueError("kaczmarz takes 'A' and 'b' together, or neither")
+    if A is None:
+        instance = {} if perturbation is None else {"perturbation": perturbation}
+        A, b, _ = random_kaczmarz_instance(m, n, consistent, instance_seed, **instance)
+    return scenario_kaczmarz(A, b, consistent, **options)
 
 
-def _build_contraction(params: dict) -> Scenario:
-    return scenario_contraction(
-        r=float(params.get("r", 0.5)), offset=float(params.get("offset", 50.0))
-    )
-
-
-def _build_kaczmarz(params: dict) -> Scenario:
-    if "A" in params:
-        A = np.asarray(params["A"], dtype=float)
-        b = np.asarray(params["b"], dtype=float)
-        consistent = bool(params.get("consistent", False))
-    else:
-        A, b, _ = random_kaczmarz_instance(
-            m=int(params.get("m", 3)),
-            n=int(params.get("n", 2)),
-            consistent=bool(params.get("consistent", False)),
-            seed=int(params.get("instance_seed", 0)),
-            perturbation=float(params.get("perturbation", 1.0)),
-        )
-        consistent = bool(params.get("consistent", False))
-    return scenario_kaczmarz(A, b, consistent, init_scale=float(params.get("init_scale", 5.0)))
-
-
-def _build_sgd(params: dict) -> Scenario:
-    dim = None
-    if "Q" in params:
-        Q = np.asarray(params["Q"], dtype=float)
-        dim = Q.shape[0]
-    else:
-        dim = int(params.get("dim", 1))
-        Q = np.eye(dim)
-    q = np.asarray(params.get("q", np.zeros(dim)), dtype=float)
-    atoms = params.get("atoms")
+def _build_sgd(Q=None, dim: int = 1, q=None, atoms=None, t: float = 0.5) -> Scenario:
+    """Gradient steps on x'Qx/2 + <q, x> (Q the dim x dim identity when not
+    given), with noise atoms +-1 in every coordinate when none are given."""
+    Q = np.eye(dim) if Q is None else Q
     if atoms is None:
-        atoms = [np.ones(dim), -np.ones(dim)]
-    f = quadratic_smooth_term(Q, q)
-    return scenario_sgd_linear_noise(
-        f, [np.asarray(a, dtype=float) for a in atoms], t=float(params.get("t", 0.5))
-    )
+        atoms = [np.ones(len(Q)), -np.ones(len(Q))]
+    return scenario_sgd_linear_noise(quadratic_smooth_term(Q, q), atoms, t=t)
 
 
-def _build_phase_retrieval(params: dict) -> Scenario:
-    return scenario_phase_retrieval(
-        n=int(params.get("n", 64)),
-        n_masks=int(params.get("n_masks", 4)),
-        seed=int(params.get("instance_seed", 0)),
-        relax=float(params.get("relax", 0.5)),
-        init_noise=float(params.get("init_noise", 0.1)),
-    )
+def _build_phase_retrieval(**params) -> Scenario:
+    """``scenario_phase_retrieval``, whose ``seed`` the config calls ``instance_seed``."""
+    return scenario_phase_retrieval(**{"seed" if k == "instance_seed" else k: v for k, v in params.items()})
 
 
-def _build_spider(params: dict) -> Scenario:
-    anchors = params.get("anchors")
-    if anchors is None:
-        anchors = [[0, 1.0], [1, 1.0], [2, 1.0]]
-    return scenario_spider_frechet(
-        [SpiderPoint(int(a[0]), float(a[1])) for a in anchors],
-        lam=float(params.get("lam", 0.1)),
-        legs=int(params["legs"]) if "legs" in params else None,
-    )
-
-
-def _build_dr_lines(params: dict) -> Scenario:
-    return scenario_dr_parallel_lines(
-        gap=float(params.get("gap", 2.0)), init_scale=float(params.get("init_scale", 1.0))
-    )
+_floats = partial(np.asarray, dtype=float)
 
 
 class ScenarioBuilder(NamedTuple):
-    """Registry entry: ``build(params)`` and the parameter keys it reads."""
+    """Registry entry: ``build(**params)`` and the converter of each key's
+    JSON value; the defaults are those of ``build``'s signature."""
 
-    build: Callable[[dict], Scenario]
-    params: Tuple[str, ...]
+    build: Callable[..., Scenario]
+    params: Dict[str, Callable]
 
 
 SCENARIO_BUILDERS = {
-    "two_point": ScenarioBuilder(_build_two_point, ()),
-    "contraction": ScenarioBuilder(_build_contraction, ("r", "offset")),
+    "two_point": ScenarioBuilder(scenario_two_point, {}),
+    "contraction": ScenarioBuilder(scenario_contraction, {"r": float, "offset": float}),
     "kaczmarz": ScenarioBuilder(
-        _build_kaczmarz, ("A", "b", "consistent", "m", "n", "instance_seed", "perturbation", "init_scale")
+        _build_kaczmarz,
+        {"A": _floats, "b": _floats, "consistent": bool, "m": int, "n": int, "instance_seed": int,
+         "perturbation": float, "init_scale": float},
     ),
-    "sgd_linear_noise": ScenarioBuilder(_build_sgd, ("Q", "dim", "q", "atoms", "t")),
+    "sgd_linear_noise": ScenarioBuilder(
+        _build_sgd,
+        {"Q": _floats, "dim": int, "q": _floats, "atoms": lambda atoms: [_floats(a) for a in atoms], "t": float},
+    ),
     "phase_retrieval": ScenarioBuilder(
-        _build_phase_retrieval, ("n", "n_masks", "instance_seed", "relax", "init_noise")
+        _build_phase_retrieval, {"n": int, "n_masks": int, "instance_seed": int, "relax": float, "init_noise": float}
     ),
-    "spider_frechet": ScenarioBuilder(_build_spider, ("anchors", "lam", "legs")),
-    "dr_parallel_lines": ScenarioBuilder(_build_dr_lines, ("gap", "init_scale")),
+    "spider_frechet": ScenarioBuilder(
+        scenario_spider_frechet,
+        {"anchors": lambda anchors: [SpiderPoint(int(a[0]), float(a[1])) for a in anchors], "lam": float, "legs": int},
+    ),
+    "dr_parallel_lines": ScenarioBuilder(scenario_dr_parallel_lines, {"gap": float, "init_scale": float}),
 }
 
 
@@ -568,8 +536,9 @@ def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
         known = ", ".join(sorted(SCENARIO_BUILDERS))
         raise ValueError(f"unknown scenario '{name}' (known: {known})")
     params = dict(params or {})
+    builder = SCENARIO_BUILDERS[name]
     unknown = unknown_params(name, params)
     if unknown:
-        known = ", ".join(SCENARIO_BUILDERS[name].params) or "none"
+        known = ", ".join(builder.params) or "none"
         raise ValueError(f"scenario '{name}' has no parameter '{unknown[0]}' (known: {known})")
-    return SCENARIO_BUILDERS[name].build(params)
+    return builder.build(**{key: builder.params[key](value) for key, value in params.items()})

@@ -83,6 +83,16 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["run", "regularity"])
+def test_non_utf8_config_exits_2_naming_the_path(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"scenario": {"name": "two_\xffpoint"}}')
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {path}: cannot read config (")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "overrides, argv, fragment",
     [
@@ -94,6 +104,10 @@ def test_invalid_config_exit_code(tmp_path):
         ({}, ["--record-every", "0"], "config.record_every"),
         ({"reference": {"mode": "ground_truth", "path": "ref.csv"}}, [], "config.reference.path"),
         ({"scenario": {"name": "contraction", "params": {"R": 0.9}}}, [], "config.scenario.params.R"),
+        ({"scenario": {"name": "kaczmarz", "params": {"b": [1.0]}}}, [],
+         "config.scenario.params: kaczmarz takes 'A' and 'b' together"),
+        ({"scenario": {"name": "kaczmarz", "params": {"m": 0}}}, [],
+         "config.scenario.params: operator family must be nonempty"),
     ],
 )
 def test_run_invalid_value_exits_2_naming_the_key(tmp_path, capsys, overrides, argv, fragment):
@@ -283,16 +297,20 @@ def _write_reference_files(directory):
 @pytest.mark.parametrize(
     "overrides, code",
     [
-        ({"scenario": {"name": "contraction", "params": {"r": 2.0}}}, EXIT_RUNTIME),
+        ({"scenario": {"name": "contraction", "params": {"r": 2.0}}}, EXIT_CONFIG),
         ({"reference": {"mode": "file", "path": "no_such_reference.csv"}}, EXIT_CONFIG),
         ({"scenario": {"name": "dr_parallel_lines"}, "reference": {"mode": "ground_truth"}}, EXIT_CONFIG),
         ({"reference": {"mode": "file", "path": "r2.csv"}}, EXIT_CONFIG),
         ({"reference": {"mode": "file", "path": "r2.csv"}, "diagnostics": {"wasserstein": False, "psi": False}},
          EXIT_CONFIG),
         ({"scenario": {"name": "spider_frechet"}, "reference": {"mode": "file", "path": "legs5.csv"}}, EXIT_CONFIG),
+        ({"scenario": {"name": "kaczmarz", "params": {"m": 0}}}, EXIT_CONFIG),
+        ({"scenario": {"name": "phase_retrieval", "params": {"n_masks": 0}}}, EXIT_CONFIG),
+        ({"scenario": {"name": "kaczmarz", "params": {"A": [[1.0, 0.0], [0.0, 1.0]]}}}, EXIT_CONFIG),
     ],
     ids=["bad_param_value", "missing_reference_file", "no_ground_truth_sampler", "reference_wrong_dimension",
-         "reference_wrong_dimension_no_series", "reference_spider_legs"],
+         "reference_wrong_dimension_no_series", "reference_spider_legs", "kaczmarz_no_rows",
+         "phase_retrieval_no_masks", "kaczmarz_A_without_b"],
 )
 def test_failed_command_leaves_no_results_directory(tmp_path, monkeypatch, command, overrides, code):
     monkeypatch.chdir(tmp_path)
@@ -392,12 +410,16 @@ def test_cmd_rate_missing_series(tmp_path):
         ("series.csv", "k,W2_to_reference,psi_hat\n0,abc,\n", "series.csv:2: "),
         ("report.json", "{not json", "report.json:1:2: invalid JSON"),
         ("report.json", "[]", "report.json: report schema must be rfilab.report.v1"),
+        ("series.csv", b"k,W2_to_reference,psi_hat\n0,1.0,\n1,0.\xff5,\n", "series.csv:3: "),
+        ("series.csv", b"k,W2_to_\xffreference,psi_hat\n0,1.0,\n", "series.csv: unexpected header"),
+        ("report.json", b'{"schema": "\xff"}', "report.json: cannot read report ("),
     ],
-    ids=["series_short_row", "series_non_numeric", "report_invalid_json", "report_not_a_report"],
+    ids=["series_short_row", "series_non_numeric", "report_invalid_json", "report_not_a_report",
+         "series_non_utf8_row", "series_non_utf8_header", "report_non_utf8"],
 )
 def test_cmd_rate_malformed_input_exits_2(tmp_path, capsys, name, content, fragment):
     (tmp_path / "series.csv").write_text("k,W2_to_reference,psi_hat\n0,1.0,\n1,0.5,\n")
-    (tmp_path / name).write_text(content)
+    (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
     assert main(["rate", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err, err

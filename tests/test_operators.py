@@ -264,8 +264,11 @@ def test_spider_prox_grid_oracle(rng):
         op = SpiderProx(space, anchor, lam)
         got = op(x)
 
+        def dist(p, q):  # the spider metric, written out: the oracle stays independent of the library
+            return abs(p.radius - q.radius) if p.leg == q.leg else p.radius + q.radius
+
         def objective(point):
-            return 0.5 * space.dist(point, anchor) ** 2 + (0.5 / lam) * space.dist(point, x) ** 2
+            return 0.5 * dist(point, anchor) ** 2 + (0.5 / lam) * dist(point, x) ** 2
 
         got_val = objective(got)
         best = np.inf
@@ -288,6 +291,9 @@ def test_family_validation():
     mixed = [PointProjection(R1, np.array([0.0])), PointProjection(R2, np.array([0.0, 0.0]))]
     with pytest.raises(ValueError):
         OperatorFamily.uniform(mixed)
+    for make_empty in (lambda: OperatorFamily((), []), lambda: OperatorFamily.uniform([])):
+        with pytest.raises(ValueError, match="must be nonempty"):
+            make_empty()
 
 
 def test_family_apply_index_matches_pointwise(rng):

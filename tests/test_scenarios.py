@@ -3,7 +3,7 @@ import pytest
 
 from conftest import chain_path, phase_error, spider_frechet_mean_grid
 
-from rfilab.geometry import SpiderPoint
+from rfilab.geometry import SpiderPoint, distance
 from rfilab.operators import quadratic_smooth_term
 from rfilab.regularity import (
     BoxPairSampler,
@@ -255,7 +255,7 @@ def test_spider_symmetric_anchors_mean_is_origin():
     truth = sc.ground_truth.extras["frechet_mean"]
     assert truth == SpiderPoint(0, 0.0)
     oracle = spider_frechet_mean_grid(sc.space, sc.space.pack(anchors), resolution=1e-3)
-    assert sc.space.dist(truth, oracle) <= 2e-3
+    assert distance(sc.space, truth, oracle) <= 2e-3
 
 
 def test_spider_closed_form_matches_grid(rng):
@@ -268,14 +268,14 @@ def test_spider_closed_form_matches_grid(rng):
         )
         closed = spider_frechet_mean(space, pts)
         grid = spider_frechet_mean_grid(space, pts, resolution=2e-3)
-        assert space.dist(closed, grid) <= 5e-3
+        assert distance(space, closed, grid) <= 5e-3
 
 
 def test_spider_single_anchor_converges_to_anchor():
     anchor = SpiderPoint(2, 1.5)
     sc = scenario_spider_frechet([anchor], lam=0.5, legs=3)
     path = chain_path(sc.family, SpiderPoint(0, 2.0), 80, seed=3)
-    assert sc.space.dist(path[-1], anchor) <= 1e-6
+    assert distance(sc.space, path[-1], anchor) <= 1e-6
 
 
 def test_spider_two_anchor_bias_curve():
@@ -370,6 +370,57 @@ def test_build_scenario_rejects_unknown_params(name):
     assert "R" not in SCENARIO_BUILDERS[name].params
     with pytest.raises(ValueError, match=f"scenario '{name}' has no parameter 'R'"):
         build_scenario(name, {"R": 0.9})
+
+
+# a valid value of each declared key, with the keys it needs alongside
+PARAM_SAMPLES = {
+    ("contraction", "r"): {"r": 0.7},
+    ("contraction", "offset"): {"offset": 3.0},
+    ("kaczmarz", "A"): {"A": [[1.0, 0.0], [1.0, 1.0]], "b": [1.0, 2.0]},
+    ("kaczmarz", "b"): {"A": [[1.0, 0.0], [1.0, 1.0]], "b": [1.0, 2.0]},
+    ("kaczmarz", "consistent"): {"consistent": True},
+    ("kaczmarz", "m"): {"m": 5},
+    ("kaczmarz", "n"): {"n": 3},
+    ("kaczmarz", "instance_seed"): {"instance_seed": 4},
+    ("kaczmarz", "perturbation"): {"perturbation": 0.5},
+    ("kaczmarz", "init_scale"): {"init_scale": 2.0},
+    ("sgd_linear_noise", "Q"): {"Q": [[1.0, 0.0], [0.0, 0.5]]},
+    ("sgd_linear_noise", "dim"): {"dim": 3},
+    ("sgd_linear_noise", "q"): {"q": [0.5]},
+    ("sgd_linear_noise", "atoms"): {"atoms": [[1.0], [-0.5], [-0.5]]},
+    ("sgd_linear_noise", "t"): {"t": 0.3},
+    ("phase_retrieval", "n"): {"n": 16},
+    ("phase_retrieval", "n_masks"): {"n_masks": 2},
+    ("phase_retrieval", "instance_seed"): {"instance_seed": 3},
+    ("phase_retrieval", "relax"): {"relax": 0.4},
+    ("phase_retrieval", "init_noise"): {"init_noise": 0.2},
+    ("spider_frechet", "anchors"): {"anchors": [[0, 2.0], [1, 1.0]]},
+    ("spider_frechet", "lam"): {"lam": 0.3},
+    ("spider_frechet", "legs"): {"legs": 4},
+    ("dr_parallel_lines", "gap"): {"gap": 1.5},
+    ("dr_parallel_lines", "init_scale"): {"init_scale": 2.0},
+}
+
+
+@pytest.mark.parametrize(
+    "name, key", [(name, key) for name, builder in SCENARIO_BUILDERS.items() for key in builder.params]
+)
+def test_build_scenario_accepts_every_declared_key(name, key):
+    params = PARAM_SAMPLES[name, key]
+    assert key in params
+    assert build_scenario(name, params).name == name
+
+
+@pytest.mark.parametrize("params", [{"A": [[1.0, 0.0]]}, {"b": [1.0]}], ids=["A_without_b", "b_without_A"])
+def test_kaczmarz_takes_A_and_b_together(params):
+    with pytest.raises(ValueError, match="'A' and 'b' together"):
+        build_scenario("kaczmarz", params)
+
+
+@pytest.mark.parametrize("name, params", [("kaczmarz", {"m": 0}), ("phase_retrieval", {"n_masks": 0})])
+def test_scenario_without_operators_is_a_value_error(name, params):
+    with pytest.raises(ValueError, match="operator family must be nonempty"):
+        build_scenario(name, params)
 
 
 def test_monte_carlo_floor_is_the_median_over_its_pair_seeds():
