@@ -13,17 +13,22 @@ the scenario rejects are a config error too.  ``run`` and ``rate`` fit
 rates with one function, ``_fit_rates``.  All CSV outputs are
 byte-deterministic for a fixed config, and reruns reproduce files exactly.
 ``run`` splits its independent work into jobs (the burn-in reference, one
-per floor pair of burn-ins, one W2 + Psi job per recorded step) and runs
-them on a pool of ``workers`` forked processes, capped at the usable CPUs,
-while this process runs the chain, writes the files and estimates
-regularity.  The worker count changes no output byte: every job is a pure
-function of its arguments.
+per floor pair of burn-ins, and one per recorded step, which writes that
+step's ensemble file and then computes its W2 + Psi) and runs them on a
+pool of ``workers`` forked processes, capped at the usable CPUs, each with
+one BLAS thread.  This process runs the chain, estimates regularity and
+writes the reference, series, report and manifest.  The worker count
+changes no output byte: every job is a pure function of its arguments.
+scipy's assignment solver is loaded only by a command that solves an
+assignment.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import importlib
 import json
 import multiprocessing
 import os
@@ -51,6 +56,7 @@ from .rfi import ChainConfig, derive_seed, run_ensemble
 # monte_carlo_floor is not called here, but perfbench/spans.py wraps cli.monte_carlo_floor
 from .scenarios import (  # noqa: F401
     SCENARIO_BUILDERS,
+    ParamError,
     build_scenario,
     floor_draw,
     floor_pair_seeds,
@@ -239,9 +245,13 @@ def _scenario_spec(cfg: dict) -> tuple:
 
 
 def _configured_scenario(spec: tuple):
-    """``build_scenario(*spec)``; parameters it rejects are a ConfigError."""
+    """``build_scenario(*spec)``; parameters it rejects are a ConfigError,
+    naming the key whose value its converter rejects."""
     try:
         return build_scenario(*spec)
+    except ParamError as exc:
+        key, message = exc.args
+        raise ConfigError(f"config.scenario.params.{key}: {message}") from exc
     except ValueError as exc:
         raise ConfigError(f"config.scenario.params: {exc}") from exc
 
@@ -273,7 +283,7 @@ def _reference_ensemble(scenario, cfg: dict, pool: "_Pool"):
     ref_cfg = cfg["reference"]
     n = cfg["ensemble_size"]
     if ref_cfg["mode"] == "file":
-        reference = pool.here(_read_reference, ref_cfg["path"], n, scenario.space)
+        reference = pool.here(("reference", _read_reference, ref_cfg["path"], n, scenario.space))
         return reference, {"mode": "file", "path": ref_cfg["path"]}
     if ref_cfg["mode"] == "ground_truth":
         sampler = scenario.ground_truth.invariant_sampler
@@ -282,10 +292,10 @@ def _reference_ensemble(scenario, cfg: dict, pool: "_Pool"):
                 f"config.reference.mode: scenario '{scenario.name}' has no ground-truth invariant sampler"
             )
         ref_seed = derive_seed(cfg["seed"], 0x6D)
-        return pool.here(sampler, n, ref_seed), {"mode": "ground_truth", "seed": ref_seed}
+        return pool.here(("reference", sampler, n, ref_seed)), {"mode": "ground_truth", "seed": ref_seed}
     steps = ref_cfg["factor"] * max(cfg["iterations"], 1)
     ref_seed = derive_seed(cfg["seed"], 0x6E)
-    job = pool.submit(_burn_in, _scenario_spec(cfg), n, steps, ref_seed)
+    job = pool.submit(("reference", _burn_in, _scenario_spec(cfg), n, steps, ref_seed))
     return job, {"mode": "burn_in", "steps": steps, "seed": ref_seed}
 
 
@@ -294,6 +304,20 @@ def _reference_ensemble(scenario, cfg: dict, pool: "_Pool"):
 # ---------------------------------------------------------------------------
 
 LAYERS = ("reference", "chain", "w2_psi", "floor", "regularity", "io")
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: the OpenBLAS that numpy bundles runs one thread in
+    this worker, so that the workers do not oversubscribe the CPUs.  Without
+    that library or its symbol the worker goes on as it is."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            set_threads = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
 
 
 def _burn_in(spec: tuple, n: int, steps: int, seed: int) -> Ensemble:
@@ -315,12 +339,23 @@ def _floor_pair(spec: tuple, n: int, steps: int, seed_a: int, seed_b: int) -> fl
     return floor_draw(build_scenario(*spec), n, steps, seed_a, seed_b)
 
 
-def _job(fn, args) -> tuple:
-    """Run one job in this process: its value, seconds and exact-OT solves."""
+def _write_ensemble(ens: Ensemble, path: Path) -> None:
+    """A step job's first stage; a job names module-level functions, which
+    pickle by name, and this one finds ``to_csv`` in the worker."""
+    ens.to_csv(path)
+
+
+def _job(*stages) -> tuple:
+    """Run one job in this process: each stage ``(layer, fn, *args)`` in
+    turn.  Returns the last stage's value, the seconds of each layer and the
+    exact-OT solves."""
     before = dict(transport.SOLVES)
-    start = time.perf_counter()
-    value = fn(*args)
-    seconds = time.perf_counter() - start
+    seconds = {}
+    value = None
+    for layer, fn, *args in stages:
+        start = time.perf_counter()
+        value = fn(*args)
+        seconds[layer] = seconds.get(layer, 0.0) + time.perf_counter() - start
     return value, seconds, {path: transport.SOLVES[path] - count for path, count in before.items()}
 
 
@@ -349,11 +384,13 @@ class _Pool:
 
     Every job takes all its inputs as arguments and keeps no state in the
     process that runs it, so which process that is changes no output byte.
-    Above size 1 the processes belong to one ProcessPoolExecutor.  Fork,
-    stated explicitly, lets them start without importing numpy and scipy
-    again, and a fork executor starts all of them at the first submission,
-    before its own helper threads exist (cpython#90622).  At size 1 the jobs
-    run in this process and no child starts.
+    A job is a sequence of stages ``(layer, fn, *args)``, each timed to its
+    layer.  Above size 1 the processes belong to one ProcessPoolExecutor.
+    Fork, stated explicitly, lets them start without importing numpy (and
+    scipy's solver, if loaded) again, and a fork executor starts all of them
+    at the first submission, before its own helper threads exist
+    (cpython#90622).  At size 1 the jobs run in this process and no child
+    starts.
     """
 
     def __init__(self, size: int):
@@ -361,21 +398,23 @@ class _Pool:
         self.seconds = dict.fromkeys(LAYERS, 0.0)
         self.solves = dict.fromkeys(transport.SOLVES, 0)
         fork = multiprocessing.get_context("fork")
-        self._executor = _InProcess() if size == 1 else ProcessPoolExecutor(size, mp_context=fork)
+        self._executor = (_InProcess() if size == 1
+                          else ProcessPoolExecutor(size, mp_context=fork, initializer=_one_blas_thread))
 
-    def submit(self, fn, *args) -> Future:
-        """Queue the job ``fn(*args)``."""
-        return self._executor.submit(_job, fn, args)
+    def submit(self, *stages) -> Future:
+        """Queue the job made of ``stages``."""
+        return self._executor.submit(_job, *stages)
 
     @staticmethod
-    def here(fn, *args) -> Future:
-        """Run the job ``fn(*args)`` now, in this process."""
-        return _InProcess().submit(_job, fn, args)
+    def here(*stages) -> Future:
+        """Run the job made of ``stages`` now, in this process."""
+        return _InProcess().submit(_job, *stages)
 
-    def take(self, layer: str, job: Future):
-        """The value of ``job``; its seconds and solves count to ``layer``."""
+    def take(self, job: Future):
+        """The value of ``job``; its seconds and solves count to the tally."""
         value, seconds, solves = job.result()
-        self.seconds[layer] += seconds
+        for layer, spent in seconds.items():
+            self.seconds[layer] += spent
         for path, count in solves.items():
             self.solves[path] += count
         return value
@@ -435,17 +474,19 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     series = diags["wasserstein"] or diags["psi"]
     floor = diags["rates"] and diags["wasserstein"]
     floor_pairs = floor_pair_seeds(cfg["seed"]) if floor else []
+    if (series or floor) and not transport.sorted_path(scenario.space):
+        importlib.import_module("scipy.optimize")  # once here, before the pool forks, not in every worker
     # one job each: the reference burn-in, a floor pair (two burn-ins and
-    # their W2) and a recorded step's W2 + Psi
-    submissions = (cfg["reference"]["mode"] == "burn_in") + len(floor_pairs) + series * len(chain.recorded_steps())
+    # their W2) and a recorded step (its file, then its W2 + Psi)
+    submissions = (cfg["reference"]["mode"] == "burn_in") + len(floor_pairs) + len(chain.recorded_steps())
     with _Pool(max(1, min(cfg["workers"], usable_cpus(), submissions))) as pool:
         reference_job, ref_provenance = _reference_ensemble(scenario, cfg, pool)
         out.mkdir(parents=True, exist_ok=True)  # only now: a bad scenario or reference leaves none behind
         floor_steps = ref_provenance.get("steps", 10 * max(cfg["iterations"], 1))
-        floor_jobs = [pool.submit(_floor_pair, spec, n, floor_steps, a, b) for a, b in floor_pairs]
+        floor_jobs = [pool.submit(("floor", _floor_pair, spec, n, floor_steps, a, b)) for a, b in floor_pairs]
 
         # regularity first: its temporary arrays are freed before the chain's ensembles exist
-        reference = pool.take("reference", reference_job)
+        reference = pool.take(reference_job)
         report = _empty_report(scenario)
         if diags["regularity"]:
             with pool.timed("regularity"):
@@ -453,25 +494,26 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
                 report["regularity"] = _regularity_block(scenario, sampler, cfg["regularity_pairs"])
         with pool.timed("chain"):
             trajectory = run_ensemble(chain)
-        if series:
-            series_jobs = [pool.submit(_series_point, spec, ens, reference, diags["wasserstein"], diags["psi"])
-                           for ens in trajectory.ensembles]
         ens_dir = out / "ensembles"
         ens_dir.mkdir(exist_ok=True)
+        step_jobs = []
+        for step, ens in zip(trajectory.steps, trajectory.ensembles):
+            stages = [("io", _write_ensemble, ens, ens_dir / f"step_{step:06d}.csv")]
+            if series:
+                stages.append(("w2_psi", _series_point, spec, ens, reference, diags["wasserstein"], diags["psi"]))
+            step_jobs.append(pool.submit(*stages))
         with pool.timed("io"):
-            for step, ens in zip(trajectory.steps, trajectory.ensembles):
-                ens.to_csv(ens_dir / f"step_{step:06d}.csv")
             reference.to_csv(out / "reference.csv")
-        values = [(None, None)] * len(trajectory.steps)
-        if series:
-            values = [pool.take("w2_psi", job) for job in series_jobs]
+        values = [pool.take(job) for job in step_jobs]
+        if not series:
+            values = [(None, None)] * len(values)
         with pool.timed("io"):
             with (out / "series.csv").open("w", newline="", encoding="utf-8") as fh:
                 fh.write("k,W2_to_reference,psi_hat\n")
                 for step, (w2, psi) in zip(trajectory.steps, values):
                     fh.write(f"{step},{_float_repr(w2)},{_float_repr(psi)}\n")
         if floor:
-            report["floor"] = float(np.median([pool.take("floor", job) for job in floor_jobs]))
+            report["floor"] = float(np.median([pool.take(job) for job in floor_jobs]))
 
     if floor:
         _fit_rates(report, trajectory.steps, *zip(*values))
@@ -541,7 +583,7 @@ def cmd_regularity(config_path, out_dir, seed: Optional[int] = None) -> int:
     out = Path(out_dir or cfg.get("output_dir") or "results")
     scenario = _configured_scenario(_scenario_spec(cfg))
     with _Pool(1) as pool:
-        reference = pool.take("reference", _reference_ensemble(scenario, cfg, pool)[0])
+        reference = pool.take(_reference_ensemble(scenario, cfg, pool)[0])
     out.mkdir(parents=True, exist_ok=True)
     sampler = _default_sampler(scenario, reference, cfg["seed"])
     report = _empty_report(scenario)

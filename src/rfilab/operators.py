@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .geometry import EuclideanSpace, Space, SpiderPoint, SpiderSpace
 
@@ -360,12 +359,11 @@ class QuadraticProx(Operator):
         q = np.zeros(self.space.dim) if self.q is None else np.asarray(self.q, dtype=float)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "q", q)
-        system = self.lam * Q + np.eye(self.space.dim)
-        object.__setattr__(self, "_lu", scipy.linalg.lu_factor(system))
+        object.__setattr__(self, "_system", self.lam * Q + np.eye(self.space.dim))
 
     def apply(self, pts):
         rhs = (pts - self.lam * self.q).T
-        return scipy.linalg.lu_solve(self._lu, rhs).T
+        return np.linalg.solve(self._system, rhs).T
 
 
 @dataclass(frozen=True)

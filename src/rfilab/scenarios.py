@@ -56,6 +56,7 @@ __all__ = [
     "floor_pair_seeds",
     "build_scenario",
     "unknown_params",
+    "ParamError",
     "SCENARIO_BUILDERS",
 ]
 
@@ -495,6 +496,21 @@ def _build_phase_retrieval(**params) -> Scenario:
 _floats = partial(np.asarray, dtype=float)
 
 
+def _boolean(value) -> bool:
+    """A JSON boolean; any other value is a TypeError (``bool("false")`` is True)."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a boolean, got {type(value).__name__}")
+    return value
+
+
+class ParamError(ValueError):
+    """A scenario parameter value that its converter rejects; ``args`` is
+    ``(key, message)``."""
+
+    def __str__(self) -> str:
+        return f"parameter '{self.args[0]}': {self.args[1]}"
+
+
 class ScenarioBuilder(NamedTuple):
     """Registry entry: ``build(**params)`` and the converter of each key's
     JSON value; the defaults are those of ``build``'s signature."""
@@ -508,7 +524,7 @@ SCENARIO_BUILDERS = {
     "contraction": ScenarioBuilder(scenario_contraction, {"r": float, "offset": float}),
     "kaczmarz": ScenarioBuilder(
         _build_kaczmarz,
-        {"A": _floats, "b": _floats, "consistent": bool, "m": int, "n": int, "instance_seed": int,
+        {"A": _floats, "b": _floats, "consistent": _boolean, "m": int, "n": int, "instance_seed": int,
          "perturbation": float, "init_scale": float},
     ),
     "sgd_linear_noise": ScenarioBuilder(
@@ -541,4 +557,10 @@ def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
     if unknown:
         known = ", ".join(builder.params) or "none"
         raise ValueError(f"scenario '{name}' has no parameter '{unknown[0]}' (known: {known})")
-    return builder.build(**{key: builder.params[key](value) for key, value in params.items()})
+    converted = {}
+    for key, value in params.items():
+        try:
+            converted[key] = builder.params[key](value)
+        except (TypeError, ValueError, LookupError) as exc:
+            raise ParamError(key, str(exc)) from exc
+    return builder.build(**converted)

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import EuclideanSpace, Space, SpiderSpace
 from .operators import OperatorFamily
@@ -32,6 +31,23 @@ __all__ = [
 
 # exact W_p solves made by this process, by path (`rfilab run` reports them)
 SOLVES = {"assignment": 0, "sorted": 0}
+
+# values per block of text that `Ensemble.to_csv` formats and writes at once
+CSV_BLOCK_VALUES = 1 << 14
+
+
+def linear_sum_assignment(cost: np.ndarray):
+    """scipy's exact assignment solver, imported on the first call: commands
+    that solve no assignment never load scipy.optimize."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
+
+
+def sorted_path(space: Space) -> bool:
+    """Whether W_p on ``space`` takes the sorted matching (the real line)
+    rather than an assignment solve."""
+    return isinstance(space, EuclideanSpace) and space.dim == 1 and not space.complex_coords
 
 
 @dataclass(frozen=True)
@@ -74,12 +90,16 @@ class Ensemble:
         return self.points
 
     def to_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.column_names())
-            for row in self.rows():
-                writer.writerow([repr(float(v)) for v in row])
+        """Write a header and one row per particle, each value its ``repr``:
+        the bytes of ``csv.writer``, since no name or value needs quoting,
+        formatted a block of rows at a time."""
+        rows = self.rows()
+        block = max(1, CSV_BLOCK_VALUES // rows.shape[1])
+        with Path(path).open("w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(self.column_names()) + "\r\n")
+            for start in range(0, len(rows), block):
+                lines = [",".join(map(repr, row)) for row in rows[start : start + block].tolist()]
+                fh.write("\r\n".join(lines) + "\r\n")
 
     @classmethod
     def from_csv(cls, path, space: Optional[Space] = None) -> "Ensemble":
@@ -141,7 +161,7 @@ def wasserstein(A: Ensemble, B: Ensemble, p: float = 2.0):
     if p < 1.0:
         raise ValueError(f"order p must be >= 1, got {p}")
     space = A.space
-    if isinstance(space, EuclideanSpace) and space.dim == 1 and not space.complex_coords:
+    if sorted_path(space):
         # on the line the monotone (sorted) coupling is optimal for any p >= 1
         SOLVES["sorted"] += 1
         ia = np.argsort(A.points[:, 0], kind="stable")

@@ -4,6 +4,7 @@ the ensemble engine."""
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import numpy as np
@@ -22,6 +23,16 @@ def brute_force_wasserstein(space, A: np.ndarray, B: np.ndarray, p: float = 2.0)
     perms = np.array(list(itertools.permutations(range(n))))
     best = cost[np.arange(n), perms].sum(axis=1).min()
     return float((best / n) ** (1.0 / p))
+
+
+def write_csv_oracle(ens: Ensemble, path) -> None:
+    """An ensemble file as ``csv.writer`` writes it: the column names, then
+    one row per particle with the ``repr`` of each value."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ens.column_names())
+        for row in ens.rows():
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def grid_minimize(objective, lo: float, hi: float, resolution: float) -> tuple:

@@ -1,5 +1,10 @@
+import functools
 import json
 import multiprocessing
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +113,14 @@ def test_non_utf8_config_exits_2_naming_the_path(tmp_path, capsys, command):
          "config.scenario.params: kaczmarz takes 'A' and 'b' together"),
         ({"scenario": {"name": "kaczmarz", "params": {"m": 0}}}, [],
          "config.scenario.params: operator family must be nonempty"),
+        ({"scenario": {"name": "kaczmarz", "params": {"consistent": "false"}}}, [],
+         "config.scenario.params.consistent: expected a boolean, got str"),
+        ({"scenario": {"name": "kaczmarz", "params": {"consistent": 0}}}, [],
+         "config.scenario.params.consistent: expected a boolean, got int"),
+        ({"scenario": {"name": "contraction", "params": {"r": [1]}}}, [], "config.scenario.params.r: "),
+        ({"scenario": {"name": "kaczmarz", "params": {"m": "x"}}}, [], "config.scenario.params.m: "),
+        ({"scenario": {"name": "spider_frechet", "params": {"anchors": [[1]]}}}, [],
+         "config.scenario.params.anchors: "),
     ],
 )
 def test_run_invalid_value_exits_2_naming_the_key(tmp_path, capsys, overrides, argv, fragment):
@@ -233,18 +246,45 @@ def test_run_solves_one_assignment_per_recorded_step(tmp_path, monkeypatch):
     assert len(solves) == recorded + 3  # none made in this process at 2 workers
 
 
-def test_run_manifest_timings(tmp_path):
+def test_run_manifest_timings(tmp_path, monkeypatch):
+    # at 2 workers the step jobs write the ensemble files, and their write
+    # seconds still count to io
+    monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
     cfg = write_config(tmp_path)
-    out = tmp_path / "t"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    timings = json.loads((out / "manifest.json").read_text())["timings"]
-    assert set(timings["seconds"]) == {"reference", "chain", "w2_psi", "floor", "regularity", "io"}
-    assert all(seconds >= 0.0 for seconds in timings["seconds"].values())
-    assert timings["seconds"]["reference"] > 0.0 and timings["seconds"]["io"] > 0.0
-    # contraction lives on the line: 11 recorded steps + 3 floor pairs, all sorted
-    assert (timings["sorted_solves"], timings["assignment_solves"]) == (14, 0)
-    assert timings["workers_used"] == 1
-    assert timings["peak_rss_mib"]["main"] > 0.0
+    for workers in (1, 2):
+        out = tmp_path / f"t{workers}"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", str(workers)]) == EXIT_OK
+        timings = json.loads((out / "manifest.json").read_text())["timings"]
+        assert set(timings["seconds"]) == {"reference", "chain", "w2_psi", "floor", "regularity", "io"}
+        assert all(seconds >= 0.0 for seconds in timings["seconds"].values())
+        assert timings["seconds"]["reference"] > 0.0 and timings["seconds"]["io"] > 0.0
+        # contraction lives on the line: 11 recorded steps + 3 floor pairs, all sorted
+        assert (timings["sorted_solves"], timings["assignment_solves"]) == (14, 0)
+        assert timings["workers_used"] == workers
+        assert timings["peak_rss_mib"]["main"] > 0.0
+
+
+def test_run_io_seconds_count_every_step_write(tmp_path, monkeypatch):
+    # each step file's write counts to io, and not to w2_psi, in whichever
+    # process it runs
+    import rfilab.transport
+
+    original = rfilab.transport.Ensemble.to_csv
+
+    def slow(ens, path):
+        if Path(path).name.startswith("step_"):
+            time.sleep(0.05)
+        original(ens, path)
+
+    monkeypatch.setattr(rfilab.transport.Ensemble, "to_csv", slow)
+    monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path, diagnostics={"wasserstein": True, "psi": False})
+    for workers in (1, 2):
+        out = tmp_path / f"io{workers}"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", str(workers)]) == EXIT_OK
+        seconds = json.loads((out / "manifest.json").read_text())["timings"]["seconds"]
+        assert seconds["io"] >= 11 * 0.05, workers
+        assert seconds["w2_psi"] < 11 * 0.05, workers
 
 
 def test_run_pool_is_capped_at_usable_cpus(tmp_path, monkeypatch):
@@ -264,15 +304,22 @@ def test_run_pool_is_capped_at_usable_cpus(tmp_path, monkeypatch):
         ("cli", "long_run_reference", "burn_in"),
         ("scenarios", "long_run_reference", "ground_truth"),
         ("cli", "markov_transport_discrepancy", "burn_in"),
+        ("transport.Ensemble", "to_csv", "burn_in"),
     ],
-    ids=["reference_burn_in", "floor_pair", "w2_psi_step"],
+    ids=["reference_burn_in", "floor_pair", "w2_psi_step", "step_write"],
 )
 def test_run_worker_failure_exits_like_in_process(tmp_path, monkeypatch, capsys, module, name, reference):
-    # each job kind in turn fails; the patch is made before the pool forks
+    # each job kind in turn fails (a step job at writing its file, while this
+    # process writes reference.csv); the patch is made before the pool forks
+    owner = functools.reduce(getattr, module.split("."), rfilab)
+    original = getattr(owner, name)
+
     def failing(*args, **kwargs):
+        if name == "to_csv" and not Path(args[1]).name.startswith("step_"):
+            return original(*args, **kwargs)
         raise RuntimeError(f"{name} failed")
 
-    monkeypatch.setattr(getattr(rfilab, module), name, failing)
+    monkeypatch.setattr(owner, name, failing)
     monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
     cfg = write_config(tmp_path, reference={"mode": reference})
     errors = []
@@ -513,3 +560,58 @@ def test_predicted_rate(report, epsilon):
 
     want = None if epsilon is None else rate_bound_from_theorem(0.5, epsilon, 1.2)
     assert _predicted_rate(report) == want
+
+
+# ---------------------------------------------------------------------------
+# what a command loads
+# ---------------------------------------------------------------------------
+
+_LOADED = "import sys; print('=>', json.dumps([m in sys.modules for m in ('scipy.optimize', 'scipy.linalg')]))"
+
+
+def _fresh_python(script: str) -> list:
+    """Run ``script`` in a new interpreter that imports rfilab from this
+    checkout; the JSON value of each stdout line that opens with ``=>``."""
+    src = Path(rfilab.cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return [json.loads(line[2:]) for line in done.stdout.splitlines() if line.startswith("=>")]
+
+
+def test_scipy_solver_loads_only_for_assignment(tmp_path):
+    # importing the CLI, a contraction run (sorted W2) and a rate fit load
+    # neither scipy.optimize nor scipy.linalg; the solver's name is there to
+    # patch before any solve
+    cfg = write_config(tmp_path, workers=1)
+    out = tmp_path / "o"
+    script = f"""
+import json, rfilab.cli, rfilab.transport
+{_LOADED}
+print("=>", json.dumps(callable(rfilab.transport.linear_sum_assignment)))
+assert rfilab.cli.main(["run", "--config", {str(cfg)!r}, "--out", {str(out)!r}]) == 0
+{_LOADED}
+assert rfilab.cli.main(["rate", {str(out)!r}]) == 0
+{_LOADED}
+"""
+    lines = _fresh_python(script)
+    assert lines == [[False, False], True, [False, False], [False, False]]
+
+
+def test_worker_blas_runs_one_thread():
+    # the pool initializer sets the thread count of numpy's bundled OpenBLAS
+    script = """
+import ctypes, json, numpy as np
+from pathlib import Path
+from rfilab.cli import _one_blas_thread
+libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*.so*"))
+if libs:
+    _one_blas_thread()
+    get_threads = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    print("=>", json.dumps(get_threads()))
+"""
+    lines = _fresh_python(script)
+    if not lines:
+        pytest.skip("this numpy bundles no OpenBLAS")
+    assert lines == [1]

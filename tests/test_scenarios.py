@@ -17,6 +17,7 @@ from rfilab.regularity import (
 from rfilab.rfi import ChainConfig, run_ensemble
 from rfilab.scenarios import (
     SCENARIO_BUILDERS,
+    ParamError,
     build_scenario,
     floor_draw,
     floor_pair_seeds,
@@ -421,6 +422,37 @@ def test_kaczmarz_takes_A_and_b_together(params):
 def test_scenario_without_operators_is_a_value_error(name, params):
     with pytest.raises(ValueError, match="operator family must be nonempty"):
         build_scenario(name, params)
+
+
+@pytest.mark.parametrize(
+    "name, params, key",
+    [
+        ("kaczmarz", {"consistent": "false"}, "consistent"),
+        ("kaczmarz", {"consistent": 1}, "consistent"),
+        ("kaczmarz", {"m": "x"}, "m"),
+        ("contraction", {"r": [1]}, "r"),
+        ("contraction", {"offset": {"x": 1}}, "offset"),
+        ("sgd_linear_noise", {"Q": [[1.0], [1.0, 2.0]]}, "Q"),
+        ("spider_frechet", {"anchors": [[1]]}, "anchors"),
+    ],
+)
+def test_rejected_parameter_value_names_its_key(name, params, key):
+    with pytest.raises(ParamError) as caught:
+        build_scenario(name, params)
+    assert caught.value.args[0] == key
+    assert str(caught.value).startswith(f"parameter '{key}': ")
+
+
+def test_builder_range_check_is_not_a_param_error():
+    # the converter accepts 2.0; the builder rejects it, and names no key
+    with pytest.raises(ValueError, match="contraction factor") as caught:
+        build_scenario("contraction", {"r": 2.0})
+    assert not isinstance(caught.value, ParamError)
+
+
+def test_boolean_parameter_takes_json_booleans():
+    assert build_scenario("kaczmarz", {"consistent": False}).params == {"consistent": False}
+    assert build_scenario("kaczmarz", {"consistent": True}).params == {"consistent": True}
 
 
 def test_monte_carlo_floor_is_the_median_over_its_pair_seeds():

@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_wasserstein
+from conftest import brute_force_wasserstein, write_csv_oracle
 
+from rfilab import transport
 from rfilab.geometry import EuclideanSpace, SpiderSpace
 from rfilab.operators import AffineMap, Identity, OperatorFamily, PointProjection
 from rfilab.transport import (
@@ -200,3 +205,61 @@ def test_ensemble_csv_roundtrip(tmp_path, rng):
     comp.to_csv(tmp_path / "complex.csv")
     back = Ensemble.from_csv(tmp_path / "complex.csv")
     assert np.array_equal(back.points, comp.points)
+
+
+# finite extremes of float64: negative zero, the smallest subnormal, +-max
+EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def _csv_ensemble(kind: str, dim: int, n: int, seed: int, specials) -> Ensemble:
+    """An ensemble of ``n`` particles of R^dim, C^dim or a (dim + 1)-leg
+    spider: normal values and finite random bit patterns, with ``specials``
+    (value, index) put in place of some of them.  Spider radii are the
+    values with their sign dropped, except that -0.0 stays."""
+    rng = np.random.default_rng(seed)
+    cols = 2 * dim if kind == "complex" else 2 if kind == "spider" else dim
+    values = rng.normal(size=n * cols)
+    bits = rng.integers(0, 2**64, size=n * cols, dtype=np.uint64).view(np.float64)
+    values = np.where(rng.random(n * cols) < 0.5, values, np.where(np.isfinite(bits), bits, 1.0))
+    for value, at in specials:
+        values[at % len(values)] = value
+    values = values.reshape(n, cols)
+    if kind == "spider":
+        legs = rng.integers(0, dim + 1, size=n)
+        radii = np.where(values[:, 1] < 0.0, -values[:, 1], values[:, 1])  # keeps -0.0
+        return Ensemble(SpiderSpace(dim + 1), np.column_stack([legs, radii]))
+    if kind == "complex":
+        points = np.empty((n, dim), dtype=complex)
+        points.real, points.imag = values[:, 0::2], values[:, 1::2]
+        return Ensemble(EuclideanSpace(dim, complex_coords=True), points)
+    return Ensemble(EuclideanSpace(dim), values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["real", "complex", "spider"]),
+    dim=st.integers(1, 4),
+    n=st.integers(1, 2000),
+    block=st.sampled_from([1, 3, 64, 1000, transport.CSV_BLOCK_VALUES]),
+    seed=st.integers(0, 2**32 - 1),
+    at=st.lists(st.integers(0, 10**6), min_size=len(EXTREMES), max_size=len(EXTREMES)),
+    drawn=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 10**6)), max_size=8),
+)
+def test_to_csv_bytes_equal_csv_writer(tmp_path_factory, kind, dim, n, block, seed, at, drawn):
+    # blocks of 1 to 1000 values split every ensemble of more than a few rows
+    # over several blocks
+    ens = _csv_ensemble(kind, dim, n, seed, [*zip(EXTREMES, at), *drawn])
+    directory = tmp_path_factory.mktemp("csv")
+    with mock.patch.object(transport, "CSV_BLOCK_VALUES", block):
+        ens.to_csv(directory / "fast.csv")
+    write_csv_oracle(ens, directory / "oracle.csv")
+    assert (directory / "fast.csv").read_bytes() == (directory / "oracle.csv").read_bytes()
+
+
+def test_to_csv_bytes_equal_csv_writer_50000_rows(tmp_path):
+    # at the default block size 50 000 rows of one value span four blocks
+    ens = _csv_ensemble("real", 1, 50_000, 11, list(zip(EXTREMES, (0, 16_383, 16_384, 49_999))))
+    assert 50_000 > 3 * transport.CSV_BLOCK_VALUES
+    ens.to_csv(tmp_path / "fast.csv")
+    write_csv_oracle(ens, tmp_path / "oracle.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
