@@ -202,28 +202,26 @@ def build_rate_report(
     distances: Sequence[float],
     burn_in_fraction: float = 0.2,
     floor: Optional[float] = None,
-    window: Optional[Tuple[int, int]] = None,
 ) -> RateReport:
     """Fit rates on a recorded distance series.
 
-    The default window drops the first ``burn_in_fraction`` of recorded steps
-    (early transients) and, when a Monte-Carlo floor is supplied, stops where
-    the series first dips under 3x the floor; past that point ratios measure
+    The window drops the first ``burn_in_fraction`` of recorded steps (early
+    transients) and, when a Monte-Carlo floor is supplied, stops where the
+    series first dips under 3x the floor; past that point ratios measure
     sampling noise, not contraction.
     """
     steps = list(int(s) for s in steps)
     d = np.asarray(distances, dtype=float)
     series = list(zip(steps, d.tolist()))
-    if window is None:
-        lo = int(np.floor(burn_in_fraction * (len(d) - 1)))
-        hi = len(d) - 1
-        if floor is not None and floor > 0:
-            below = np.flatnonzero(d <= 3.0 * floor)
-            if below.size and below[0] > lo + 1:
-                hi = int(below[0])
-            elif below.size and below[0] <= lo + 1:
-                return RateReport(series, None, None, (lo, hi), converged_within_floor=True, floor=floor)
-        window = (lo, hi)
+    lo = int(np.floor(burn_in_fraction * (len(d) - 1)))
+    hi = len(d) - 1
+    if floor is not None and floor > 0:
+        below = np.flatnonzero(d <= 3.0 * floor)
+        if below.size and below[0] > lo + 1:
+            hi = int(below[0])
+        elif below.size and below[0] <= lo + 1:
+            return RateReport(series, None, None, (lo, hi), converged_within_floor=True, floor=floor)
+    window = (lo, hi)
     try:
         q_fit = fit_qlinear(d, window, steps)
     except ValueError:  # fewer than two positive entries in the window

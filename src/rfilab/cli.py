@@ -8,19 +8,21 @@ Subcommands:
 * ``wasserstein``  -- standalone W_p between two ensemble CSV files
 
 Configs are JSON documents validated against :data:`CONFIG_SCHEMA` (which
-states each integer key's lower bound) before any computation; parameters
-the scenario rejects are a config error too.  ``run`` and ``rate`` fit
-rates with one function, ``_fit_rates``.  All CSV outputs are
-byte-deterministic for a fixed config, and reruns reproduce files exactly.
-``run`` splits its independent work into jobs (the burn-in reference, one
-per floor pair of burn-ins, and one per recorded step, which writes that
-step's ensemble file and then computes its W2 + Psi) and runs them on a
-pool of ``workers`` forked processes, capped at the usable CPUs, each with
-one BLAS thread.  This process runs the chain, estimates regularity and
-writes the reference, series, report and manifest.  The worker count
-changes no output byte: every job is a pure function of its arguments.
-scipy's assignment solver is loaded only by a command that solves an
-assignment.
+states each integer key's lower bound) before any computation; the scenario
+parameters' keys and values are checked once, by ``build_scenario``, and a
+parameter it rejects is a config error too.  ``run`` and ``rate`` fit rates
+with one function, ``_fit_rates``.  All CSV outputs are byte-deterministic
+for a fixed config, and reruns reproduce files exactly.  ``run`` splits its
+independent work into jobs (the burn-in reference, one per floor pair of
+burn-ins, and one per recorded step, which writes that step's ensemble file
+and then computes its W2 + Psi) and runs them on a pool of ``workers``
+forked processes, capped at the usable CPUs, each with one BLAS thread.
+Each job is pickled in the thread that submits it, as a check, so a job
+that cannot be sent fails the run at once.  This process runs the chain,
+estimates regularity and writes the reference, series, report and
+manifest.  The worker count changes no output byte: every job is a pure
+function of its arguments.  scipy's assignment solver is loaded only by a
+command that solves an assignment.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import importlib
 import json
 import multiprocessing
 import os
+import pickle
 import resource
 import sys
 import time
@@ -62,7 +65,6 @@ from .scenarios import (  # noqa: F401
     floor_pair_seeds,
     long_run_reference,
     monte_carlo_floor,
-    unknown_params,
 )
 from .transport import Ensemble, markov_transport_discrepancy, wasserstein
 
@@ -71,6 +73,8 @@ __all__ = ["main", "CONFIG_SCHEMA", "validate_config", "validate_report", "cmd_r
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+
+REFERENCE_DEFAULTS = {"mode": "burn_in", "factor": 10}
 
 # Published config schema: key -> (type, required, default, constraint note);
 # an integer key's note opens with its lower bound, ">= n", which is checked.
@@ -83,7 +87,7 @@ CONFIG_SCHEMA = {
     "workers": (int, False, 1, ">= 1; worker processes, capped at usable CPUs; changes no output byte"),
     "common_noise": (bool, False, False, "all particles share one index draw"),
     "diagnostics": (dict, False, {}, "booleans: wasserstein, psi, regularity, rates"),
-    "reference": (dict, False, {"mode": "burn_in", "factor": 10}, "mode: burn_in | ground_truth | file; factor; path"),
+    "reference": (dict, False, REFERENCE_DEFAULTS, "mode: burn_in | ground_truth | file; factor; path"),
     "regularity_pairs": (int, False, 2000, ">= 1; pair count for violation estimates"),
     "output_dir": (str, False, None, "results directory (--out overrides)"),
 }
@@ -130,12 +134,8 @@ def validate_config(raw: dict) -> dict:
     if not isinstance(name, str) or name not in SCENARIO_BUILDERS:
         known = ", ".join(sorted(SCENARIO_BUILDERS))
         raise ConfigError(f"config.scenario.name: must be one of {known}")
-    params = scenario.get("params", {})
-    if not isinstance(params, dict):
+    if not isinstance(scenario.get("params", {}), dict):
         raise ConfigError("config.scenario.params: must be an object")
-    for key in unknown_params(name, params):
-        known = ", ".join(SCENARIO_BUILDERS[name].params) or "none"
-        raise ConfigError(f"config.scenario.params.{key}: not a parameter of '{name}' (known: {known})")
     diags = dict(DIAGNOSTIC_DEFAULTS)
     for key, val in cfg["diagnostics"].items():
         if key not in DIAGNOSTIC_DEFAULTS:
@@ -143,22 +143,23 @@ def validate_config(raw: dict) -> dict:
         if not isinstance(val, bool):
             raise ConfigError(f"config.diagnostics.{key}: must be a boolean")
         diags[key] = val
+    if diags["rates"] and not diags["wasserstein"]:
+        raise ConfigError("config.diagnostics.rates: needs diagnostics.wasserstein (rates are fitted to the W2 series)")
     cfg["diagnostics"] = diags
-    ref = cfg["reference"]
-    for key in ref:
+    for key in cfg["reference"]:
         if key not in REFERENCE_KEYS:
             raise ConfigError(f"config.reference.{key}: unknown key (known: {', '.join(REFERENCE_KEYS)})")
-    mode = ref.get("mode", "burn_in")
+    ref = cfg["reference"] = {**REFERENCE_DEFAULTS, **cfg["reference"]}
+    mode = ref["mode"]
     if mode not in ("burn_in", "ground_truth", "file"):
         raise ConfigError("config.reference.mode: must be burn_in, ground_truth or file")
     if mode == "file" and not isinstance(ref.get("path"), str):
         raise ConfigError("config.reference.path: required for mode 'file'")
     if mode != "file" and "path" in ref:
         raise ConfigError(f"config.reference.path: only read with mode 'file' (mode is '{mode}')")
-    factor = ref.get("factor", 10)
+    factor = ref["factor"]
     if isinstance(factor, bool) or not isinstance(factor, int) or factor < 1:
         raise ConfigError("config.reference.factor: must be an integer >= 1")
-    cfg["reference"] = {"mode": mode, **ref, "factor": factor}
     return cfg
 
 
@@ -276,6 +277,11 @@ def _read_reference(path: str, n: int, space) -> Ensemble:
     return ens
 
 
+def _burn_in_steps(cfg: dict) -> int:
+    """Steps of every burn-in: the reference in mode burn_in, and the floor's in any mode."""
+    return cfg["reference"]["factor"] * max(cfg["iterations"], 1)
+
+
 def _reference_ensemble(scenario, cfg: dict, pool: "_Pool"):
     """Job making the reference of the W2-to-invariant series, with its
     provenance.  A burn-in runs on the pool; a file or a ground-truth sample
@@ -293,7 +299,7 @@ def _reference_ensemble(scenario, cfg: dict, pool: "_Pool"):
             )
         ref_seed = derive_seed(cfg["seed"], 0x6D)
         return pool.here(("reference", sampler, n, ref_seed)), {"mode": "ground_truth", "seed": ref_seed}
-    steps = ref_cfg["factor"] * max(cfg["iterations"], 1)
+    steps = _burn_in_steps(cfg)
     ref_seed = derive_seed(cfg["seed"], 0x6E)
     job = pool.submit(("reference", _burn_in, _scenario_spec(cfg), n, steps, ref_seed))
     return job, {"mode": "burn_in", "steps": steps, "seed": ref_seed}
@@ -331,7 +337,7 @@ def _series_point(spec: tuple, ens: Ensemble, reference: Ensemble, want_w2: bool
     if want_w2:
         w2, coupling = wasserstein(ens, reference, p=2.0)
     if want_psi:
-        psi = markov_transport_discrepancy(build_scenario(*spec).family, ens, [reference], couplings=[coupling])
+        psi = markov_transport_discrepancy(build_scenario(*spec).family, ens, reference, coupling)
     return w2, psi
 
 
@@ -389,7 +395,10 @@ class _Pool:
     Fork, stated explicitly, lets them start without importing numpy (and
     scipy's solver, if loaded) again, and a fork executor starts all of them
     at the first submission, before its own helper threads exist
-    (cpython#90622).  At size 1 the jobs run in this process and no child
+    (cpython#90622).  Each job is pickled in the thread that submits it, as
+    a check, so a job that cannot be pickled raises there; when the
+    executor's feeder thread is the first to fail on a job, the shutdown can
+    wait for ever.  At size 1 the jobs run in this process and no child
     starts.
     """
 
@@ -402,7 +411,12 @@ class _Pool:
                           else ProcessPoolExecutor(size, mp_context=fork, initializer=_one_blas_thread))
 
     def submit(self, *stages) -> Future:
-        """Queue the job made of ``stages``."""
+        """Queue the job made of ``stages``.  The pickling check keeps no
+        bytes: arrays go out of band, so it copies no ensemble, and the
+        executor gets the stages themselves (bytes handed to it would stay
+        in this process until the job ends)."""
+        if self.size > 1:
+            pickle.dumps(stages, protocol=5, buffer_callback=[].append)
         return self._executor.submit(_job, *stages)
 
     @staticmethod
@@ -472,9 +486,8 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     )
     diags = cfg["diagnostics"]
     series = diags["wasserstein"] or diags["psi"]
-    floor = diags["rates"] and diags["wasserstein"]
-    floor_pairs = floor_pair_seeds(cfg["seed"]) if floor else []
-    if (series or floor) and not transport.sorted_path(scenario.space):
+    floor_pairs = floor_pair_seeds(cfg["seed"]) if diags["rates"] else []
+    if series and not transport.sorted_path(scenario.space):
         importlib.import_module("scipy.optimize")  # once here, before the pool forks, not in every worker
     # one job each: the reference burn-in, a floor pair (two burn-ins and
     # their W2) and a recorded step (its file, then its W2 + Psi)
@@ -482,8 +495,7 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     with _Pool(max(1, min(cfg["workers"], usable_cpus(), submissions))) as pool:
         reference_job, ref_provenance = _reference_ensemble(scenario, cfg, pool)
         out.mkdir(parents=True, exist_ok=True)  # only now: a bad scenario or reference leaves none behind
-        floor_steps = ref_provenance.get("steps", 10 * max(cfg["iterations"], 1))
-        floor_jobs = [pool.submit(("floor", _floor_pair, spec, n, floor_steps, a, b)) for a, b in floor_pairs]
+        floor_jobs = [pool.submit(("floor", _floor_pair, spec, n, _burn_in_steps(cfg), a, b)) for a, b in floor_pairs]
 
         # regularity first: its temporary arrays are freed before the chain's ensembles exist
         reference = pool.take(reference_job)
@@ -512,10 +524,10 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
                 fh.write("k,W2_to_reference,psi_hat\n")
                 for step, (w2, psi) in zip(trajectory.steps, values):
                     fh.write(f"{step},{_float_repr(w2)},{_float_repr(psi)}\n")
-        if floor:
+        if diags["rates"]:
             report["floor"] = float(np.median([pool.take(job) for job in floor_jobs]))
 
-    if floor:
+    if diags["rates"]:
         _fit_rates(report, trajectory.steps, *zip(*values))
     with pool.timed("io"):
         _write_report(out, report)

@@ -250,7 +250,7 @@ class MagnitudeProjection(Operator):
 
     space: EuclideanSpace
     magnitudes: np.ndarray
-    mask: Optional[np.ndarray] = None
+    mask: np.ndarray
 
     def __post_init__(self):
         space = _require_euclidean(self.space, "MagnitudeProjection")
@@ -262,22 +262,17 @@ class MagnitudeProjection(Operator):
         if np.any(m < 0):
             raise ValueError("magnitudes must be nonnegative")
         object.__setattr__(self, "magnitudes", m)
-        if self.mask is not None:
-            mask = np.asarray(self.mask, dtype=np.complex128).reshape(-1)
-            if mask.shape != (space.dim,):
-                raise ValueError(f"mask must have dimension {space.dim}")
-            if not np.allclose(np.abs(mask), 1.0, atol=1e-12):
-                raise ValueError("mask entries must have unit modulus")
-            object.__setattr__(self, "mask", mask)
+        mask = np.asarray(self.mask, dtype=np.complex128).reshape(-1)
+        if mask.shape != (space.dim,):
+            raise ValueError(f"mask must have dimension {space.dim}")
+        if not np.allclose(np.abs(mask), 1.0, atol=1e-12):
+            raise ValueError("mask entries must have unit modulus")
+        object.__setattr__(self, "mask", mask)
 
     def apply(self, pts):
-        z = pts * self.mask if self.mask is not None else pts
-        Z = np.fft.fft(z, axis=1, norm="ortho")
+        Z = np.fft.fft(pts * self.mask, axis=1, norm="ortho")
         Z = project_magnitude(self.magnitudes, Z)
-        out = np.fft.ifft(Z, axis=1, norm="ortho")
-        if self.mask is not None:
-            out = out * self.mask.conj()
-        return out
+        return np.fft.ifft(Z, axis=1, norm="ortho") * self.mask.conj()
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -55,7 +54,6 @@ __all__ = [
     "monte_carlo_floor",
     "floor_pair_seeds",
     "build_scenario",
-    "unknown_params",
     "ParamError",
     "SCENARIO_BUILDERS",
 ]
@@ -275,7 +273,7 @@ def scenario_sgd_linear_noise(
 # ---------------------------------------------------------------------------
 
 def scenario_phase_retrieval(
-    n: int = 64, n_masks: int = 4, seed: int = 0, relax: float = 0.5, init_noise: float = 0.1
+    n: int = 64, n_masks: int = 4, instance_seed: int = 0, relax: float = 0.5, init_noise: float = 0.1
 ) -> Scenario:
     """Random-mask DFT magnitude feasibility solved by stochastic Douglas-Rachford.
 
@@ -290,7 +288,7 @@ def scenario_phase_retrieval(
         raise ValueError("phase retrieval instances are capped at n = 256 (desk scale)")
     if not 0.0 < relax < 1.0:
         raise ValueError(f"relaxation must lie in (0, 1), got {relax}")
-    gen = np.random.default_rng(np.random.SeedSequence((int(seed), 0x9E7A)))
+    gen = np.random.default_rng(np.random.SeedSequence((int(instance_seed), 0x9E7A)))
     space = EuclideanSpace(n, complex_coords=True)
     support = np.zeros(n, dtype=bool)
     support[: max(1, n // 2)] = True
@@ -328,7 +326,7 @@ def scenario_phase_retrieval(
         family,
         initial,
         truth,
-        params={"n": n, "n_masks": n_masks, "instance_seed": seed, "relax": relax},
+        params={"n": n, "n_masks": n_masks, "instance_seed": instance_seed, "relax": relax},
     )
 
 
@@ -372,24 +370,22 @@ def scenario_spider_frechet(
     return Scenario("spider_frechet", space, family, initial, truth, params={"lam": lam})
 
 
-def spider_frechet_mean(space: SpiderSpace, points: np.ndarray, weights: Optional[np.ndarray] = None) -> SpiderPoint:
-    """Exact Frechet mean of weighted spider points by the per-leg closed form.
+def spider_frechet_mean(space: SpiderSpace, points: np.ndarray) -> SpiderPoint:
+    """Exact Frechet mean of equally weighted spider points by the per-leg
+    closed form.
 
     On a fixed leg the objective is quadratic in the radius with
-    unconstrained minimizer (sum_same r - sum_other r) / total, clamped at
+    unconstrained minimizer (sum_same r - sum_other r) / count, clamped at
     the origin; the mean is the best leg's candidate.
     """
     pts = space.pack(points)
-    w = np.full(len(pts), 1.0 / len(pts)) if weights is None else np.asarray(weights, dtype=float)
-    w = w / w.sum()
     best = SpiderPoint(0, 0.0)
     best_val = np.inf
     for leg in range(space.legs):
         same = pts[:, 0] == leg
-        rho = float(np.sum(w[same] * pts[same, 1]) - np.sum(w[~same] * pts[~same, 1]))
-        rho = max(rho, 0.0)
+        rho = max(float(np.sum(pts[same, 1]) - np.sum(pts[~same, 1])) / len(pts), 0.0)
         cand = np.repeat(np.array([[float(leg), rho]]), len(pts), axis=0)
-        val = float(np.sum(w * space.pair_dist(pts, cand) ** 2))
+        val = float(np.mean(space.pair_dist(pts, cand) ** 2))
         if val < best_val - 1e-15:
             best_val = val
             best = SpiderPoint(leg, rho)
@@ -430,12 +426,9 @@ def scenario_dr_parallel_lines(gap: float = 2.0, init_scale: float = 1.0) -> Sce
 
 def long_run_reference(scenario: Scenario, n: int, steps: int, seed: int) -> Ensemble:
     """Burn-in ensemble used as the invariant-measure stand-in."""
-    init = scenario.initial(n, derive_seed(seed, STREAM_BURNIN))
-    if steps == 0:
-        return init
     cfg = ChainConfig(
         family=scenario.family,
-        initial=init,
+        initial=scenario.initial(n, derive_seed(seed, STREAM_BURNIN)),
         iterations=steps,
         seed=derive_seed(seed, STREAM_BURNIN + 1),
         record_every=max(1, steps),
@@ -488,14 +481,6 @@ def _build_sgd(Q=None, dim: int = 1, q=None, atoms=None, t: float = 0.5) -> Scen
     return scenario_sgd_linear_noise(quadratic_smooth_term(Q, q), atoms, t=t)
 
 
-def _build_phase_retrieval(**params) -> Scenario:
-    """``scenario_phase_retrieval``, whose ``seed`` the config calls ``instance_seed``."""
-    return scenario_phase_retrieval(**{"seed" if k == "instance_seed" else k: v for k, v in params.items()})
-
-
-_floats = partial(np.asarray, dtype=float)
-
-
 def _boolean(value) -> bool:
     """A JSON boolean; any other value is a TypeError (``bool("false")`` is True)."""
     if not isinstance(value, bool):
@@ -503,9 +488,32 @@ def _boolean(value) -> bool:
     return value
 
 
+def _integer(value) -> int:
+    """A JSON integer; a boolean or a float is a TypeError (``int(2.7)`` is 2)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _number(value) -> float:
+    """A finite JSON number, as a float; a string or a boolean is a
+    TypeError (``float("0.2")`` is 0.2), and a non-finite one a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {number!r}")
+    return number
+
+
+def _floats(value) -> np.ndarray:
+    """A JSON number, or an array of them nested to any depth, as a float array."""
+    return np.asarray([_floats(v) for v in value] if isinstance(value, list) else _number(value), dtype=float)
+
+
 class ParamError(ValueError):
-    """A scenario parameter value that its converter rejects; ``args`` is
-    ``(key, message)``."""
+    """A scenario parameter that the scenario does not take, or whose value
+    its converter rejects; ``args`` is ``(key, message)``."""
 
     def __str__(self) -> str:
         return f"parameter '{self.args[0]}': {self.args[1]}"
@@ -521,46 +529,48 @@ class ScenarioBuilder(NamedTuple):
 
 SCENARIO_BUILDERS = {
     "two_point": ScenarioBuilder(scenario_two_point, {}),
-    "contraction": ScenarioBuilder(scenario_contraction, {"r": float, "offset": float}),
+    "contraction": ScenarioBuilder(scenario_contraction, {"r": _number, "offset": _number}),
     "kaczmarz": ScenarioBuilder(
         _build_kaczmarz,
-        {"A": _floats, "b": _floats, "consistent": _boolean, "m": int, "n": int, "instance_seed": int,
-         "perturbation": float, "init_scale": float},
+        {"A": _floats, "b": _floats, "consistent": _boolean, "m": _integer, "n": _integer, "instance_seed": _integer,
+         "perturbation": _number, "init_scale": _number},
     ),
     "sgd_linear_noise": ScenarioBuilder(
         _build_sgd,
-        {"Q": _floats, "dim": int, "q": _floats, "atoms": lambda atoms: [_floats(a) for a in atoms], "t": float},
+        {"Q": _floats, "dim": _integer, "q": _floats, "atoms": lambda atoms: [_floats(a) for a in atoms],
+         "t": _number},
     ),
     "phase_retrieval": ScenarioBuilder(
-        _build_phase_retrieval, {"n": int, "n_masks": int, "instance_seed": int, "relax": float, "init_noise": float}
+        scenario_phase_retrieval,
+        {"n": _integer, "n_masks": _integer, "instance_seed": _integer, "relax": _number, "init_noise": _number},
     ),
     "spider_frechet": ScenarioBuilder(
         scenario_spider_frechet,
-        {"anchors": lambda anchors: [SpiderPoint(int(a[0]), float(a[1])) for a in anchors], "lam": float, "legs": int},
+        {"anchors": lambda anchors: [SpiderPoint(_integer(leg), _number(radius)) for leg, radius in anchors],
+         "lam": _number, "legs": _integer},
     ),
-    "dr_parallel_lines": ScenarioBuilder(scenario_dr_parallel_lines, {"gap": float, "init_scale": float}),
+    "dr_parallel_lines": ScenarioBuilder(scenario_dr_parallel_lines, {"gap": _number, "init_scale": _number}),
 }
 
 
-def unknown_params(name: str, params: dict) -> list:
-    """Keys of ``params`` that scenario ``name`` does not read, sorted."""
-    return sorted(set(params) - set(SCENARIO_BUILDERS[name].params))
-
-
 def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
+    """Scenario ``name`` built from the JSON values ``params``.  A key the
+    scenario does not take, or a value its converter rejects, is a
+    :class:`ParamError` naming the key (the first unknown key, in sorted
+    order, before any value is converted)."""
     if name not in SCENARIO_BUILDERS:
         known = ", ".join(sorted(SCENARIO_BUILDERS))
         raise ValueError(f"unknown scenario '{name}' (known: {known})")
     params = dict(params or {})
     builder = SCENARIO_BUILDERS[name]
-    unknown = unknown_params(name, params)
+    unknown = sorted(set(params) - set(builder.params))
     if unknown:
         known = ", ".join(builder.params) or "none"
-        raise ValueError(f"scenario '{name}' has no parameter '{unknown[0]}' (known: {known})")
+        raise ParamError(unknown[0], f"not a parameter of '{name}' (known: {known})")
     converted = {}
     for key, value in params.items():
         try:
             converted[key] = builder.params[key](value)
-        except (TypeError, ValueError, LookupError) as exc:
+        except (TypeError, ValueError, LookupError, OverflowError) as exc:
             raise ParamError(key, str(exc)) from exc
     return builder.build(**converted)

@@ -5,7 +5,7 @@ distances into assignment problems with exact solvers and explicit optimal
 couplings (permutations).  On the real line the sorted matching is optimal
 and used directly; elsewhere the cost matrix goes through an exact
 assignment solver.  The Markov transport discrepancy of an ensemble reuses
-such a coupling to its candidate invariant ensemble.
+such a coupling to the reference ensemble.
 """
 
 from __future__ import annotations
@@ -181,47 +181,29 @@ def wasserstein(A: Ensemble, B: Ensemble, p: float = 2.0):
 
 
 def markov_transport_discrepancy(
-    family: OperatorFamily,
-    mu: Ensemble,
-    pi_candidates: Sequence[Ensemble],
-    couplings: Optional[Sequence[Coupling]] = None,
+    family: OperatorFamily, mu: Ensemble, reference: Ensemble, coupling: Optional[Coupling] = None
 ) -> float:
-    """Estimated Markov transport discrepancy of ``mu``.
+    """Estimated Markov transport discrepancy of ``mu`` against ``reference``.
 
-    For each candidate invariant ensemble, couples ``mu`` to it optimally in
-    W_2, averages the transport discrepancy of every family member over the
-    coupled pairs with exact index weights, and returns the smallest square
-    root.  The candidate list plays the role of the (unknown) invariant set:
-    the result is an upper bound on the true discrepancy.
+    Couples ``mu`` to the reference ensemble, the stand-in for the (unknown)
+    invariant set, optimally in W_2, averages the transport discrepancy of
+    every family member over the coupled pairs with exact index weights, and
+    returns the square root: an upper bound on the true discrepancy.
 
-    ``couplings``, if given, holds one optimal W_2 coupling of ``mu`` per
-    candidate (the second value of ``wasserstein(mu, cand)``), used in place
-    of solving again; a ``None`` entry is solved for.
+    ``coupling``, if given, is an optimal W_2 coupling of ``mu`` to the
+    reference (the second value of ``wasserstein(mu, reference)``), used in
+    place of solving again.
     """
-    candidates = list(pi_candidates)
-    if not candidates:
-        raise ValueError(
-            "no invariant-measure candidates supplied; the Markov transport "
-            "discrepancy is +inf by convention when that set is empty"
-        )
-    if couplings is None:
-        couplings = [None] * len(candidates)
-    elif len(couplings) != len(candidates):
-        raise ValueError(f"need one coupling per candidate ({len(couplings)} for {len(candidates)})")
-    space = family.space
-    best = np.inf
-    for cand, coupling in zip(candidates, couplings):
-        _check_pair(mu, cand)
-        if coupling is None:
-            _, coupling = wasserstein(mu, cand, p=2.0)
-        elif len(coupling.permutation) != len(mu):
-            raise ValueError(f"coupling pairs {len(coupling.permutation)} particles, ensemble has {len(mu)}")
-        X = mu.points
-        Y = cand.points[coupling.permutation]
-        total = 0.0
-        for w, op in zip(family.weights, family.operators):
-            if w == 0.0:
-                continue
-            total += w * float(np.mean(psi_estimation_array(space, X, Y, op.apply(X), op.apply(Y))))
-        best = min(best, np.sqrt(max(total, 0.0)))
-    return float(best)
+    _check_pair(mu, reference)
+    if coupling is None:
+        _, coupling = wasserstein(mu, reference, p=2.0)
+    elif len(coupling.permutation) != len(mu):
+        raise ValueError(f"coupling pairs {len(coupling.permutation)} particles, ensemble has {len(mu)}")
+    X = mu.points
+    Y = reference.points[coupling.permutation]
+    total = 0.0
+    for w, op in zip(family.weights, family.operators):
+        if w == 0.0:
+            continue
+        total += w * float(np.mean(psi_estimation_array(family.space, X, Y, op.apply(X), op.apply(Y))))
+    return float(np.sqrt(max(total, 0.0)))

@@ -357,11 +357,11 @@ def test_c07_psi_separates_invariant_measures():
         pi = long_run_reference(sc, n, k, seed=SEED + 15)
         cand = long_run_reference(sc, n, k, seed=SEED + 16)
         floor = monte_carlo_floor(sc, n, k, seed=SEED + 17)
-        psi_pi = markov_transport_discrepancy(sc.family, pi, [cand])
+        psi_pi = markov_transport_discrepancy(sc.family, pi, cand)
         init = sc.initial(n, SEED + 18)
         if shift is not None:
             init = Ensemble(sc.space, init.points + shift)
-        psi_far = markov_transport_discrepancy(sc.family, init, [cand])
+        psi_far = markov_transport_discrepancy(sc.family, init, cand)
         ok = ok and psi_pi <= 3 * floor and psi_far > 10 * floor
         details.append(f"{name}: psi(pi)={psi_pi:.3f}<={3 * floor:.3f}, psi(far)={psi_far:.2f}>{10 * floor:.2f}")
     elapsed = time.perf_counter() - started
@@ -393,7 +393,7 @@ def test_c08_rate_formula_consistency():
     ref = sc.ground_truth.invariant_sampler(n, 20)
     traj = run_ensemble(ChainConfig(sc.family, sc.initial(n, 21), 10, seed=SEED + 20))
     dists = np.array([wasserstein(ens, ref)[0] for ens in traj.ensembles])
-    psis = np.array([markov_transport_discrepancy(sc.family, ens, [ref]) for ens in traj.ensembles])
+    psis = np.array([markov_transport_discrepancy(sc.family, ens, ref) for ens in traj.ensembles])
     fit = estimate_subregularity(psis[psis > 0], dists[psis > 0])
     alpha = (1 + r) / 2
     predicted = rate_bound_from_theorem(alpha, 0.0, fit.r_hat)
@@ -473,7 +473,7 @@ def test_c10_determinism(tmp_path):
 
 def test_c11_phase_retrieval_properties():
     started = time.perf_counter()
-    sc = scenario_phase_retrieval(n=64, n_masks=4, seed=SEED % 997)
+    sc = scenario_phase_retrieval(n=64, n_masks=4, instance_seed=SEED % 997)
     rho = sc.ground_truth.extras["rho_star"]
     scale = max(1.0, float(np.linalg.norm(rho)))
 

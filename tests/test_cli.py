@@ -1,6 +1,8 @@
 import functools
 import json
 import multiprocessing
+import os
+import signal
 import subprocess
 import sys
 import time
@@ -66,6 +68,7 @@ def test_validate_config_defaults():
         ({"reference": {"foo": 3}}, "reference.foo"),
         ({"reference": {"mode": "burn_in", "path": "ref.csv"}}, "reference.path"),
         ({"scenario": {"name": "two_point", "parms": {}}}, "scenario.parms"),
+        ({"diagnostics": {"wasserstein": False, "rates": True}}, "diagnostics.rates"),
     ],
 )
 def test_validate_config_rejects(patch, fragment):
@@ -121,6 +124,26 @@ def test_non_utf8_config_exits_2_naming_the_path(tmp_path, capsys, command):
         ({"scenario": {"name": "kaczmarz", "params": {"m": "x"}}}, [], "config.scenario.params.m: "),
         ({"scenario": {"name": "spider_frechet", "params": {"anchors": [[1]]}}}, [],
          "config.scenario.params.anchors: "),
+        ({"scenario": {"name": "kaczmarz", "params": {"m": True}}}, [],
+         "config.scenario.params.m: expected an integer, got bool"),
+        ({"scenario": {"name": "kaczmarz", "params": {"m": 2.7}}}, [],
+         "config.scenario.params.m: expected an integer, got float"),
+        ({"scenario": {"name": "kaczmarz", "params": {"instance_seed": 1.9}}}, [],
+         "config.scenario.params.instance_seed: expected an integer, got float"),
+        ({"scenario": {"name": "spider_frechet", "params": {"legs": 3.9}}}, [],
+         "config.scenario.params.legs: expected an integer, got float"),
+        ({"scenario": {"name": "spider_frechet", "params": {"lam": "0.2"}}}, [],
+         "config.scenario.params.lam: expected a number, got str"),
+        ({"scenario": {"name": "contraction", "params": {"offset": True}}}, [],
+         "config.scenario.params.offset: expected a number, got bool"),
+        ({"scenario": {"name": "contraction", "params": {"offset": float("inf")}}}, [],
+         "config.scenario.params.offset: expected a finite number, got inf"),
+        ({"scenario": {"name": "phase_retrieval", "params": {"relax": float("nan")}}}, [],
+         "config.scenario.params.relax: expected a finite number, got nan"),
+        ({"scenario": {"name": "kaczmarz", "params": {"A": [["1", "0"], ["0", "1"]], "b": [1.0, 2.0]}}}, [],
+         "config.scenario.params.A: expected a number, got str"),
+        ({"scenario": {"name": "spider_frechet", "params": {"anchors": [[1.7, 2.0]]}}}, [],
+         "config.scenario.params.anchors: expected an integer, got float"),
     ],
 )
 def test_run_invalid_value_exits_2_naming_the_key(tmp_path, capsys, overrides, argv, fragment):
@@ -330,6 +353,41 @@ def test_run_worker_failure_exits_like_in_process(tmp_path, monkeypatch, capsys,
     assert errors[0] == errors[1] == (EXIT_RUNTIME, f"failure: RuntimeError: {name} failed\n")
 
 
+def test_run_unpicklable_job_exits_1_at_once(tmp_path):
+    # a step job that names a local function cannot be pickled: at workers 2
+    # the run fails where it submits that job, and the pool shuts down.  When
+    # the executor's feeder thread pickled jobs, about 4 in 10 such runs
+    # waited in the shutdown for ever, so six runs show that hang with
+    # probability >= 0.95
+    cfg = write_config(tmp_path, diagnostics={"wasserstein": True, "psi": False})
+    src = Path(rfilab.cli.__file__).resolve().parents[1]
+    for rep in range(6):
+        script = f"""
+import json, multiprocessing, rfilab.cli
+
+def local_writer():
+    def write(ens, path):
+        ens.to_csv(path)
+    return write
+
+rfilab.cli._write_ensemble = local_writer()
+rfilab.cli.usable_cpus = lambda: 2
+code = rfilab.cli.main(["run", "--config", {str(cfg)!r}, "--out", {str(tmp_path / str(rep))!r}, "--workers", "2"])
+print(json.dumps([code, len(multiprocessing.active_children())]))
+"""
+        proc = subprocess.Popen([sys.executable, "-c", script], env={"PYTHONPATH": str(src)},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            stdout, stderr = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the run and its workers
+            proc.communicate()
+            pytest.fail(f"run {rep} did not finish in 60 s")
+        assert proc.returncode == 0, stderr
+        assert json.loads(stdout) == [EXIT_RUNTIME, 0]
+        assert stderr.startswith("failure: ") and "pickle" in stderr, stderr
+
+
 def _write_reference_files(directory):
     """Reference CSVs in the wrong space for the test config: R^2 points for
     contraction (R^1), and a 5-leg spider for the 3-leg spider_frechet."""
@@ -378,6 +436,17 @@ def test_run_ground_truth_reference(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["reference"]["mode"] == "ground_truth"
+
+
+def test_reference_factor_sets_the_floor_burn_in(tmp_path):
+    # the floor's burn-ins run factor * max(iterations, 1) steps in every reference mode
+    cfg = write_config(tmp_path, reference={"mode": "ground_truth", "factor": 3},
+                       diagnostics={"wasserstein": True, "psi": False, "rates": True})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    scenario = rfilab.scenarios.build_scenario("contraction", {"r": 0.5, "offset": 5.0})
+    assert report["floor"] == rfilab.scenarios.monte_carlo_floor(scenario, 200, 3 * 10, 7)
 
 
 def test_run_file_reference(tmp_path):

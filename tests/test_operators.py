@@ -94,7 +94,7 @@ def test_projection_idempotence_bulk(rng):
         assert np.max(np.abs(twice - once)) <= 1e-12
     cspace = EuclideanSpace(4, complex_coords=True)
     mags = rng.uniform(0.1, 2.0, size=4)
-    op = MagnitudeProjection(cspace, mags, None)
+    op = MagnitudeProjection(cspace, mags, np.exp(1j * np.arange(4.0)))
     Z = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
     once = op.apply(Z)
     twice = op.apply(once)

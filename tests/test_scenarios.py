@@ -110,7 +110,7 @@ def test_contraction_subregularity_constants_consistent():
     ref = sc.ground_truth.invariant_sampler(n, 20)
     traj = run_ensemble(ChainConfig(sc.family, sc.initial(n, 21), 10, seed=22))
     dists = [wasserstein(ens, ref)[0] for ens in traj.ensembles]
-    psis = [markov_transport_discrepancy(sc.family, ens, [ref]) for ens in traj.ensembles]
+    psis = [markov_transport_discrepancy(sc.family, ens, ref) for ens in traj.ensembles]
     consecutive = [
         wasserstein(traj.ensembles[i + 1], traj.ensembles[i])[0] for i in range(len(dists) - 1)
     ]
@@ -161,7 +161,7 @@ def test_kaczmarz_inconsistent_invariance():
     n, k = 400, 120
     pi = long_run_reference(sc, n, k, seed=33)
     floor = monte_carlo_floor(sc, n, k, seed=34)
-    psi = markov_transport_discrepancy(sc.family, pi, [long_run_reference(sc, n, k, seed=35)])
+    psi = markov_transport_discrepancy(sc.family, pi, long_run_reference(sc, n, k, seed=35))
     assert psi <= 3 * floor
 
 
@@ -203,7 +203,7 @@ def test_sgd_step_window_warning():
 # ---------------------------------------------------------------------------
 
 def test_phase_retrieval_fixed_points_and_boundedness():
-    sc = scenario_phase_retrieval(n=64, n_masks=3, seed=11)
+    sc = scenario_phase_retrieval(n=64, n_masks=3, instance_seed=11)
     rho = sc.ground_truth.extras["rho_star"]
     for op in sc.family.operators:
         assert np.linalg.norm(op(rho) - rho) <= 1e-12 * max(1.0, np.linalg.norm(rho))
@@ -219,7 +219,7 @@ def test_phase_retrieval_single_mask_projector_fixed_points():
     # projector, whose fixed points are exactly the constraint set
     from rfilab.operators import DouglasRachford, Identity, MagnitudeProjection
 
-    sc = scenario_phase_retrieval(n=32, n_masks=1, seed=3)
+    sc = scenario_phase_retrieval(n=32, n_masks=1, instance_seed=3)
     mask = sc.ground_truth.extras["masks"][0]
     mags = sc.ground_truth.extras["magnitudes"][0]
     space = sc.space
@@ -232,7 +232,7 @@ def test_phase_retrieval_single_mask_projector_fixed_points():
 
 
 def test_phase_retrieval_violation_below_dr_bound():
-    sc = scenario_phase_retrieval(n=64, n_masks=4, seed=7)
+    sc = scenario_phase_retrieval(n=64, n_masks=4, instance_seed=7)
     rho = sc.ground_truth.extras["rho_star"]
     sampler = GaussianPairSampler(sc.space, rho, scale=0.1, seed=70)
     for op in sc.family.operators:
@@ -335,7 +335,7 @@ def test_dr_parallel_lines_self_consistency():
             [SpiderPoint(0, 1.0), SpiderPoint(1, 1.0), SpiderPoint(2, 1.0)], lam=0.1
         ),
         lambda: scenario_dr_parallel_lines(2.0),
-        lambda: scenario_phase_retrieval(n=32, n_masks=3, seed=2),
+        lambda: scenario_phase_retrieval(n=32, n_masks=3, instance_seed=2),
     ],
     ids=["two_point", "contraction", "kaczmarz", "sgd", "spider", "dr_lines", "phase_retrieval"],
 )
@@ -347,7 +347,7 @@ def test_long_run_invariance_self_consistency(factory):
     floor = monte_carlo_floor(sc, n, k, seed=82)
     value, _ = wasserstein(stepped, pi)
     assert value <= 3 * floor
-    psi = markov_transport_discrepancy(sc.family, pi, [long_run_reference(sc, n, k, seed=83)])
+    psi = markov_transport_discrepancy(sc.family, pi, long_run_reference(sc, n, k, seed=83))
     assert psi <= 3 * floor
 
 
@@ -369,8 +369,11 @@ def test_build_scenario_registry():
 def test_build_scenario_rejects_unknown_params(name):
     # {"R": 0.9} used to build contraction with r = 0.5, the default
     assert "R" not in SCENARIO_BUILDERS[name].params
-    with pytest.raises(ValueError, match=f"scenario '{name}' has no parameter 'R'"):
-        build_scenario(name, {"R": 0.9})
+    known = ", ".join(SCENARIO_BUILDERS[name].params) or "none"
+    with pytest.raises(ParamError) as caught:
+        build_scenario(name, {"R": 0.9, "r": "x"})
+    # the unknown key is named before any value is converted
+    assert caught.value.args == ("R", f"not a parameter of '{name}' (known: {known})")
 
 
 # a valid value of each declared key, with the keys it needs alongside
@@ -434,6 +437,17 @@ def test_scenario_without_operators_is_a_value_error(name, params):
         ("contraction", {"offset": {"x": 1}}, "offset"),
         ("sgd_linear_noise", {"Q": [[1.0], [1.0, 2.0]]}, "Q"),
         ("spider_frechet", {"anchors": [[1]]}, "anchors"),
+        ("kaczmarz", {"m": True}, "m"),
+        ("kaczmarz", {"m": 2.7}, "m"),
+        ("kaczmarz", {"instance_seed": 1.9}, "instance_seed"),
+        ("spider_frechet", {"legs": 3.9}, "legs"),
+        ("spider_frechet", {"lam": "0.2"}, "lam"),
+        ("contraction", {"offset": True}, "offset"),
+        ("contraction", {"offset": float("inf")}, "offset"),
+        ("contraction", {"offset": 10**400}, "offset"),
+        ("phase_retrieval", {"relax": float("nan")}, "relax"),
+        ("kaczmarz", {"A": [["1", "0"], ["0", "1"]], "b": [1.0, 2.0]}, "A"),
+        ("spider_frechet", {"anchors": [[1.7, 2.0]]}, "anchors"),
     ],
 )
 def test_rejected_parameter_value_names_its_key(name, params, key):

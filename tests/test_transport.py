@@ -127,7 +127,7 @@ def test_coupling_validation():
 def test_psi_hat_zero_at_same_ensemble(rng):
     fam = two_point_family()
     mu = Ensemble(R1, rng.normal(size=(40, 1)))
-    assert markov_transport_discrepancy(fam, mu, [mu]) == pytest.approx(0.0, abs=1e-12)
+    assert markov_transport_discrepancy(fam, mu, mu) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_psi_hat_hand_value_two_point():
@@ -136,53 +136,35 @@ def test_psi_hat_hand_value_two_point():
     n = 10
     mu = Ensemble(R1, np.zeros((n, 1)))
     pi = Ensemble(R1, np.concatenate([-np.ones((n // 2, 1)), np.ones((n // 2, 1))]))
-    assert markov_transport_discrepancy(fam, mu, [pi]) == pytest.approx(1.0, abs=1e-12)
+    assert markov_transport_discrepancy(fam, mu, pi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_psi_hat_identity_family(rng):
     fam = OperatorFamily.uniform([Identity(R1)])
     mu = Ensemble(R1, rng.normal(size=(30, 1)))
     nu = Ensemble(R1, rng.normal(size=(30, 1)))
-    assert markov_transport_discrepancy(fam, mu, [nu]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_psi_hat_empty_candidates():
-    fam = two_point_family()
-    mu = Ensemble(R1, [[0.0]])
-    with pytest.raises(ValueError, match="inf"):
-        markov_transport_discrepancy(fam, mu, [])
-
-
-def test_psi_hat_takes_min_over_candidates(rng):
-    fam = two_point_family()
-    mu = Ensemble(R1, rng.normal(size=(20, 1)))
-    far = Ensemble(R1, rng.normal(size=(20, 1)) + 50)
-    both = markov_transport_discrepancy(fam, mu, [far, mu])
-    assert both == pytest.approx(0.0, abs=1e-12)
+    assert markov_transport_discrepancy(fam, mu, nu) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("space", [R1, EuclideanSpace(2)], ids=["sorted", "assignment"])
 def test_psi_hat_given_couplings_equals_solving(rng, space):
-    # a caller that already holds the W2 couplings gets the same Psi, exactly
+    # a caller that already holds the W2 coupling gets the same Psi, exactly
     d = space.dim
     fam = OperatorFamily.uniform([AffineMap(space, 0.5 * np.eye(d), np.ones(d)), Identity(space)])
     mu = Ensemble(space, rng.normal(size=(20, d)))
     near = Ensemble(space, rng.normal(size=(20, d)) + 0.5)
     far = Ensemble(space, rng.normal(size=(20, d)) + 50)
-    for cands in ([near], [far, mu], [far, near]):
-        couplings = [wasserstein(mu, c)[1] for c in cands]
-        given = markov_transport_discrepancy(fam, mu, cands, couplings=couplings)
-        assert given == markov_transport_discrepancy(fam, mu, cands)
+    for reference in (near, far, mu):
+        coupling = wasserstein(mu, reference)[1]
+        given = markov_transport_discrepancy(fam, mu, reference, coupling)
+        assert given == markov_transport_discrepancy(fam, mu, reference)
 
 
 def test_psi_hat_rejects_mismatched_couplings(rng):
     fam = two_point_family()
     mu = Ensemble(R1, rng.normal(size=(6, 1)))
-    coupling = wasserstein(mu, mu)[1]
-    with pytest.raises(ValueError, match="one coupling per candidate"):
-        markov_transport_discrepancy(fam, mu, [mu, mu], couplings=[coupling])
     with pytest.raises(ValueError, match="pairs 1 particles"):
-        markov_transport_discrepancy(fam, mu, [mu], couplings=[Coupling([0])])
+        markov_transport_discrepancy(fam, mu, mu, Coupling([0]))
 
 
 # ---------------------------------------------------------------------------
