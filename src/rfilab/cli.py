@@ -22,7 +22,8 @@ that cannot be sent fails the run at once.  This process runs the chain,
 estimates regularity and writes the reference, series, report and
 manifest.  The worker count changes no output byte: every job is a pure
 function of its arguments.  scipy's assignment solver is loaded only by a
-command that solves an assignment.
+command that solves an assignment, as the compiled ``_lsap`` extension
+(the public import is the fallback), so no command imports scipy.optimize.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
-import importlib
 import json
 import multiprocessing
 import os
@@ -247,7 +247,7 @@ def _scenario_spec(cfg: dict) -> tuple:
 
 def _configured_scenario(spec: tuple):
     """``build_scenario(*spec)``; parameters it rejects are a ConfigError,
-    naming the key whose value its converter rejects."""
+    naming the key when the rejection is a ParamError."""
     try:
         return build_scenario(*spec)
     except ParamError as exc:
@@ -392,14 +392,14 @@ class _Pool:
     process that runs it, so which process that is changes no output byte.
     A job is a sequence of stages ``(layer, fn, *args)``, each timed to its
     layer.  Above size 1 the processes belong to one ProcessPoolExecutor.
-    Fork, stated explicitly, lets them start without importing numpy (and
-    scipy's solver, if loaded) again, and a fork executor starts all of them
-    at the first submission, before its own helper threads exist
-    (cpython#90622).  Each job is pickled in the thread that submits it, as
-    a check, so a job that cannot be pickled raises there; when the
-    executor's feeder thread is the first to fail on a job, the shutdown can
-    wait for ever.  At size 1 the jobs run in this process and no child
-    starts.
+    Fork, stated explicitly, lets them start without importing numpy again
+    (or loading scipy's compiled ``_lsap`` solver again, if this process
+    has loaded it), and a fork executor starts all of them at the first
+    submission, before its own helper threads exist (cpython#90622).  Each
+    job is pickled in the thread that submits it, as a check, so a job that
+    cannot be pickled raises there; when the executor's feeder thread is the
+    first to fail on a job, the shutdown can wait for ever.  At size 1 the
+    jobs run in this process and no child starts.
     """
 
     def __init__(self, size: int):
@@ -488,7 +488,7 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     series = diags["wasserstein"] or diags["psi"]
     floor_pairs = floor_pair_seeds(cfg["seed"]) if diags["rates"] else []
     if series and not transport.sorted_path(scenario.space):
-        importlib.import_module("scipy.optimize")  # once here, before the pool forks, not in every worker
+        transport.assignment_solver()  # once here, before the pool forks, not in every worker
     # one job each: the reference burn-in, a floor pair (two burn-ins and
     # their W2) and a recorded step (its file, then its W2 + Psi)
     submissions = (cfg["reference"]["mode"] == "burn_in") + len(floor_pairs) + len(chain.recorded_steps())

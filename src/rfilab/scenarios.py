@@ -350,8 +350,10 @@ def scenario_spider_frechet(
         raise ValueError("need at least one anchor")
     if lam <= 0:
         raise ValueError(f"prox parameter must be > 0, got {lam}")
-    needed = max((a.leg for a in anchors), default=0) + 1
-    space = SpiderSpace(max(2, needed if legs is None else legs))
+    needed = max(2, max(a.leg for a in anchors) + 1)
+    if legs is not None and legs < needed:
+        raise ParamError("legs", f"must be at least {needed}: 2, and a leg for every anchor; got {legs}")
+    space = SpiderSpace(needed if legs is None else legs)
     family = OperatorFamily.uniform([SpiderProx(space, a, lam) for a in anchors])
     rmax = max(a.radius for a in anchors)
 
@@ -513,7 +515,8 @@ def _floats(value) -> np.ndarray:
 
 class ParamError(ValueError):
     """A scenario parameter that the scenario does not take, or whose value
-    its converter rejects; ``args`` is ``(key, message)``."""
+    its converter (or, for a spider's ``legs``, its builder) rejects;
+    ``args`` is ``(key, message)``."""
 
     def __str__(self) -> str:
         return f"parameter '{self.args[0]}': {self.args[1]}"

@@ -11,7 +11,11 @@ such a coupling to the reference ensemble.
 from __future__ import annotations
 
 import csv
+import functools
+import importlib.util
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -36,12 +40,45 @@ SOLVES = {"assignment": 0, "sorted": 0}
 CSV_BLOCK_VALUES = 1 << 14
 
 
-def linear_sum_assignment(cost: np.ndarray):
-    """scipy's exact assignment solver, imported on the first call: commands
-    that solve no assignment never load scipy.optimize."""
-    from scipy.optimize import linear_sum_assignment as solve
+def _load_compiled_solver():
+    """``linear_sum_assignment`` of scipy's compiled module
+    ``scipy.optimize._lsap``, loaded from its file under its own name, so
+    that scipy/optimize/__init__.py (scipy.linalg, _optimize, ...) never
+    runs.  Raises if the module is missing or has no such function."""
+    name = "scipy.optimize._lsap"
+    module = sys.modules.get(name)
+    if module is None:
+        directory = Path(importlib.util.find_spec("scipy.optimize").submodule_search_locations[0])
+        found = [directory / f"_lsap{suffix}" for suffix in EXTENSION_SUFFIXES]
+        path = next((f for f in found if f.is_file()), None)
+        if path is None:
+            raise ImportError(f"no compiled {name} in {directory}")
+        loader = ExtensionFileLoader(name, str(path))
+        module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path, loader=loader))
+        loader.exec_module(module)
+    return module.linear_sum_assignment
 
-    return solve(cost)
+
+@functools.cache
+def assignment_solver():
+    """scipy's exact assignment solver, loaded once per process: the compiled
+    ``_lsap`` extension, or, if that load fails (no such file, an import
+    error, no such function), the same function through the public
+    ``scipy.optimize`` import."""
+    try:
+        return _load_compiled_solver()
+    except (ImportError, OSError, AttributeError):
+        from scipy.optimize import linear_sum_assignment
+
+        return linear_sum_assignment
+
+
+def linear_sum_assignment(cost: np.ndarray):
+    """Exact assignment of ``cost`` by scipy's solver, loaded on the first
+    call as the compiled ``_lsap`` extension (the public import is the
+    fallback): no command imports scipy.optimize, and commands that solve no
+    assignment load no solver at all."""
+    return assignment_solver()(cost)
 
 
 def sorted_path(space: Space) -> bool:

@@ -16,10 +16,12 @@ from rfilab.transport import Ensemble
 
 
 def brute_force_wasserstein(space, A: np.ndarray, B: np.ndarray, p: float = 2.0) -> float:
-    """Exhaustive minimum over all permutations (N <= 8)."""
+    """Exhaustive minimum over all permutations (N <= 8).  Each pair's cost
+    comes from ``space.pair_dist`` on repeated rows, plain differences, not
+    from the ``cross_dist`` expansion that the solver's costs use."""
     n = len(A)
     assert n <= 8, "brute force oracle is for tiny ensembles"
-    cost = space.cross_dist(A, B) ** p
+    cost = space.pair_dist(np.repeat(A, n, axis=0), np.tile(B, (n, 1))).reshape(n, n) ** p
     perms = np.array(list(itertools.permutations(range(n))))
     best = cost[np.arange(n), perms].sum(axis=1).min()
     return float((best / n) ** (1.0 / p))

@@ -144,6 +144,10 @@ def test_non_utf8_config_exits_2_naming_the_path(tmp_path, capsys, command):
          "config.scenario.params.A: expected a number, got str"),
         ({"scenario": {"name": "spider_frechet", "params": {"anchors": [[1.7, 2.0]]}}}, [],
          "config.scenario.params.anchors: expected an integer, got float"),
+        ({"scenario": {"name": "spider_frechet", "params": {"legs": 1}}}, [],
+         "config.scenario.params.legs: must be at least 3: 2, and a leg for every anchor; got 1"),
+        ({"scenario": {"name": "spider_frechet", "params": {"legs": -3, "anchors": [[0, 1.0]]}}}, [],
+         "config.scenario.params.legs: must be at least 2: 2, and a leg for every anchor; got -3"),
     ],
 )
 def test_run_invalid_value_exits_2_naming_the_key(tmp_path, capsys, overrides, argv, fragment):
@@ -665,6 +669,46 @@ assert rfilab.cli.main(["rate", {str(out)!r}]) == 0
 """
     lines = _fresh_python(script)
     assert lines == [[False, False], True, [False, False], [False, False]]
+
+
+def test_assignment_run_imports_no_scipy_optimize(tmp_path):
+    # kaczmarz in R^2 solves assignments; the solver is the compiled _lsap
+    # module, loaded without scipy/optimize/__init__.py
+    cfg = write_config(tmp_path, workers=1, scenario={"name": "kaczmarz", "params": {"m": 3, "n": 2}},
+                       ensemble_size=30, iterations=4)
+    out = tmp_path / "o"
+    script = f"""
+import json, rfilab.cli
+assert rfilab.cli.main(["run", "--config", {str(cfg)!r}, "--out", {str(out)!r}]) == 0
+{_LOADED}
+"""
+    assert _fresh_python(script) == [[False, False]]
+    assert json.loads((out / "manifest.json").read_text())["timings"]["assignment_solves"] > 0
+
+
+def test_wasserstein_imports_no_scipy_optimize_and_a_later_import_agrees(tmp_path):
+    # `rfilab wasserstein` on two R^2 files loads neither package; importing
+    # scipy.optimize afterwards still works and solves to the same permutation
+    import numpy as np
+
+    from rfilab.geometry import EuclideanSpace
+    from rfilab.transport import Ensemble
+
+    rng = np.random.default_rng(5)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    Ensemble(EuclideanSpace(2), rng.normal(size=(40, 2))).to_csv(a)
+    Ensemble(EuclideanSpace(2), rng.normal(size=(40, 2))).to_csv(b)
+    script = f"""
+import json, numpy as np, rfilab.cli, rfilab.transport
+assert rfilab.cli.main(["wasserstein", {str(a)!r}, {str(b)!r}]) == 0
+{_LOADED}
+import scipy.optimize
+{_LOADED}
+cost = np.random.default_rng(6).random((50, 50))
+ours, public = rfilab.transport.linear_sum_assignment(cost), scipy.optimize.linear_sum_assignment(cost)
+print("=>", json.dumps([np.array_equal(x, y) for x, y in zip(ours, public)]))
+"""
+    assert _fresh_python(script) == [[False, False], [True, True], [True, True]]
 
 
 def test_worker_blas_runs_one_thread():

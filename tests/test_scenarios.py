@@ -448,6 +448,10 @@ def test_scenario_without_operators_is_a_value_error(name, params):
         ("phase_retrieval", {"relax": float("nan")}, "relax"),
         ("kaczmarz", {"A": [["1", "0"], ["0", "1"]], "b": [1.0, 2.0]}, "A"),
         ("spider_frechet", {"anchors": [[1.7, 2.0]]}, "anchors"),
+        ("spider_frechet", {"legs": 1}, "legs"),
+        ("spider_frechet", {"legs": 2}, "legs"),
+        ("spider_frechet", {"legs": -3, "anchors": [[0, 1.0]]}, "legs"),
+        ("spider_frechet", {"legs": 1, "anchors": [[0, 1.0]]}, "legs"),
     ],
 )
 def test_rejected_parameter_value_names_its_key(name, params, key):
@@ -462,6 +466,16 @@ def test_builder_range_check_is_not_a_param_error():
     with pytest.raises(ValueError, match="contraction factor") as caught:
         build_scenario("contraction", {"r": 2.0})
     assert not isinstance(caught.value, ParamError)
+
+
+@pytest.mark.parametrize(
+    "params, legs",
+    [({}, 3), ({"legs": 3}, 3), ({"legs": 5}, 5), ({"anchors": [[0, 1.0]]}, 2),
+     ({"anchors": [[0, 1.0]], "legs": 2}, 2), ({"anchors": [[4, 1.0]]}, 5)],
+)
+def test_spider_legs_default_to_what_the_anchors_need(params, legs):
+    # a given `legs` is kept as given; below the need it is a ParamError
+    assert build_scenario("spider_frechet", params).space.legs == legs
 
 
 def test_boolean_parameter_takes_json_booleans():

@@ -1,3 +1,4 @@
+import sys
 from unittest import mock
 
 import numpy as np
@@ -118,6 +119,41 @@ def test_optimal_coupling_realizes_value(rng):
 def test_coupling_validation():
     with pytest.raises(ValueError):
         Coupling(np.array([0, 0, 1]))
+
+
+# ---------------------------------------------------------------------------
+# the assignment solver
+# ---------------------------------------------------------------------------
+
+class _RefusingLoader:
+    """An extension loader that refuses every module."""
+
+    def __init__(self, name, path):
+        raise ImportError(f"refused {name} at {path}")
+
+
+@pytest.mark.parametrize("failure", ["loader_raises", "no_file"])
+def test_assignment_solver_falls_back_to_the_public_import(monkeypatch, failure):
+    # the compiled module is read from its file, not taken from sys.modules
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lsap", raising=False)
+    direct = transport._load_compiled_solver()
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lsap", raising=False)
+    if failure == "loader_raises":
+        monkeypatch.setattr(transport, "ExtensionFileLoader", _RefusingLoader)
+    else:
+        monkeypatch.setattr(transport, "EXTENSION_SUFFIXES", [".no-such-suffix.so"])
+    with pytest.raises(ImportError):
+        transport._load_compiled_solver()
+    fallback = transport.assignment_solver.__wrapped__()  # uncached: this process keeps its solver
+
+    import scipy.optimize
+
+    assert fallback is scipy.optimize.linear_sum_assignment
+    rng = np.random.default_rng(11)
+    ties = [np.ones((9, 9)), np.floor(3.0 * rng.random((40, 40))), np.zeros((1, 1))]
+    for cost in [rng.random((n, n)) for n in (2, 7, 60)] + ties:
+        for got, want in zip(fallback(cost), direct(cost)):
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
