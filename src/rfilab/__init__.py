@@ -9,7 +9,7 @@ subregularity) that govern convergence rates to invariant measures.
 
 __version__ = "0.1.0"
 
-from .geometry import EuclideanSpace, SpiderPoint, SpiderSpace, distance, geodesic_point
+from .geometry import EuclideanSpace, SpiderPoint, SpiderSpace
 from .operators import OperatorFamily, SmoothTerm
 from .rfi import ChainConfig, Trajectory, run_ensemble
 from .transport import Coupling, Ensemble, wasserstein
@@ -19,8 +19,6 @@ __all__ = [
     "EuclideanSpace",
     "SpiderSpace",
     "SpiderPoint",
-    "distance",
-    "geodesic_point",
     "OperatorFamily",
     "SmoothTerm",
     "ChainConfig",

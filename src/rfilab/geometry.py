@@ -10,7 +10,7 @@ as :class:`SpiderPoint` values.  Ensembles of points are handled through a
 * Spider: shape ``(N, 2)`` float array with columns ``(leg, radius)``.
 
 The metric (``pair_dist``, ``cross_dist``) and the geodesic (``geodesic_arr``)
-act on packed arrays only; :func:`distance` and :func:`geodesic_point` pack.
+act on packed arrays only.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = [
     "SpiderSpace",
     "SpiderPoint",
     "Space",
-    "distance",
-    "geodesic_point",
 ]
 
 
@@ -194,19 +192,3 @@ class SpiderSpace:
 
 
 Space = Union[EuclideanSpace, SpiderSpace]
-
-
-def _packed(space: Space, x) -> np.ndarray:
-    return space.pack([space.validate_point(x)])
-
-
-def distance(space: Space, a, b) -> float:
-    """Metric distance between two points of ``space``."""
-    return float(space.pair_dist(_packed(space, a), _packed(space, b))[0])
-
-
-def geodesic_point(space: Space, a, b, t: float):
-    """Point w on the geodesic from a to b with d(a, w) = t * d(a, b)."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"geodesic parameter must lie in [0, 1], got {t}")
-    return space.unpack(space.geodesic_arr(_packed(space, a), _packed(space, b), t))[0]

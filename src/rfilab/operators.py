@@ -27,12 +27,8 @@ __all__ = [
     "PointProjection",
     "HyperplaneProjection",
     "MagnitudeProjection",
-    "SphereProjection",
     "SupportRealityProjection",
     "RelaxedProjection",
-    "GradientStep",
-    "QuadraticProx",
-    "SoftThreshold",
     "Reflection",
     "ForwardBackward",
     "DouglasRachford",
@@ -202,31 +198,6 @@ class HyperplaneProjection(Operator):
         return pts - resid[:, None] * self.normal
 
 
-@dataclass(frozen=True)
-class SphereProjection(Operator):
-    """Projector onto the sphere of given radius; the origin maps to radius*e0."""
-
-    space: EuclideanSpace
-    radius: float = 1.0
-
-    def __post_init__(self):
-        _require_euclidean(self.space, "SphereProjection")
-        if self.radius <= 0:
-            raise ValueError("sphere radius must be > 0")
-
-    def apply(self, pts):
-        nrm = np.linalg.norm(pts, axis=1)
-        out = np.empty_like(pts)
-        zero = nrm == 0.0
-        safe = ~zero
-        out[safe] = pts[safe] * (self.radius / nrm[safe])[:, None]
-        if np.any(zero):
-            row = np.zeros(pts.shape[1], dtype=pts.dtype)
-            row[0] = self.radius
-            out[zero] = row
-        return out
-
-
 def project_magnitude(m, z):
     """Coordinatewise projection of z onto circles of radius m (phase 1 at 0)."""
     m = np.asarray(m, dtype=float)
@@ -317,67 +288,6 @@ class RelaxedProjection(Operator):
 
 
 @dataclass(frozen=True)
-class GradientStep(Operator):
-    """Explicit gradient step x -> x - step * grad f(x)."""
-
-    space: EuclideanSpace
-    smooth: SmoothTerm
-    step: float
-
-    def __post_init__(self):
-        _require_euclidean(self.space, "GradientStep")
-        if self.step <= 0:
-            raise ValueError(f"step must be > 0, got {self.step}")
-
-    def apply(self, pts):
-        return pts - self.step * self.smooth.grad(pts)
-
-
-@dataclass(frozen=True)
-class QuadraticProx(Operator):
-    """Prox of f(y) = y'Qy/2 + q'y: solves (lam*Q + I) y = x - lam*q."""
-
-    space: EuclideanSpace
-    Q: np.ndarray
-    q: np.ndarray
-    lam: float = 1.0
-
-    def __post_init__(self):
-        _require_euclidean(self.space, "QuadraticProx")
-        Q = np.asarray(self.Q, dtype=float)
-        if Q.shape != (self.space.dim, self.space.dim):
-            raise ValueError(f"Q must be {self.space.dim}x{self.space.dim}")
-        if not np.allclose(Q, Q.T, atol=1e-12):
-            raise ValueError("Q must be symmetric")
-        if self.lam <= 0:
-            raise ValueError(f"prox parameter must be > 0, got {self.lam}")
-        q = np.zeros(self.space.dim) if self.q is None else np.asarray(self.q, dtype=float)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_system", self.lam * Q + np.eye(self.space.dim))
-
-    def apply(self, pts):
-        rhs = (pts - self.lam * self.q).T
-        return np.linalg.solve(self._system, rhs).T
-
-
-@dataclass(frozen=True)
-class SoftThreshold(Operator):
-    """Prox of threshold * ||.||_1: componentwise shrinkage."""
-
-    space: EuclideanSpace
-    threshold: float
-
-    def __post_init__(self):
-        _require_euclidean(self.space, "SoftThreshold")
-        if self.threshold < 0:
-            raise ValueError("threshold must be >= 0")
-
-    def apply(self, pts):
-        return np.sign(pts) * np.maximum(np.abs(pts) - self.threshold, 0.0)
-
-
-@dataclass(frozen=True)
 class Reflection(Operator):
     """Reflected resolvent 2*op - Id (Euclidean only)."""
 
@@ -394,7 +304,7 @@ class Reflection(Operator):
 
 @dataclass(frozen=True)
 class ForwardBackward(Operator):
-    """x -> J_g(x - step * grad f(x))."""
+    """x -> J_g(x - step * grad f(x)); with J_g the identity, a plain gradient step."""
 
     space: EuclideanSpace
     g_resolvent: Operator
@@ -422,11 +332,11 @@ class DouglasRachford(Operator):
     def __post_init__(self):
         _require_euclidean(self.space, "DouglasRachford")
         _require_same_space(self.space, self.f_resolvent, self.g_resolvent)
+        object.__setattr__(self, "_reflect_f", Reflection(self.space, self.f_resolvent))
+        object.__setattr__(self, "_reflect_g", Reflection(self.space, self.g_resolvent))
 
     def apply(self, pts):
-        rg = 2.0 * self.g_resolvent.apply(pts) - pts
-        rf = 2.0 * self.f_resolvent.apply(rg) - rg
-        return 0.5 * (rf + pts)
+        return 0.5 * (self._reflect_f.apply(self._reflect_g.apply(pts)) + pts)
 
 
 @dataclass(frozen=True)

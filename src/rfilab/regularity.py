@@ -31,7 +31,6 @@ from .operators import Operator, OperatorFamily
 __all__ = [
     "PairSampler",
     "BoxPairSampler",
-    "GaussianPairSampler",
     "SpiderPairSampler",
     "RegularityReport",
     "psi_array",
@@ -40,7 +39,6 @@ __all__ = [
     "estimate_violation_in_expectation",
     "fb_violation_bound",
     "dr_violation_bound",
-    "check_submonotone",
 ]
 
 # pairs closer than this are skipped: the defining inequalities degenerate
@@ -117,32 +115,6 @@ class BoxPairSampler(PairSampler):
 
     def describe(self) -> str:
         return f"uniform box [{self.low}, {self.high}]^{self.space.dim} ({self.space.kind})"
-
-
-@dataclass(frozen=True)
-class GaussianPairSampler(PairSampler):
-    """Pairs drawn as center + scale * standard normal perturbations."""
-
-    space: EuclideanSpace
-    center: np.ndarray
-    scale: float
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", self.space.validate_point(self.center))
-
-    def pairs(self, n: int):
-        gen = _rng(self.seed)
-        shape = (2, n, self.space.dim)
-        if self.space.complex_coords:
-            noise = gen.normal(size=shape) + 1j * gen.normal(size=shape)
-        else:
-            noise = gen.normal(size=shape)
-        pts = self.center[None, None, :] + self.scale * noise
-        return pts[0], pts[1]
-
-    def describe(self) -> str:
-        return f"gaussian around a center point, scale {self.scale} ({self.space.kind})"
 
 
 @dataclass(frozen=True)
@@ -255,26 +227,3 @@ def fb_violation_bound(t: float, L: float, tau_f: float, tau_g: float) -> float:
 def dr_violation_bound(tau_f: float, tau_g: float) -> float:
     """Douglas-Rachford violation bound ((1+2*tau_g)(1+2*tau_f) - 1)/2, clamped at 0."""
     return max(0.0, 0.5 * ((1.0 + 2.0 * tau_g) * (1.0 + 2.0 * tau_f) - 1.0))
-
-
-# ---------------------------------------------------------------------------
-# sampled submonotonicity constant
-# ---------------------------------------------------------------------------
-
-def check_submonotone(resolvent: Operator, sampler: PairSampler, n_pairs: int) -> float:
-    """Smallest tau_g making the resolvent's graph submonotonicity hold on the sample.
-
-    With x+ = J(x), z = x - x+ (and likewise y+, w), the inequality is
-    -(tau_g/2) ||x - y||^2 <= <z - w, x+ - y+>; the returned value is the
-    sampled a(1/2)-firm violation of J.
-    """
-    A, B = sampler.pairs(n_pairs)
-    Ap = resolvent.apply(A)
-    Bp = resolvent.apply(B)
-    dx = A - B
-    d2 = np.sum((dx * np.conj(dx)).real, axis=1)
-    keep = d2 >= MIN_PAIR_DISTANCE**2
-    z = (A - Ap)[keep]
-    w = (B - Bp)[keep]
-    inner = np.sum(((z - w) * np.conj((Ap - Bp)[keep])).real, axis=1)
-    return float(np.max(-2.0 * inner / d2[keep]))

@@ -21,8 +21,9 @@ from .geometry import EuclideanSpace, SpiderPoint, SpiderSpace, Space
 from .operators import (
     AffineMap,
     DouglasRachford,
-    GradientStep,
+    ForwardBackward,
     HyperplaneProjection,
+    Identity,
     MagnitudeProjection,
     OperatorFamily,
     PointProjection,
@@ -133,7 +134,7 @@ def scenario_contraction(r: float = 0.5, offset: float = 50.0) -> Scenario:
     truncates the series far below double precision.
     """
     if not 0.0 < r < 1.0:
-        raise ValueError(f"contraction factor must lie in (0, 1), got {r}")
+        raise ParamError("r", f"contraction factor must lie in (0, 1), got {r}")
     space = EuclideanSpace(1)
     family = OperatorFamily.uniform(
         [
@@ -213,7 +214,8 @@ def random_kaczmarz_instance(m: int, n: int, consistent: bool, seed: int, pertur
 def scenario_sgd_linear_noise(
     f: SmoothTerm, noise_atoms: Sequence[np.ndarray], t: float, init_scale: float = 5.0
 ) -> Scenario:
-    """Gradient steps on f_i(x) = f(x) + <zeta_i, x> over uniform noise atoms.
+    """Gradient steps on f_i(x) = f(x) + <zeta_i, x> over uniform noise atoms:
+    forward-backward splitting with g = 0, whose resolvent is the identity.
 
     For strongly monotone gradients (tau < 0) steps up to |tau|/L^2 keep the
     family nonexpansive in expectation; larger steps are allowed but noted,
@@ -231,7 +233,7 @@ def scenario_sgd_linear_noise(
         )
         warnings.warn(notes, stacklevel=2)
     family = OperatorFamily.uniform(
-        [GradientStep(space, with_linear_term(f, z), t) for z in atoms]
+        [ForwardBackward(space, Identity(space), with_linear_term(f, z), t) for z in atoms]
     )
 
     def initial(n: int, seed: int) -> Ensemble:
@@ -285,9 +287,9 @@ def scenario_phase_retrieval(
     consistent solution set.
     """
     if n > 256:
-        raise ValueError("phase retrieval instances are capped at n = 256 (desk scale)")
+        raise ParamError("n", "phase retrieval instances are capped at n = 256 (desk scale)")
     if not 0.0 < relax < 1.0:
-        raise ValueError(f"relaxation must lie in (0, 1), got {relax}")
+        raise ParamError("relax", f"relaxation must lie in (0, 1), got {relax}")
     gen = np.random.default_rng(np.random.SeedSequence((int(instance_seed), 0x9E7A)))
     space = EuclideanSpace(n, complex_coords=True)
     support = np.zeros(n, dtype=bool)
@@ -349,7 +351,7 @@ def scenario_spider_frechet(
     if not anchors:
         raise ValueError("need at least one anchor")
     if lam <= 0:
-        raise ValueError(f"prox parameter must be > 0, got {lam}")
+        raise ParamError("lam", f"prox parameter must be > 0, got {lam}")
     needed = max(2, max(a.leg for a in anchors) + 1)
     if legs is not None and legs < needed:
         raise ParamError("legs", f"must be at least {needed}: 2, and a leg for every anchor; got {legs}")
@@ -369,7 +371,7 @@ def scenario_spider_frechet(
         violation_bound=0.0,
         extras={"anchors": anchors, "frechet_mean": mean, "lam": lam},
     )
-    return Scenario("spider_frechet", space, family, initial, truth, params={"lam": lam})
+    return Scenario("spider_frechet", space, family, initial, truth, params={"lam": lam, "legs": space.legs})
 
 
 def spider_frechet_mean(space: SpiderSpace, points: np.ndarray) -> SpiderPoint:
@@ -407,7 +409,7 @@ def scenario_dr_parallel_lines(gap: float = 2.0, init_scale: float = 1.0) -> Sce
     the chain a lazy random walk transverse to the lines.
     """
     if gap <= 0:
-        raise ValueError("gap must be > 0")
+        raise ParamError("gap", "gap must be > 0")
     space = EuclideanSpace(2)
     normal = np.array([0.0, 1.0])
     lines = [HyperplaneProjection(space, normal, 0.0), HyperplaneProjection(space, normal, gap)]
@@ -515,8 +517,9 @@ def _floats(value) -> np.ndarray:
 
 class ParamError(ValueError):
     """A scenario parameter that the scenario does not take, or whose value
-    its converter (or, for a spider's ``legs``, its builder) rejects;
-    ``args`` is ``(key, message)``."""
+    its converter or its builder (a range: contraction ``r``, phase_retrieval
+    ``n`` and ``relax``, spider ``lam`` and ``legs``, dr_parallel_lines
+    ``gap``) rejects; ``args`` is ``(key, message)``."""
 
     def __str__(self) -> str:
         return f"parameter '{self.args[0]}': {self.args[1]}"

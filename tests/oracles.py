@@ -1,0 +1,153 @@
+"""Reference helpers that only the tests use: single-point geometry, extra
+operators (with their one-row cases for ``test_call_is_apply_on_a_one_row_ensemble``),
+a Gaussian pair sampler and ``check_submonotone``, the inner-product oracle of
+the a(1/2)-firm violation that ``regularity.estimate_violation`` computes."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from rfilab.geometry import EuclideanSpace, Space
+from rfilab.operators import Operator, _require_euclidean
+from rfilab.regularity import MIN_PAIR_DISTANCE, PairSampler, _rng
+
+
+def _packed(space: Space, x) -> np.ndarray:
+    return space.pack([space.validate_point(x)])
+
+
+def distance(space: Space, a, b) -> float:
+    """Metric distance between two points of ``space``."""
+    return float(space.pair_dist(_packed(space, a), _packed(space, b))[0])
+
+
+def geodesic_point(space: Space, a, b, t: float):
+    """Point w on the geodesic from a to b with d(a, w) = t * d(a, b)."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"geodesic parameter must lie in [0, 1], got {t}")
+    return space.unpack(space.geodesic_arr(_packed(space, a), _packed(space, b), t))[0]
+
+
+@dataclass(frozen=True)
+class SphereProjection(Operator):
+    """Projector onto the sphere of given radius; the origin maps to radius*e0."""
+
+    space: EuclideanSpace
+    radius: float = 1.0
+
+    def __post_init__(self):
+        _require_euclidean(self.space, "SphereProjection")
+        if self.radius <= 0:
+            raise ValueError("sphere radius must be > 0")
+
+    def apply(self, pts):
+        nrm = np.linalg.norm(pts, axis=1)
+        out = np.empty_like(pts)
+        zero = nrm == 0.0
+        safe = ~zero
+        out[safe] = pts[safe] * (self.radius / nrm[safe])[:, None]
+        if np.any(zero):
+            row = np.zeros(pts.shape[1], dtype=pts.dtype)
+            row[0] = self.radius
+            out[zero] = row
+        return out
+
+
+@dataclass(frozen=True)
+class QuadraticProx(Operator):
+    """Prox of f(y) = y'Qy/2 + q'y: solves (lam*Q + I) y = x - lam*q."""
+
+    space: EuclideanSpace
+    Q: np.ndarray
+    q: np.ndarray
+    lam: float = 1.0
+
+    def __post_init__(self):
+        _require_euclidean(self.space, "QuadraticProx")
+        Q = np.asarray(self.Q, dtype=float)
+        if Q.shape != (self.space.dim, self.space.dim):
+            raise ValueError(f"Q must be {self.space.dim}x{self.space.dim}")
+        if not np.allclose(Q, Q.T, atol=1e-12):
+            raise ValueError("Q must be symmetric")
+        if self.lam <= 0:
+            raise ValueError(f"prox parameter must be > 0, got {self.lam}")
+        q = np.zeros(self.space.dim) if self.q is None else np.asarray(self.q, dtype=float)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_system", self.lam * Q + np.eye(self.space.dim))
+
+    def apply(self, pts):
+        rhs = (pts - self.lam * self.q).T
+        return np.linalg.solve(self._system, rhs).T
+
+
+@dataclass(frozen=True)
+class SoftThreshold(Operator):
+    """Prox of threshold * ||.||_1: componentwise shrinkage."""
+
+    space: EuclideanSpace
+    threshold: float
+
+    def __post_init__(self):
+        _require_euclidean(self.space, "SoftThreshold")
+        if self.threshold < 0:
+            raise ValueError("threshold must be >= 0")
+
+    def apply(self, pts):
+        return np.sign(pts) * np.maximum(np.abs(pts) - self.threshold, 0.0)
+
+
+_R2 = EuclideanSpace(2)
+_Q, _q = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.1])
+SINGLE_PATH_CASES = {
+    SphereProjection: lambda: (SphereProjection(_R2, 2.0), [0.3, -0.7]),
+    QuadraticProx: lambda: (QuadraticProx(_R2, _Q, _q, 0.7), [0.3, -0.7]),
+    SoftThreshold: lambda: (SoftThreshold(_R2, 0.4), [0.3, -0.7]),
+}
+
+
+@dataclass(frozen=True)
+class GaussianPairSampler(PairSampler):
+    """Pairs drawn as center + scale * standard normal perturbations."""
+
+    space: EuclideanSpace
+    center: np.ndarray
+    scale: float
+    seed: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", self.space.validate_point(self.center))
+
+    def pairs(self, n: int):
+        gen = _rng(self.seed)
+        shape = (2, n, self.space.dim)
+        if self.space.complex_coords:
+            noise = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+        else:
+            noise = gen.normal(size=shape)
+        pts = self.center[None, None, :] + self.scale * noise
+        return pts[0], pts[1]
+
+    def describe(self) -> str:
+        return f"gaussian around a center point, scale {self.scale} ({self.space.kind})"
+
+
+def check_submonotone(resolvent: Operator, sampler: PairSampler, n_pairs: int) -> float:
+    """Smallest tau_g making the resolvent's graph submonotonicity hold on the sample.
+
+    With x+ = J(x), z = x - x+ (and likewise y+, w), the inequality is
+    -(tau_g/2) ||x - y||^2 <= <z - w, x+ - y+>; the returned value is the
+    sampled a(1/2)-firm violation of J.
+    """
+    A, B = sampler.pairs(n_pairs)
+    Ap = resolvent.apply(A)
+    Bp = resolvent.apply(B)
+    dx = A - B
+    d2 = np.sum((dx * np.conj(dx)).real, axis=1)
+    keep = d2 >= MIN_PAIR_DISTANCE**2
+    z = (A - Ap)[keep]
+    w = (B - Bp)[keep]
+    inner = np.sum(((z - w) * np.conj((Ap - Bp)[keep])).real, axis=1)
+    return float(np.max(-2.0 * inner / d2[keep]))

@@ -18,24 +18,21 @@ import pytest
 from scipy.stats import binom
 
 from conftest import brute_force_wasserstein, chain_path, spider_frechet_mean_grid
+from oracles import GaussianPairSampler, QuadraticProx, SoftThreshold, check_submonotone, distance
 
 from rfilab.analysis import build_rate_report, estimate_subregularity, rate_bound_from_theorem, theta_linear
 from rfilab.cli import main as cli_main
-from rfilab.geometry import EuclideanSpace, SpiderPoint, SpiderSpace, distance
+from rfilab.geometry import EuclideanSpace, SpiderPoint, SpiderSpace
 from rfilab.operators import (
     DouglasRachford,
     ForwardBackward,
     HyperplaneProjection,
     Identity,
     OperatorFamily,
-    QuadraticProx,
-    SoftThreshold,
     quadratic_smooth_term,
 )
 from rfilab.regularity import (
     BoxPairSampler,
-    GaussianPairSampler,
-    check_submonotone,
     dr_violation_bound,
     estimate_violation,
     estimate_violation_in_expectation,

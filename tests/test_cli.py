@@ -148,6 +148,18 @@ def test_non_utf8_config_exits_2_naming_the_path(tmp_path, capsys, command):
          "config.scenario.params.legs: must be at least 3: 2, and a leg for every anchor; got 1"),
         ({"scenario": {"name": "spider_frechet", "params": {"legs": -3, "anchors": [[0, 1.0]]}}}, [],
          "config.scenario.params.legs: must be at least 2: 2, and a leg for every anchor; got -3"),
+        ({"scenario": {"name": "contraction", "params": {"r": 2.0}}}, [],
+         "config.scenario.params.r: contraction factor must lie in (0, 1), got 2.0"),
+        ({"scenario": {"name": "phase_retrieval", "params": {"n": 257}}}, [],
+         "config.scenario.params.n: phase retrieval instances are capped at n = 256 (desk scale)"),
+        ({"scenario": {"name": "phase_retrieval", "params": {"relax": 1.0}}}, [],
+         "config.scenario.params.relax: relaxation must lie in (0, 1), got 1.0"),
+        ({"scenario": {"name": "spider_frechet", "params": {"lam": 0}}}, [],
+         "config.scenario.params.lam: prox parameter must be > 0, got 0.0"),
+        ({"scenario": {"name": "dr_parallel_lines", "params": {"gap": -1.0}}}, [],
+         "config.scenario.params.gap: gap must be > 0"),
+        ({"scenario": {"name": "sgd_linear_noise", "params": {"t": -1.0}}}, [],
+         "config.scenario.params: step must be > 0, got -1.0"),
     ],
 )
 def test_run_invalid_value_exits_2_naming_the_key(tmp_path, capsys, overrides, argv, fragment):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from rfilab.geometry import EuclideanSpace, SpiderPoint, SpiderSpace, distance, geodesic_point
+from oracles import distance, geodesic_point
+
+from rfilab.geometry import EuclideanSpace, SpiderPoint, SpiderSpace
 
 
 def random_spider_points(space, gen, n):

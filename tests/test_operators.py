@@ -3,25 +3,23 @@ import inspect
 import numpy as np
 import pytest
 
+import oracles
 from conftest import grid_minimize
+from oracles import QuadraticProx, SoftThreshold, SphereProjection
 
 from rfilab.geometry import EuclideanSpace, SpiderPoint, SpiderSpace
 from rfilab.operators import (
     AffineMap,
     DouglasRachford,
     ForwardBackward,
-    GradientStep,
     HyperplaneProjection,
     Identity,
     MagnitudeProjection,
     Operator,
     OperatorFamily,
     PointProjection,
-    QuadraticProx,
     Reflection,
     RelaxedProjection,
-    SoftThreshold,
-    SphereProjection,
     SpiderProx,
     SupportRealityProjection,
     UnsupportedSpaceError,
@@ -106,12 +104,13 @@ def test_projection_idempotence_bulk(rng):
 # ---------------------------------------------------------------------------
 
 def test_gradient_step_examples():
+    # a gradient step is forward-backward with the identity as resolvent (g = 0)
     f = quadratic_smooth_term(np.eye(1))
-    assert np.allclose(GradientStep(R1, f, 1.0)(np.array([3.0])), [0.0])
-    assert np.allclose(GradientStep(R1, f, 0.5)(np.array([4.0])), [2.0])
+    assert np.allclose(ForwardBackward(R1, Identity(R1), f, 1.0)(np.array([3.0])), [0.0])
+    assert np.allclose(ForwardBackward(R1, Identity(R1), f, 0.5)(np.array([4.0])), [2.0])
     # f(x) = (x-1)^2/2 has gradient x - 1
     g = quadratic_smooth_term(np.eye(1), np.array([-1.0]))
-    assert np.allclose(GradientStep(R1, g, 0.1)(np.array([0.0])), [0.1])
+    assert np.allclose(ForwardBackward(R1, Identity(R1), g, 0.1)(np.array([0.0])), [0.1])
 
 
 def test_prox_quadratic_examples():
@@ -175,10 +174,7 @@ def test_reflect_rejects_spider():
 # ---------------------------------------------------------------------------
 
 def test_forward_backward_examples():
-    f = quadratic_smooth_term(np.eye(1))
-    fb = ForwardBackward(R1, Identity(R1), f, 1.0)
-    assert np.allclose(fb(np.array([4.0])), [0.0])
-
+    # the identity resolvent (a gradient step) is test_gradient_step_examples
     g_point = PointProjection(R1, np.array([2.0]))
     tiny = quadratic_smooth_term(1e-12 * np.eye(1))  # f = 0 up to numerics
     fb = ForwardBackward(R1, g_point, tiny, 1.0)
@@ -195,7 +191,7 @@ def test_forward_backward_nonexpansive_in_expectation(rng):
     f = quadratic_smooth_term(Q)
     t = abs(f.tau) / f.lipschitz**2
     atoms = [np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.array([0.0, 2.0])]
-    ops = [GradientStep(R2, with_linear_term(f, z), t) for z in atoms]
+    ops = [ForwardBackward(R2, Identity(R2), with_linear_term(f, z), t) for z in atoms]
     family = OperatorFamily.uniform(ops)
     X = rng.normal(size=(2000, 2)) * 5
     Y = rng.normal(size=(2000, 2)) * 5
@@ -325,19 +321,17 @@ _WALL = HyperplaneProjection(R2, np.array([1.0, 2.0]), 0.7)
 _QUAD = quadratic_smooth_term(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.1]))
 _Z = np.array([1.0 - 2.0j, 0.5j, -0.3, 2.0 + 1.0j])
 
-# one operator and one point of its space per concrete class
+# one operator and one point of its space per concrete class; the classes
+# that only the tests use bring their own cases from oracles.py
 SINGLE_PATH_CASES = {
+    **oracles.SINGLE_PATH_CASES,
     Identity: lambda: (Identity(SPIDER), SpiderPoint(2, 1.5)),
     AffineMap: lambda: (AffineMap(R2, np.array([[2.0, 1.0], [0.0, 1.0]]), np.array([1.0, -1.0])), [0.3, -0.7]),
     PointProjection: lambda: (PointProjection(SPIDER, SpiderPoint(1, 2.0)), SpiderPoint(0, 0.5)),
     HyperplaneProjection: lambda: (_WALL, [0.3, -0.7]),
-    SphereProjection: lambda: (SphereProjection(R2, 2.0), [0.3, -0.7]),
     MagnitudeProjection: lambda: (MagnitudeProjection(C4, [1.0, 0.5, 2.0, 0.0], np.exp(1j * np.arange(4.0))), _Z),
     SupportRealityProjection: lambda: (SupportRealityProjection(C4, [True, False, True, True]), _Z),
     RelaxedProjection: lambda: (RelaxedProjection(R2, _WALL, 0.5), [0.3, -0.7]),
-    GradientStep: lambda: (GradientStep(R2, _QUAD, 0.3), [0.3, -0.7]),
-    QuadraticProx: lambda: (QuadraticProx(R2, _QUAD.quadratic[0], _QUAD.quadratic[1], 0.7), [0.3, -0.7]),
-    SoftThreshold: lambda: (SoftThreshold(R2, 0.4), [0.3, -0.7]),
     Reflection: lambda: (Reflection(R2, _WALL), [0.3, -0.7]),
     ForwardBackward: lambda: (ForwardBackward(R2, SoftThreshold(R2, 0.4), _QUAD, 0.3), [0.3, -0.7]),
     DouglasRachford: lambda: (DouglasRachford(R2, _WALL, SoftThreshold(R2, 0.4)), [0.3, -0.7]),

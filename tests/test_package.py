@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 import rfilab
 
 MODULES = [rfilab.__name__] + [f"{rfilab.__name__}.{m.name}" for m in pkgutil.iter_modules(rfilab.__path__)]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -39,6 +43,20 @@ def unused_imports(source: str) -> list:
     return unused
 
 
+def read_names(tree: ast.AST, imports: bool = True) -> set:
+    """Names that ``tree`` reads, as a name or an attribute, and, when
+    ``imports``, the names it imports with ``from ... import``."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and imports:
+            read |= {alias.name for alias in node.names}
+    return read
+
+
 def unreferenced_names(sources: dict) -> list:
     """``<file>: <name>`` for each top-level def, class or assignment in
     ``sources`` (file name -> source) that no file reads, imports or lists in
@@ -46,13 +64,7 @@ def unreferenced_names(sources: dict) -> list:
     trees = {name: ast.parse(source) for name, source in sources.items()}
     read = set()
     for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read |= {alias.name for alias in node.names}
+        read |= read_names(tree)
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
                 read |= set(ast.literal_eval(node.value))
@@ -90,3 +102,43 @@ def test_no_unused_imports():
         if (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def readme_sketch() -> str:
+    """The Python block under the README's "Library sketch" heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_sketch_runs():
+    src = str(Path(rfilab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", readme_sketch()], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_public_name_has_a_caller():
+    # a name in a module's __all__ is read by the program, by the README's
+    # library sketch or by the benchmark; the package's re-exports are no caller
+    assert read_names(ast.parse("from m import a\nb.c(d)\n"), imports=False) == {"b", "c", "d"}
+    read = read_names(ast.parse(readme_sketch()))
+    for path in sorted(Path(rfilab.__file__).parent.glob("*.py")):
+        read |= read_names(ast.parse(path.read_text(encoding="utf-8")), imports=path.name != "__init__.py")
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        read |= read_names(ast.parse(path.read_text(encoding="utf-8")))
+    uncalled = {module: [n for n in importlib.import_module(module).__all__ if n not in read] for module in MODULES}
+    assert {module: names for module, names in uncalled.items() if names} == {}
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    # perfbench/spans.py wraps rfilab attributes by name (cli.monte_carlo_floor,
+    # transport.linear_sum_assignment, ...): a rename fails here, not in `--trace 1`
+    from rfilab import cli, transport
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    before = (cli.monte_carlo_floor, transport.linear_sum_assignment)
+    with spans.installed(spans.Tracer()):
+        assert cli.monte_carlo_floor is not before[0]
+    assert (cli.monte_carlo_floor, transport.linear_sum_assignment) == before

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import SoftThreshold, SphereProjection, check_submonotone
+
 from rfilab.geometry import EuclideanSpace, SpiderPoint, SpiderSpace
 from rfilab.operators import (
     AffineMap,
@@ -9,15 +11,12 @@ from rfilab.operators import (
     Identity,
     OperatorFamily,
     PointProjection,
-    SoftThreshold,
-    SphereProjection,
     SpiderProx,
     quadratic_smooth_term,
 )
 from rfilab.regularity import (
     BoxPairSampler,
     SpiderPairSampler,
-    check_submonotone,
     dr_violation_bound,
     estimate_violation,
     estimate_violation_in_expectation,

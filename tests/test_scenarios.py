@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import chain_path, phase_error, spider_frechet_mean_grid
+from oracles import GaussianPairSampler, check_submonotone, distance
 
-from rfilab.geometry import SpiderPoint, distance
+from rfilab.geometry import SpiderPoint
 from rfilab.operators import quadratic_smooth_term
 from rfilab.regularity import (
     BoxPairSampler,
-    GaussianPairSampler,
-    check_submonotone,
     dr_violation_bound,
     estimate_violation,
     estimate_violation_in_expectation,
@@ -452,6 +451,13 @@ def test_scenario_without_operators_is_a_value_error(name, params):
         ("spider_frechet", {"legs": 2}, "legs"),
         ("spider_frechet", {"legs": -3, "anchors": [[0, 1.0]]}, "legs"),
         ("spider_frechet", {"legs": 1, "anchors": [[0, 1.0]]}, "legs"),
+        ("contraction", {"r": 2.0}, "r"),
+        ("contraction", {"r": 0.0}, "r"),
+        ("phase_retrieval", {"n": 257}, "n"),
+        ("phase_retrieval", {"relax": 1.0}, "relax"),
+        ("phase_retrieval", {"relax": 0.0}, "relax"),
+        ("spider_frechet", {"lam": 0.0}, "lam"),
+        ("dr_parallel_lines", {"gap": 0.0}, "gap"),
     ],
 )
 def test_rejected_parameter_value_names_its_key(name, params, key):
@@ -462,9 +468,9 @@ def test_rejected_parameter_value_names_its_key(name, params, key):
 
 
 def test_builder_range_check_is_not_a_param_error():
-    # the converter accepts 2.0; the builder rejects it, and names no key
-    with pytest.raises(ValueError, match="contraction factor") as caught:
-        build_scenario("contraction", {"r": 2.0})
+    # the converter accepts t = -1; the gradient step rejects it, and names no key
+    with pytest.raises(ValueError, match="step must be > 0") as caught:
+        build_scenario("sgd_linear_noise", {"t": -1.0})
     assert not isinstance(caught.value, ParamError)
 
 
@@ -474,8 +480,10 @@ def test_builder_range_check_is_not_a_param_error():
      ({"anchors": [[0, 1.0]], "legs": 2}, 2), ({"anchors": [[4, 1.0]]}, 5)],
 )
 def test_spider_legs_default_to_what_the_anchors_need(params, legs):
-    # a given `legs` is kept as given; below the need it is a ParamError
-    assert build_scenario("spider_frechet", params).space.legs == legs
+    # a given `legs` is kept as given; below the need it is a ParamError.  The
+    # params (the manifest's scenario_params) record the leg count that ran.
+    sc = build_scenario("spider_frechet", params)
+    assert sc.space.legs == sc.params["legs"] == legs
 
 
 def test_boolean_parameter_takes_json_booleans():
