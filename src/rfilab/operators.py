@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "UnsupportedSpaceError",
     "project_magnitude",
     "quadratic_smooth_term",
-    "with_linear_term",
 ]
 
 
@@ -77,23 +76,24 @@ class Operator(ABC):
 
 @dataclass(frozen=True)
 class SmoothTerm:
-    """Differentiable summand: gradient rule plus its regularity constants.
+    """The quadratic f(x) = x'Qx/2 + <q + zeta, x> and its regularity constants.
 
-    ``grad`` maps stacked (N, dim) points to their (N, dim) gradients.
-    ``lipschitz`` bounds the gradient's Lipschitz constant; ``tau`` is the
-    hypomonotonicity violation (negative for strongly monotone gradients).
+    ``grad`` maps stacked (N, dim) points to their (N, dim) gradients
+    ``(x Q + q) + zeta``.  ``zeta`` is one noise atom's linear perturbation:
+    zero from :func:`quadratic_smooth_term`, the one constructor, and set
+    with ``dataclasses.replace``.  ``lipschitz`` is the gradient's Lipschitz
+    constant; ``tau`` is the hypomonotonicity violation (negative for
+    strongly monotone gradients).
     """
 
-    grad: Callable[[np.ndarray], np.ndarray]
+    Q: np.ndarray
+    q: np.ndarray
     lipschitz: float
-    tau: float = 0.0
-    quadratic: Optional[tuple] = None  # (Q, q) when the term is x'Qx/2 + q'x
+    tau: float
+    zeta: np.ndarray
 
-    def __post_init__(self):
-        if self.lipschitz <= 0:
-            raise ValueError(f"gradient Lipschitz constant must be > 0, got {self.lipschitz}")
-        if not np.isfinite(self.tau):
-            raise ValueError("hypomonotonicity violation must be finite")
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        return (x @ self.Q + self.q) + self.zeta
 
 
 def quadratic_smooth_term(Q: np.ndarray, q: Optional[np.ndarray] = None) -> SmoothTerm:
@@ -103,29 +103,10 @@ def quadratic_smooth_term(Q: np.ndarray, q: Optional[np.ndarray] = None) -> Smoo
         raise ValueError("Q must be a square matrix")
     if not np.allclose(Q, Q.T, atol=1e-12):
         raise ValueError("Q must be symmetric")
-    q = np.zeros(Q.shape[0]) if q is None else np.asarray(q, dtype=float)
+    q = np.zeros(Q.shape[0]) if q is None else np.asarray(q, dtype=float).reshape(-1)
     eig = np.linalg.eigvalsh(Q)
     L = float(max(np.max(np.abs(eig)), 1e-300))
-    tau = float(-eig.min())
-    return SmoothTerm(
-        grad=lambda x: x @ Q + q,
-        lipschitz=L,
-        tau=tau,
-        quadratic=(Q, q),
-    )
-
-
-def with_linear_term(f: SmoothTerm, zeta: np.ndarray) -> SmoothTerm:
-    """Add a linear perturbation <zeta, x>; gradients shift, constants do not."""
-    zeta = np.asarray(zeta, dtype=float)
-    base = f.grad
-    quad = (f.quadratic[0], f.quadratic[1] + zeta) if f.quadratic is not None else None
-    return SmoothTerm(
-        grad=lambda x: base(x) + zeta,
-        lipschitz=f.lipschitz,
-        tau=f.tau,
-        quadratic=quad,
-    )
+    return SmoothTerm(Q, q, lipschitz=L, tau=float(-eig.min()), zeta=np.zeros(Q.shape[0]))
 
 
 # ---------------------------------------------------------------------------

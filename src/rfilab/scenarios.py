@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -28,11 +28,9 @@ from .operators import (
     OperatorFamily,
     PointProjection,
     RelaxedProjection,
-    SmoothTerm,
     SpiderProx,
     SupportRealityProjection,
     quadratic_smooth_term,
-    with_linear_term,
 )
 from .regularity import dr_violation_bound, fb_violation_bound
 from .rfi import STREAM_BURNIN, STREAM_INIT, ChainConfig, derive_seed, run_ensemble
@@ -84,6 +82,13 @@ class Scenario:
 
 def _init_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), STREAM_INIT)))
+
+
+def _require_sizes(**sizes: int) -> None:
+    """Raise a :class:`ParamError` naming the first size below 1."""
+    for key, size in sizes.items():
+        if size < 1:
+            raise ParamError(key, f"must be >= 1, got {size}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +173,19 @@ def scenario_contraction(r: float = 0.5, offset: float = 50.0) -> Scenario:
 # randomized Kaczmarz
 # ---------------------------------------------------------------------------
 
-def scenario_kaczmarz(A: np.ndarray, b: np.ndarray, consistent: bool, init_scale: float = 5.0) -> Scenario:
-    """Random hyperplane projections for the system <a_j, x> = b_j."""
+def scenario_kaczmarz(A=None, b=None, consistent: bool = False, m: int = 3, n: int = 2, instance_seed: int = 0,
+                      perturbation: float = 1.0, init_scale: float = 5.0) -> Scenario:
+    """Random hyperplane projections for the system <a_j, x> = b_j.
+
+    The system is (A, b), or, when neither is given, the random m x n
+    instance :func:`random_kaczmarz_instance` draws from ``instance_seed``
+    (m, n and ``perturbation`` are read only then).
+    """
+    if (A is None) != (b is None):
+        raise ValueError("kaczmarz takes 'A' and 'b' together, or neither")
+    if A is None:
+        _require_sizes(m=m, n=n)
+        A, b, _ = random_kaczmarz_instance(m, n, consistent, instance_seed, perturbation)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     if A.ndim != 2 or A.shape[0] != b.shape[0]:
@@ -211,20 +227,33 @@ def random_kaczmarz_instance(m: int, n: int, consistent: bool, seed: int, pertur
 # stochastic gradient descent with linear noise
 # ---------------------------------------------------------------------------
 
-def scenario_sgd_linear_noise(
-    f: SmoothTerm, noise_atoms: Sequence[np.ndarray], t: float, init_scale: float = 5.0
-) -> Scenario:
-    """Gradient steps on f_i(x) = f(x) + <zeta_i, x> over uniform noise atoms:
-    forward-backward splitting with g = 0, whose resolvent is the identity.
+def scenario_sgd_linear_noise(Q=None, dim: int = 1, q=None, atoms=None, t: float = 0.5) -> Scenario:
+    """Gradient steps on f_i(x) = x'Qx/2 + <q, x> + <zeta_i, x> over uniform
+    noise atoms zeta_i: forward-backward splitting with g = 0, whose
+    resolvent is the identity.
 
-    For strongly monotone gradients (tau < 0) steps up to |tau|/L^2 keep the
-    family nonexpansive in expectation; larger steps are allowed but noted,
-    to enable violation studies.
+    Q is the dim x dim identity when not given (dim is read only then), q is
+    zero, and the atoms are +-1 in every coordinate; q and every atom have
+    Q's size.  For strongly monotone gradients (tau < 0) steps up to
+    |tau|/L^2 keep the family nonexpansive in expectation; larger steps are
+    allowed but noted, to enable violation studies.  The invariant sampler
+    exists whenever the step I - tQ contracts.
     """
-    atoms = [np.asarray(z, dtype=float).reshape(-1) for z in noise_atoms]
+    if Q is None:
+        _require_sizes(dim=dim)
+        Q = np.eye(dim)
+    f = quadratic_smooth_term(Q, q)
+    dim = len(f.Q)
+    if len(f.q) != dim:
+        raise ParamError("q", f"must have length {dim}, the size of Q; got {len(f.q)}")
+    if atoms is None:
+        atoms = [np.ones(dim), -np.ones(dim)]
+    atoms = [np.asarray(z, dtype=float).reshape(-1) for z in atoms]
     if not atoms:
-        raise ValueError("need at least one noise atom")
-    dim = atoms[0].shape[0]
+        raise ParamError("atoms", "need at least one noise atom")
+    for z in atoms:
+        if len(z) != dim:
+            raise ParamError("atoms", f"each atom must have length {dim}, the size of Q; got {len(z)}")
     space = EuclideanSpace(dim)
     notes = ""
     if f.tau < 0 and t > abs(f.tau) / f.lipschitz**2 + 1e-15:
@@ -233,33 +262,30 @@ def scenario_sgd_linear_noise(
         )
         warnings.warn(notes, stacklevel=2)
     family = OperatorFamily.uniform(
-        [ForwardBackward(space, Identity(space), with_linear_term(f, z), t) for z in atoms]
+        [ForwardBackward(space, Identity(space), replace(f, zeta=z), t) for z in atoms]
     )
 
     def initial(n: int, seed: int) -> Ensemble:
         gen = _init_rng(seed)
-        return Ensemble(space, init_scale * gen.normal(size=(n, dim)))
+        return Ensemble(space, 5.0 * gen.normal(size=(n, dim)))
 
     invariant = None
-    extras: dict = {"step": t, "lipschitz": f.lipschitz, "tau_f": f.tau}
-    if f.quadratic is not None:
-        Q, q = f.quadratic
-        M = np.eye(dim) - t * Q
-        rho = float(np.max(np.abs(np.linalg.eigvals(M))))
-        extras["step_contraction"] = rho
-        if rho < 1.0:
-            depth = max(8, int(math.ceil(math.log(1e-16) / math.log(rho))))
+    M = np.eye(dim) - t * f.Q
+    rho = float(np.max(np.abs(np.linalg.eigvals(M))))
+    extras: dict = {"step": t, "lipschitz": f.lipschitz, "tau_f": f.tau, "step_contraction": rho}
+    if rho < 1.0:
+        depth = max(8, int(math.ceil(math.log(1e-16) / math.log(max(rho, 1e-16)))))  # rho = 0: one term is exact
 
-            def invariant(n: int, seed: int) -> Ensemble:
-                gen = _init_rng(seed)
-                idx = gen.integers(0, len(atoms), size=(n, depth))
-                pts = np.zeros((n, dim))
-                zmat = np.stack(atoms)
-                power = np.eye(dim)
-                for j in range(depth):
-                    pts += (-t) * (zmat[idx[:, j]] + q) @ power.T
-                    power = power @ M.T
-                return Ensemble(space, pts)
+        def invariant(n: int, seed: int) -> Ensemble:
+            gen = _init_rng(seed)
+            idx = gen.integers(0, len(atoms), size=(n, depth))
+            pts = np.zeros((n, dim))
+            zmat = np.stack(atoms)
+            power = np.eye(dim)
+            for j in range(depth):
+                pts += (-t) * (zmat[idx[:, j]] + f.q) @ power.T
+                power = power @ M.T
+            return Ensemble(space, pts)
 
     truth = GroundTruth(
         invariant_sampler=invariant,
@@ -286,6 +312,7 @@ def scenario_phase_retrieval(
     constraint sets contain rho*, so its orbit under global phase is the
     consistent solution set.
     """
+    _require_sizes(n=n, n_masks=n_masks)
     if n > 256:
         raise ParamError("n", "phase retrieval instances are capped at n = 256 (desk scale)")
     if not 0.0 < relax < 1.0:
@@ -465,26 +492,6 @@ def floor_pair_seeds(seed: int, repeats: int = 3) -> list:
 # CLI-facing registry
 # ---------------------------------------------------------------------------
 
-def _build_kaczmarz(A=None, b=None, consistent: bool = False, m: int = 3, n: int = 2, instance_seed: int = 0,
-                    perturbation: Optional[float] = None, **options) -> Scenario:
-    """The system (A, b), or a random m x n instance when neither is given."""
-    if (A is None) != (b is None):
-        raise ValueError("kaczmarz takes 'A' and 'b' together, or neither")
-    if A is None:
-        instance = {} if perturbation is None else {"perturbation": perturbation}
-        A, b, _ = random_kaczmarz_instance(m, n, consistent, instance_seed, **instance)
-    return scenario_kaczmarz(A, b, consistent, **options)
-
-
-def _build_sgd(Q=None, dim: int = 1, q=None, atoms=None, t: float = 0.5) -> Scenario:
-    """Gradient steps on x'Qx/2 + <q, x> (Q the dim x dim identity when not
-    given), with noise atoms +-1 in every coordinate when none are given."""
-    Q = np.eye(dim) if Q is None else Q
-    if atoms is None:
-        atoms = [np.ones(len(Q)), -np.ones(len(Q))]
-    return scenario_sgd_linear_noise(quadratic_smooth_term(Q, q), atoms, t=t)
-
-
 def _boolean(value) -> bool:
     """A JSON boolean; any other value is a TypeError (``bool("false")`` is True)."""
     if not isinstance(value, bool):
@@ -517,9 +524,11 @@ def _floats(value) -> np.ndarray:
 
 class ParamError(ValueError):
     """A scenario parameter that the scenario does not take, or whose value
-    its converter or its builder (a range: contraction ``r``, phase_retrieval
-    ``n`` and ``relax``, spider ``lam`` and ``legs``, dr_parallel_lines
-    ``gap``) rejects; ``args`` is ``(key, message)``."""
+    its converter or its builder rejects; ``args`` is ``(key, message)``.  A
+    builder checks a range (contraction ``r``, phase_retrieval ``n`` and
+    ``relax``, spider ``lam`` and ``legs``, dr_parallel_lines ``gap``), a size
+    of at least 1 (kaczmarz ``m`` and ``n``, phase_retrieval ``n`` and
+    ``n_masks``, sgd ``dim``) or a length (sgd ``q`` and ``atoms``)."""
 
     def __str__(self) -> str:
         return f"parameter '{self.args[0]}': {self.args[1]}"
@@ -537,12 +546,12 @@ SCENARIO_BUILDERS = {
     "two_point": ScenarioBuilder(scenario_two_point, {}),
     "contraction": ScenarioBuilder(scenario_contraction, {"r": _number, "offset": _number}),
     "kaczmarz": ScenarioBuilder(
-        _build_kaczmarz,
+        scenario_kaczmarz,
         {"A": _floats, "b": _floats, "consistent": _boolean, "m": _integer, "n": _integer, "instance_seed": _integer,
          "perturbation": _number, "init_scale": _number},
     ),
     "sgd_linear_noise": ScenarioBuilder(
-        _build_sgd,
+        scenario_sgd_linear_noise,
         {"Q": _floats, "dim": _integer, "q": _floats, "atoms": lambda atoms: [_floats(a) for a in atoms],
          "t": _number},
     ),

@@ -102,9 +102,6 @@ class Ensemble:
     def __len__(self) -> int:
         return len(self.points)
 
-    def point(self, i: int):
-        return self.space.unpack(self.points[i : i + 1])[0]
-
     # -- serialization ----------------------------------------------------
     def column_names(self) -> list:
         if isinstance(self.space, SpiderSpace):

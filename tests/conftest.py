@@ -77,7 +77,12 @@ def chain_path(family, x0, K: int, seed: int) -> list:
     """Points [X_0, ..., X_K] of one chain: ``run_ensemble`` on a one-particle
     ensemble, recording every step."""
     traj = run_ensemble(ChainConfig(family, Ensemble(family.space, [x0]), K, seed))
-    return [ens.point(0) for ens in traj.ensembles]
+    return [point(ens, 0) for ens in traj.ensembles]
+
+
+def point(ens: Ensemble, i: int):
+    """Particle ``i`` of an ensemble, unpacked to its space's point type."""
+    return ens.space.unpack(ens.points[i : i + 1])[0]
 
 
 @pytest.fixture

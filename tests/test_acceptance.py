@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from conftest import brute_force_wasserstein, chain_path, spider_frechet_mean_grid
+from conftest import brute_force_wasserstein, chain_path, point, spider_frechet_mean_grid
 from oracles import GaussianPairSampler, QuadraticProx, SoftThreshold, check_submonotone, distance
 
 from rfilab.analysis import build_rate_report, estimate_subregularity, rate_bound_from_theorem, theta_linear
@@ -476,7 +476,7 @@ def test_c11_phase_retrieval_properties():
 
     fixed_ok = all(np.linalg.norm(op(rho) - rho) <= 1e-12 * scale for op in sc.family.operators)
 
-    path = chain_path(sc.family, sc.initial(1, 23).point(0), 500, seed=SEED + 22)
+    path = chain_path(sc.family, point(sc.initial(1, 23), 0), 500, seed=SEED + 22)
     bounded_ok = max(float(np.linalg.norm(x)) for x in path) <= 10.0 * scale
 
     sampler = GaussianPairSampler(sc.space, rho, scale=0.1, seed=SEED + 23)

@@ -115,7 +115,7 @@ def test_non_utf8_config_exits_2_naming_the_path(tmp_path, capsys, command):
         ({"scenario": {"name": "kaczmarz", "params": {"b": [1.0]}}}, [],
          "config.scenario.params: kaczmarz takes 'A' and 'b' together"),
         ({"scenario": {"name": "kaczmarz", "params": {"m": 0}}}, [],
-         "config.scenario.params: operator family must be nonempty"),
+         "config.scenario.params.m: must be >= 1, got 0"),
         ({"scenario": {"name": "kaczmarz", "params": {"consistent": "false"}}}, [],
          "config.scenario.params.consistent: expected a boolean, got str"),
         ({"scenario": {"name": "kaczmarz", "params": {"consistent": 0}}}, [],
@@ -160,6 +160,20 @@ def test_non_utf8_config_exits_2_naming_the_path(tmp_path, capsys, command):
          "config.scenario.params.gap: gap must be > 0"),
         ({"scenario": {"name": "sgd_linear_noise", "params": {"t": -1.0}}}, [],
          "config.scenario.params: step must be > 0, got -1.0"),
+        ({"scenario": {"name": "sgd_linear_noise", "params": {"q": [1, 2]}}}, [],
+         "config.scenario.params.q: must have length 1, the size of Q; got 2"),
+        ({"scenario": {"name": "sgd_linear_noise", "params": {"atoms": [[1, 2], [3]]}}}, [],
+         "config.scenario.params.atoms: each atom must have length 1, the size of Q; got 2"),
+        ({"scenario": {"name": "sgd_linear_noise", "params": {"dim": 2, "atoms": [[1], [3]]}}}, [],
+         "config.scenario.params.atoms: each atom must have length 2, the size of Q; got 1"),
+        ({"scenario": {"name": "kaczmarz", "params": {"m": -1}}}, [], "config.scenario.params.m: must be >= 1, got -1"),
+        ({"scenario": {"name": "kaczmarz", "params": {"n": 0}}}, [], "config.scenario.params.n: must be >= 1, got 0"),
+        ({"scenario": {"name": "phase_retrieval", "params": {"n_masks": -1}}}, [],
+         "config.scenario.params.n_masks: must be >= 1, got -1"),
+        ({"scenario": {"name": "phase_retrieval", "params": {"n": 0}}}, [],
+         "config.scenario.params.n: must be >= 1, got 0"),
+        ({"scenario": {"name": "sgd_linear_noise", "params": {"dim": 0}}}, [],
+         "config.scenario.params.dim: must be >= 1, got 0"),
     ],
 )
 def test_run_invalid_value_exits_2_naming_the_key(tmp_path, capsys, overrides, argv, fragment):

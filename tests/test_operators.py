@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from rfilab.operators import (
     UnsupportedSpaceError,
     project_magnitude,
     quadratic_smooth_term,
-    with_linear_term,
 )
 
 R1 = EuclideanSpace(1)
@@ -113,6 +113,13 @@ def test_gradient_step_examples():
     assert np.allclose(ForwardBackward(R1, Identity(R1), g, 0.1)(np.array([0.0])), [0.1])
 
 
+def test_smooth_term_gradient_adds_the_atom_last(rng):
+    # (x Q + q) + zeta, in this order: the sgd outputs depend on the rounding
+    Q, q, zeta = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.1]), np.array([1.0, -1.0])
+    X = rng.normal(size=(50, 2))
+    assert np.array_equal(replace(quadratic_smooth_term(Q, q), zeta=zeta).grad(X), (X @ Q + q) + zeta)
+
+
 def test_prox_quadratic_examples():
     assert np.allclose(QuadraticProx(R1, np.eye(1), np.zeros(1), 1.0)(np.array([2.0])), [1.0])
     x = np.array([3.0, -7.0])
@@ -191,7 +198,7 @@ def test_forward_backward_nonexpansive_in_expectation(rng):
     f = quadratic_smooth_term(Q)
     t = abs(f.tau) / f.lipschitz**2
     atoms = [np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.array([0.0, 2.0])]
-    ops = [ForwardBackward(R2, Identity(R2), with_linear_term(f, z), t) for z in atoms]
+    ops = [ForwardBackward(R2, Identity(R2), replace(f, zeta=z), t) for z in atoms]
     family = OperatorFamily.uniform(ops)
     X = rng.normal(size=(2000, 2)) * 5
     Y = rng.normal(size=(2000, 2)) * 5

@@ -119,16 +119,23 @@ def test_readme_sketch_runs():
 
 
 def test_every_public_name_has_a_caller():
-    # a name in a module's __all__ is read by the program, by the README's
-    # library sketch or by the benchmark; the package's re-exports are no caller
+    # a name in a module's __all__, or a public method of a class in src/, is
+    # read by the program, by the README's library sketch or by the benchmark;
+    # the package's re-exports are no caller
     assert read_names(ast.parse("from m import a\nb.c(d)\n"), imports=False) == {"b", "c", "d"}
     read = read_names(ast.parse(readme_sketch()))
-    for path in sorted(Path(rfilab.__file__).parent.glob("*.py")):
-        read |= read_names(ast.parse(path.read_text(encoding="utf-8")), imports=path.name != "__init__.py")
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(rfilab.__file__).parent.glob("*.py"))}
+    for stem, tree in trees.items():
+        read |= read_names(tree, imports=stem != "__init__")
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         read |= read_names(ast.parse(path.read_text(encoding="utf-8")))
     uncalled = {module: [n for n in importlib.import_module(module).__all__ if n not in read] for module in MODULES}
     assert {module: names for module, names in uncalled.items() if names} == {}
+    methods = [f"{stem}.{cls.name}.{node.name}" for stem, tree in trees.items() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert [method for method in methods if method.rsplit(".", 1)[1] not in read] == []
 
 
 def test_benchmark_tracer_installs_and_restores(monkeypatch):

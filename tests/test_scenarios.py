@@ -1,11 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from conftest import chain_path, phase_error, spider_frechet_mean_grid
+from conftest import chain_path, phase_error, point, spider_frechet_mean_grid
 from oracles import GaussianPairSampler, check_submonotone, distance
 
 from rfilab.geometry import SpiderPoint
-from rfilab.operators import quadratic_smooth_term
 from rfilab.regularity import (
     BoxPairSampler,
     dr_violation_bound,
@@ -169,8 +170,7 @@ def test_kaczmarz_inconsistent_invariance():
 # ---------------------------------------------------------------------------
 
 def test_sgd_example_rate_and_bound():
-    f = quadratic_smooth_term(np.eye(1))
-    sc = scenario_sgd_linear_noise(f, [np.array([1.0]), np.array([-1.0])], t=0.5)
+    sc = scenario_sgd_linear_noise()  # f(x) = x^2/2, atoms +-1, t = 0.5
     n = 2000
     ref = sc.ground_truth.invariant_sampler(n, 40)
     traj = run_ensemble(ChainConfig(sc.family, sc.initial(n, 41), 10, seed=42))
@@ -180,20 +180,27 @@ def test_sgd_example_rate_and_bound():
     rep = estimate_violation_in_expectation(
         sc.family, 2.0 / 3.0, BoxPairSampler(sc.space, -5, 5, seed=43), 10_000
     )
-    assert rep.epsilon_hat <= fb_violation_bound(0.5, f.lipschitz, f.tau, 0.0) + 1e-6
+    extras = sc.ground_truth.extras
+    assert rep.epsilon_hat <= fb_violation_bound(0.5, extras["lipschitz"], extras["tau_f"], 0.0) + 1e-6
 
 
 def test_sgd_zero_atoms_is_deterministic_descent():
-    f = quadratic_smooth_term(np.eye(2))
-    sc = scenario_sgd_linear_noise(f, [np.zeros(2)], t=0.5)
+    sc = scenario_sgd_linear_noise(dim=2, atoms=[np.zeros(2)], t=0.5)
     path = chain_path(sc.family, np.array([4.0, -2.0]), 30, seed=1)
     assert np.linalg.norm(path[-1]) <= 1e-8
 
 
+def test_sgd_step_that_lands_on_the_minimizer_has_a_sampler():
+    # t Q = I: x -> -t (q + zeta), so the invariant law is the atoms' image
+    sc = scenario_sgd_linear_noise(Q=[[2.0]], t=0.5)
+    assert sc.ground_truth.extras["step_contraction"] == 0.0
+    pts = sc.ground_truth.invariant_sampler(100, 3).points
+    assert set(np.unique(pts)) == {-0.5, 0.5}
+
+
 def test_sgd_step_window_warning():
-    f = quadratic_smooth_term(np.eye(1))
     with pytest.warns(UserWarning, match="window"):
-        sc = scenario_sgd_linear_noise(f, [np.array([1.0])], t=1.5)
+        sc = scenario_sgd_linear_noise(atoms=[np.array([1.0])], t=1.5)
     assert "window" in sc.notes
 
 
@@ -206,7 +213,7 @@ def test_phase_retrieval_fixed_points_and_boundedness():
     rho = sc.ground_truth.extras["rho_star"]
     for op in sc.family.operators:
         assert np.linalg.norm(op(rho) - rho) <= 1e-12 * max(1.0, np.linalg.norm(rho))
-    path = chain_path(sc.family, sc.initial(1, 50).point(0), 500, seed=51)
+    path = chain_path(sc.family, point(sc.initial(1, 50), 0), 500, seed=51)
     norms = [float(np.linalg.norm(x)) for x in path]
     assert max(norms) <= 10.0 * max(1.0, np.linalg.norm(rho))
     errs = [phase_error(x, rho) for x in path]
@@ -327,9 +334,7 @@ def test_dr_parallel_lines_self_consistency():
         scenario_two_point,
         lambda: scenario_contraction(0.5, offset=5.0),
         lambda: scenario_kaczmarz(*random_kaczmarz_instance(3, 2, False, seed=1)[:2], consistent=False),
-        lambda: scenario_sgd_linear_noise(
-            quadratic_smooth_term(np.eye(1)), [np.array([1.0]), np.array([-1.0])], t=0.5
-        ),
+        scenario_sgd_linear_noise,
         lambda: scenario_spider_frechet(
             [SpiderPoint(0, 1.0), SpiderPoint(1, 1.0), SpiderPoint(2, 1.0)], lam=0.1
         ),
@@ -362,6 +367,15 @@ def test_build_scenario_registry():
     assert sc.params["n"] == 16
     with pytest.raises(ValueError, match="unknown scenario"):
         build_scenario("nope", {})
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_scenario_function_is_its_one_declaration(name):
+    # the registry builds with scenario_<name> itself, whose parameters are
+    # exactly the JSON keys, in order, with the defaults in its signature
+    build, params = SCENARIO_BUILDERS[name]
+    assert build.__name__ == f"scenario_{name}"
+    assert list(inspect.signature(build).parameters) == list(params)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
@@ -422,8 +436,20 @@ def test_kaczmarz_takes_A_and_b_together(params):
 
 @pytest.mark.parametrize("name, params", [("kaczmarz", {"m": 0}), ("phase_retrieval", {"n_masks": 0})])
 def test_scenario_without_operators_is_a_value_error(name, params):
-    with pytest.raises(ValueError, match="operator family must be nonempty"):
+    # the builder names the size that leaves the family empty, before the family does
+    (key,) = params
+    with pytest.raises(ParamError) as caught:
         build_scenario(name, params)
+    assert caught.value.args == (key, "must be >= 1, got 0")
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("kaczmarz", {"A": [[1.0, 0.0]], "b": [1.0], "m": 0, "n": -1}), ("sgd_linear_noise", {"Q": [[0.5]], "dim": 0})],
+    ids=["kaczmarz_m_n", "sgd_dim"],
+)
+def test_size_is_not_read_when_the_matrix_is_given(name, params):
+    assert build_scenario(name, params).name == name
 
 
 @pytest.mark.parametrize(
@@ -458,6 +484,16 @@ def test_scenario_without_operators_is_a_value_error(name, params):
         ("phase_retrieval", {"relax": 0.0}, "relax"),
         ("spider_frechet", {"lam": 0.0}, "lam"),
         ("dr_parallel_lines", {"gap": 0.0}, "gap"),
+        ("sgd_linear_noise", {"q": [1.0, 2.0]}, "q"),
+        ("sgd_linear_noise", {"Q": [[1.0, 0.0], [0.0, 1.0]], "q": [1.0]}, "q"),
+        ("sgd_linear_noise", {"atoms": [[1.0, 2.0], [3.0]]}, "atoms"),
+        ("sgd_linear_noise", {"dim": 2, "atoms": [[1.0], [3.0]]}, "atoms"),
+        ("sgd_linear_noise", {"atoms": []}, "atoms"),
+        ("sgd_linear_noise", {"dim": 0}, "dim"),
+        ("kaczmarz", {"m": -1}, "m"),
+        ("kaczmarz", {"n": 0}, "n"),
+        ("phase_retrieval", {"n": 0}, "n"),
+        ("phase_retrieval", {"n_masks": -1}, "n_masks"),
     ],
 )
 def test_rejected_parameter_value_names_its_key(name, params, key):
