@@ -44,9 +44,6 @@ class QLinearFit:
     geometric_mean: float  # secondary statistic
     window: Tuple[int, int]
 
-    def to_dict(self) -> dict:
-        return {"rate": self.rate, "geometric_mean": self.geometric_mean, "window": list(self.window)}
-
 
 @dataclass(frozen=True)
 class RLinearFit:
@@ -55,18 +52,12 @@ class RLinearFit:
     residual: float  # rms residual of the log-linear fit
     window: Tuple[int, int]
 
-    def to_dict(self) -> dict:
-        return {"beta": self.beta, "rate": self.rate, "residual": self.residual, "window": list(self.window)}
-
 
 @dataclass(frozen=True)
 class SubregularityFit:
     r_hat: float     # max distance / psi over usable pairs
     ls_slope: float  # least-squares slope through the origin
     n_used: int
-
-    def to_dict(self) -> dict:
-        return {"r_hat": self.r_hat, "ls_slope": self.ls_slope, "n_used": self.n_used}
 
 
 def _positive_window(
@@ -179,22 +170,14 @@ def estimate_subregularity(psi_values: Sequence[float], distances: Sequence[floa
 
 @dataclass
 class RateReport:
+    """The report's ``rates`` block, written as ``dataclasses.asdict`` gives it."""
+
     series: List[Tuple[int, float]]
-    q_fit: Optional[QLinearFit]
-    r_fit: Optional[RLinearFit]
+    q_linear: Optional[QLinearFit]
+    r_linear: Optional[RLinearFit]
     fit_window: Tuple[int, int]
     converged_within_floor: bool = False
     floor: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "series": [[int(k), float(v)] for k, v in self.series],
-            "q_linear": self.q_fit.to_dict() if self.q_fit else None,
-            "r_linear": self.r_fit.to_dict() if self.r_fit else None,
-            "fit_window": list(self.fit_window),
-            "converged_within_floor": self.converged_within_floor,
-            "floor": self.floor,
-        }
 
 
 def build_rate_report(
@@ -223,11 +206,11 @@ def build_rate_report(
             return RateReport(series, None, None, (lo, hi), converged_within_floor=True, floor=floor)
     window = (lo, hi)
     try:
-        q_fit = fit_qlinear(d, window, steps)
+        q_linear = fit_qlinear(d, window, steps)
     except ValueError:  # fewer than two positive entries in the window
         return RateReport(series, None, None, window, converged_within_floor=floor is not None, floor=floor)
-    r_fit = fit_rlinear(d, window, steps)
+    r_linear = fit_rlinear(d, window, steps)
     # the report records the requested window, also when a zero cut it short
-    q_fit = replace(q_fit, window=window)
-    r_fit = replace(r_fit, window=window)
-    return RateReport(series, q_fit, r_fit, window, floor=floor)
+    q_linear = replace(q_linear, window=window)
+    r_linear = replace(r_linear, window=window)
+    return RateReport(series, q_linear, r_linear, window, floor=floor)

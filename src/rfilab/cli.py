@@ -38,8 +38,9 @@ import pickle
 import resource
 import sys
 import time
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -217,9 +218,9 @@ def _default_sampler(scenario, reference: Ensemble, seed: int):
 def _regularity_block(scenario, sampler, n_pairs: int) -> dict:
     alpha = scenario.ground_truth.alpha if scenario.ground_truth.alpha is not None else 0.5
     per_op = [
-        estimate_violation(op, alpha, sampler, n_pairs).to_dict() for op in scenario.family.operators
+        asdict(estimate_violation(op, alpha, sampler, n_pairs)) for op in scenario.family.operators
     ]
-    in_exp = estimate_violation_in_expectation(scenario.family, alpha, sampler, n_pairs).to_dict()
+    in_exp = asdict(estimate_violation_in_expectation(scenario.family, alpha, sampler, n_pairs))
     return {"alpha": alpha, "per_operator": per_op, "in_expectation": in_exp}
 
 
@@ -365,16 +366,6 @@ def _job(*stages) -> tuple:
     return value, seconds, {path: transport.SOLVES[path] - count for path, count in before.items()}
 
 
-class _InProcess(Executor):
-    """The executor of a pool of size 1: this process, which runs each job
-    when it is submitted."""
-
-    def submit(self, fn, *args) -> Future:
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -407,7 +398,7 @@ class _Pool:
         self.seconds = dict.fromkeys(LAYERS, 0.0)
         self.solves = dict.fromkeys(transport.SOLVES, 0)
         fork = multiprocessing.get_context("fork")
-        self._executor = (_InProcess() if size == 1
+        self._executor = (None if size == 1
                           else ProcessPoolExecutor(size, mp_context=fork, initializer=_one_blas_thread))
 
     def submit(self, *stages) -> Future:
@@ -415,14 +406,17 @@ class _Pool:
         bytes: arrays go out of band, so it copies no ensemble, and the
         executor gets the stages themselves (bytes handed to it would stay
         in this process until the job ends)."""
-        if self.size > 1:
-            pickle.dumps(stages, protocol=5, buffer_callback=[].append)
+        if self._executor is None:
+            return self.here(*stages)
+        pickle.dumps(stages, protocol=5, buffer_callback=[].append)
         return self._executor.submit(_job, *stages)
 
     @staticmethod
     def here(*stages) -> Future:
         """Run the job made of ``stages`` now, in this process."""
-        return _InProcess().submit(_job, *stages)
+        future = Future()
+        future.set_result(_job(*stages))
+        return future
 
     def take(self, job: Future):
         """The value of ``job``; its seconds and solves count to the tally."""
@@ -460,7 +454,8 @@ class _Pool:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._executor.shutdown(wait=True, cancel_futures=exc_type is not None)
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=exc_type is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +530,7 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     manifest = {
         "config": cfg,
         "config_path": str(config_path),
-        "scenario_params": {k: _jsonable(v) for k, v in scenario.params.items()},
+        "scenario_params": scenario.params,
         "reference": ref_provenance,
         "recorded_steps": trajectory.steps,
         "versions": {"rfilab": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
@@ -550,24 +545,16 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     return EXIT_OK
 
 
-def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
-
-
 def _fit_rates(report: dict, steps, w2, psi):
     """Fill in the report's rates, its subregularity fit over the steps with a
     finite W2 and a positive Psi, and its predicted rate; return the rates."""
     rate_report = build_rate_report(steps, w2, floor=report.get("floor"))
-    report["rates"] = rate_report.to_dict()
+    report["rates"] = asdict(rate_report)
     psi = np.asarray(psi, dtype=float)
     w2 = np.asarray(w2, dtype=float)
     usable = np.isfinite(psi) & (psi > 0) & np.isfinite(w2)
     if np.any(usable):
-        report["subregularity"] = estimate_subregularity(psi[usable], w2[usable]).to_dict()
+        report["subregularity"] = asdict(estimate_subregularity(psi[usable], w2[usable]))
     report["predicted_rate"] = _predicted_rate(report)
     return rate_report
 
@@ -656,10 +643,10 @@ def cmd_rate(results_dir) -> int:
 
     if rate_report.converged_within_floor:
         print("series converged within the Monte-Carlo floor; no rate fitted")
-    elif rate_report.q_fit is not None:
+    elif rate_report.q_linear is not None:
         line = (
-            f"q_rate={rate_report.q_fit.rate:.6g} (geo {rate_report.q_fit.geometric_mean:.6g}) "
-            f"r_rate={rate_report.r_fit.rate:.6g} beta={rate_report.r_fit.beta:.6g}"
+            f"q_rate={rate_report.q_linear.rate:.6g} (geo {rate_report.q_linear.geometric_mean:.6g}) "
+            f"r_rate={rate_report.r_linear.rate:.6g} beta={rate_report.r_linear.beta:.6g}"
         )
         if report["predicted_rate"] is not None:
             line += f" predicted_c={report['predicted_rate']:.6g}"

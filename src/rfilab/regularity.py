@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EuclideanSpace, Space, SpiderPoint, SpiderSpace
+from .geometry import EuclideanSpace, Space, SpiderSpace
 from .operators import Operator, OperatorFamily
 
 __all__ = [
@@ -143,7 +143,11 @@ class SpiderPairSampler(PairSampler):
 
 @dataclass
 class RegularityReport:
-    """Sampled violation estimate for a fixed constant alpha."""
+    """Sampled violation estimate for a fixed constant alpha, written to the
+    report as ``dataclasses.asdict`` gives it.  ``worst_pair`` holds the
+    packed rows of the pair that attains ``epsilon_hat``, as JSON lists: a
+    float per coordinate, ``[re, im]`` per complex coordinate, and
+    ``[leg, radius]`` on the spider."""
 
     alpha: float
     epsilon_hat: float
@@ -151,24 +155,6 @@ class RegularityReport:
     n_pairs: int
     n_used: int
     region: str
-
-    def to_dict(self) -> dict:
-        def _point(p):
-            if isinstance(p, SpiderPoint):
-                return [float(p.leg), p.radius]
-            arr = np.asarray(p)
-            if np.iscomplexobj(arr):
-                return [[float(v.real), float(v.imag)] for v in arr]
-            return [float(v) for v in np.atleast_1d(arr)]
-
-        return {
-            "alpha": self.alpha,
-            "epsilon_hat": self.epsilon_hat,
-            "n_pairs": self.n_pairs,
-            "n_used": self.n_used,
-            "region": self.region,
-            "worst_pair": [_point(self.worst_pair[0]), _point(self.worst_pair[1])],
-        }
 
 
 def estimate_violation(op: Operator, alpha: float, sampler: PairSampler, n_pairs: int) -> RegularityReport:
@@ -203,10 +189,13 @@ def estimate_violation_in_expectation(
     ratio = (d2F[keep] + ((1.0 - alpha) / alpha) * psi[keep] - d2[keep]) / d2[keep]
     k = int(np.argmax(ratio))
     idx = np.flatnonzero(keep)[k]
+    pair = (A[idx], B[idx])
+    if np.iscomplexobj(A):
+        pair = tuple(np.stack([row.real, row.imag], axis=1) for row in pair)
     return RegularityReport(
         alpha=alpha,
         epsilon_hat=max(0.0, float(ratio[k])),
-        worst_pair=(space.unpack(A[idx : idx + 1])[0], space.unpack(B[idx : idx + 1])[0]),
+        worst_pair=tuple(row.tolist() for row in pair),
         n_pairs=n_pairs,
         n_used=int(keep.sum()),
         region=sampler.describe(),

@@ -188,8 +188,12 @@ def scenario_kaczmarz(A=None, b=None, consistent: bool = False, m: int = 3, n: i
         A, b, _ = random_kaczmarz_instance(m, n, consistent, instance_seed, perturbation)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
-    if A.ndim != 2 or A.shape[0] != b.shape[0]:
-        raise ValueError("matrix rows and right-hand side lengths differ")
+    if A.ndim != 2 or A.shape[1] == 0:
+        raise ParamError("A", f"must be a matrix with at least one column, got shape {A.shape}")
+    if (zero := np.flatnonzero(~A.any(axis=1))).size:
+        raise ParamError("A", f"row {zero[0]} is zero, and a hyperplane needs a nonzero normal")
+    if len(b) != len(A):
+        raise ParamError("b", f"must have length {len(A)}, the rows of A; got {len(b)}")
     space = EuclideanSpace(A.shape[1])
     family = OperatorFamily.uniform(
         [HyperplaneProjection(space, row, float(rhs)) for row, rhs in zip(A, b)]
@@ -242,7 +246,10 @@ def scenario_sgd_linear_noise(Q=None, dim: int = 1, q=None, atoms=None, t: float
     if Q is None:
         _require_sizes(dim=dim)
         Q = np.eye(dim)
-    f = quadratic_smooth_term(Q, q)
+    try:
+        f = quadratic_smooth_term(Q, q)
+    except ValueError as exc:  # Q is not a square symmetric matrix
+        raise ParamError("Q", str(exc)) from exc
     dim = len(f.Q)
     if len(f.q) != dim:
         raise ParamError("q", f"must have length {dim}, the size of Q; got {len(f.q)}")
@@ -528,7 +535,8 @@ class ParamError(ValueError):
     builder checks a range (contraction ``r``, phase_retrieval ``n`` and
     ``relax``, spider ``lam`` and ``legs``, dr_parallel_lines ``gap``), a size
     of at least 1 (kaczmarz ``m`` and ``n``, phase_retrieval ``n`` and
-    ``n_masks``, sgd ``dim``) or a length (sgd ``q`` and ``atoms``)."""
+    ``n_masks``, sgd ``dim``), a length (kaczmarz ``b``, sgd ``q`` and
+    ``atoms``) or a matrix (kaczmarz ``A``, sgd ``Q``)."""
 
     def __str__(self) -> str:
         return f"parameter '{self.args[0]}': {self.args[1]}"

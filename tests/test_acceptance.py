@@ -176,7 +176,7 @@ def test_c02_contraction_rate_and_violation():
     dists = [wasserstein(ens, ref)[0] for ens in traj.ensembles]
     floor = monte_carlo_floor(sc, n, k, seed=SEED + 3)
     report = build_rate_report(traj.steps, dists, burn_in_fraction=0.0, floor=floor)
-    rate = report.r_fit.rate
+    rate = report.r_linear.rate
     rep = estimate_violation_in_expectation(
         sc.family, (1 + r) / 2, BoxPairSampler(sc.space, -5, 5, seed=SEED + 4), 10_000
     )
@@ -394,7 +394,7 @@ def test_c08_rate_formula_consistency():
     fit = estimate_subregularity(psis[psis > 0], dists[psis > 0])
     alpha = (1 + r) / 2
     predicted = rate_bound_from_theorem(alpha, 0.0, fit.r_hat)
-    empirical = build_rate_report(traj.steps, dists, burn_in_fraction=0.0).r_fit.rate
+    empirical = build_rate_report(traj.steps, dists, burn_in_fraction=0.0).r_linear.rate
     direction_ok = empirical <= predicted + 0.1
     elapsed = time.perf_counter() - started
     _report(

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -140,8 +142,8 @@ def test_estimate_subregularity_scale_covariance(rng):
 def test_build_rate_report_respects_floor():
     d = [10.0, 5.0, 2.5, 1.25, 0.02, 0.018, 0.022]
     report = build_rate_report(range(7), d, burn_in_fraction=0.0, floor=0.01)
-    assert report.q_fit is not None
-    assert report.q_fit.rate == pytest.approx(0.5, rel=0.3)
+    assert report.q_linear is not None
+    assert report.q_linear.rate == pytest.approx(0.5, rel=0.3)
     assert report.fit_window[1] <= 4  # stops once the series dips under 3x floor
 
 
@@ -149,7 +151,7 @@ def test_build_rate_report_converged_series():
     d = [0.01, 0.012, 0.009]
     report = build_rate_report(range(3), d, burn_in_fraction=0.0, floor=0.01)
     assert report.converged_within_floor
-    assert report.q_fit is None
+    assert report.q_linear is None
 
 
 def test_build_rate_report_uses_step_axis():
@@ -157,5 +159,14 @@ def test_build_rate_report_uses_step_axis():
     steps = [0, 2, 4, 6, 8]
     d = [1.0, 0.25, 0.0625, 0.25**3, 0.25**4]
     report = build_rate_report(steps, d, burn_in_fraction=0.0)
-    assert report.q_fit.rate == pytest.approx(0.5, abs=1e-12)
-    assert report.r_fit.rate == pytest.approx(0.5, abs=1e-12)
+    assert report.q_linear.rate == pytest.approx(0.5, abs=1e-12)
+    assert report.r_linear.rate == pytest.approx(0.5, abs=1e-12)
+
+
+def test_rate_report_fields_are_the_report_rates_keys():
+    # report.json's rates block is asdict(build_rate_report(...)), so the
+    # dataclass fields are its keys, nested fits included
+    rates = asdict(build_rate_report(range(6), 0.5 ** np.arange(6), burn_in_fraction=0.0, floor=1e-6))
+    assert set(rates) == {"series", "q_linear", "r_linear", "fit_window", "converged_within_floor", "floor"}
+    assert set(rates["q_linear"]) == {"rate", "geometric_mean", "window"}
+    assert set(rates["r_linear"]) == {"beta", "rate", "residual", "window"}

@@ -174,6 +174,18 @@ def test_non_utf8_config_exits_2_naming_the_path(tmp_path, capsys, command):
          "config.scenario.params.n: must be >= 1, got 0"),
         ({"scenario": {"name": "sgd_linear_noise", "params": {"dim": 0}}}, [],
          "config.scenario.params.dim: must be >= 1, got 0"),
+        ({"scenario": {"name": "sgd_linear_noise", "params": {"Q": [[1, 2], [3, 4]]}}}, [],
+         "config.scenario.params.Q: Q must be symmetric"),
+        ({"scenario": {"name": "sgd_linear_noise", "params": {"Q": [1, 2]}}}, [],
+         "config.scenario.params.Q: Q must be a square matrix"),
+        ({"scenario": {"name": "kaczmarz", "params": {"A": [[]], "b": [1]}}}, [],
+         "config.scenario.params.A: must be a matrix with at least one column, got shape (1, 0)"),
+        ({"scenario": {"name": "kaczmarz", "params": {"A": [[0, 0]], "b": [1]}}}, [],
+         "config.scenario.params.A: row 0 is zero, and a hyperplane needs a nonzero normal"),
+        ({"scenario": {"name": "kaczmarz", "params": {"A": [1, 2], "b": [1, 2]}}}, [],
+         "config.scenario.params.A: must be a matrix with at least one column, got shape (2,)"),
+        ({"scenario": {"name": "kaczmarz", "params": {"A": [[1, 0], [0, 1]], "b": [1]}}}, [],
+         "config.scenario.params.b: must have length 2, the rows of A; got 1"),
     ],
 )
 def test_run_invalid_value_exits_2_naming_the_key(tmp_path, capsys, overrides, argv, fragment):
@@ -416,6 +428,19 @@ print(json.dumps([code, len(multiprocessing.active_children())]))
         assert proc.returncode == 0, stderr
         assert json.loads(stdout) == [EXIT_RUNTIME, 0]
         assert stderr.startswith("failure: ") and "pickle" in stderr, stderr
+
+
+def test_pool_of_one_runs_each_job_as_it_is_submitted():
+    # at size 1 no child starts and no job is pickled: submit runs the job,
+    # so one that raises raises there
+    def fail():
+        raise RuntimeError("job failed")
+
+    with rfilab.cli._Pool(1) as pool:
+        assert pool.take(pool.submit(("io", len, "abc"))) == 3
+        with pytest.raises(RuntimeError, match="job failed"):
+            pool.submit(("io", fail))
+    assert multiprocessing.active_children() == []
 
 
 def _write_reference_files(directory):

@@ -1,14 +1,18 @@
+import json
+from dataclasses import asdict, dataclass
+
 import numpy as np
 import pytest
 
 from oracles import SoftThreshold, SphereProjection, check_submonotone
 
-from rfilab.geometry import EuclideanSpace, SpiderPoint, SpiderSpace
+from rfilab.geometry import EuclideanSpace, Space, SpiderPoint, SpiderSpace
 from rfilab.operators import (
     AffineMap,
     ForwardBackward,
     HyperplaneProjection,
     Identity,
+    Operator,
     OperatorFamily,
     PointProjection,
     SpiderProx,
@@ -16,6 +20,7 @@ from rfilab.operators import (
 )
 from rfilab.regularity import (
     BoxPairSampler,
+    PairSampler,
     SpiderPairSampler,
     dr_violation_bound,
     estimate_violation,
@@ -26,6 +31,7 @@ from rfilab.regularity import (
 
 R1 = EuclideanSpace(1)
 R2 = EuclideanSpace(2)
+C2 = EuclideanSpace(2, complex_coords=True)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +160,59 @@ def test_afne_implies_ane_on_sample():
 
 def test_report_serializes():
     rep = estimate_violation(Identity(R2), 0.5, BoxPairSampler(R2, -1, 1, seed=1), 100)
-    d = rep.to_dict()
+    d = asdict(rep)
     assert set(d) == {"alpha", "epsilon_hat", "n_pairs", "n_used", "region", "worst_pair"}
+
+
+@dataclass(frozen=True)
+class _ListedPairs(PairSampler):
+    """The pairs (A[i], B[i]) of two packed arrays, whatever the count asked."""
+
+    space: Space
+    A: np.ndarray
+    B: np.ndarray
+
+    def pairs(self, n: int):
+        return self.A, self.B
+
+    def describe(self) -> str:
+        return "listed pairs"
+
+
+@dataclass(frozen=True)
+class _PushOut(Operator):
+    """Moves every spider point 1 further out along its leg: the ratio of a
+    pair on two legs is (4d + 8)/d^2 at alpha 1/2, and 0 on one leg."""
+
+    space: SpiderSpace
+
+    def apply(self, pts):
+        return pts + [0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "op, a_rows, b_rows, expected",
+    [
+        # pair 1 sits near the origin on opposite sides: the sphere projector tears it apart
+        (SphereProjection(R2), [[3.0, 0.0], [0.01, 0.0], [0.0, 2.0]], [[4.0, 0.0], [-0.01, 0.0], [2.0, 0.0]],
+         [[0.01, 0.0], [-0.01, 0.0]]),
+        (SphereProjection(C2), [[3.0, 0.0], [0.01 + 0.02j, 0.0], [2j, 0.0]],
+         [[4.0, 0.0], [-0.01 - 0.02j, 0.0], [0.0, 2.0]],
+         [[[0.01, 0.02], [0.0, 0.0]], [[-0.01, -0.02], [0.0, 0.0]]]),
+        # pair 1 lies on two legs at the smallest distance; its first point is
+        # the origin, written on leg 2 and packed on leg 0
+        (_PushOut(SpiderSpace(3)), [(1, 2.0), (2, 0.0), (0, 1.0)], [(1, 0.5), (1, 0.1), (2, 3.0)],
+         [[0.0, 0.0], [1.0, 0.1]]),
+    ],
+    ids=["R2", "C2", "spider"],
+)
+def test_worst_pair_is_the_attaining_pair_as_packed_json_rows(op, a_rows, b_rows, expected):
+    A, B = op.space.pack(a_rows), op.space.pack(b_rows)
+    rep = estimate_violation(op, 0.5, _ListedPairs(op.space, A, B), len(A))
+    alone = estimate_violation(op, 0.5, _ListedPairs(op.space, A[1:2], B[1:2]), 1)
+    assert alone.epsilon_hat == rep.epsilon_hat > 0.0
+    assert list(rep.worst_pair) == expected
+    assert json.loads(json.dumps(asdict(rep)))["worst_pair"] == expected
 
 
 # ---------------------------------------------------------------------------

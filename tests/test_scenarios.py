@@ -494,6 +494,13 @@ def test_size_is_not_read_when_the_matrix_is_given(name, params):
         ("kaczmarz", {"n": 0}, "n"),
         ("phase_retrieval", {"n": 0}, "n"),
         ("phase_retrieval", {"n_masks": -1}, "n_masks"),
+        ("sgd_linear_noise", {"Q": [[1.0, 2.0], [3.0, 4.0]]}, "Q"),
+        ("sgd_linear_noise", {"Q": [1.0, 2.0]}, "Q"),
+        ("kaczmarz", {"A": [[]], "b": [1.0]}, "A"),
+        ("kaczmarz", {"A": [[0.0, 0.0]], "b": [1.0]}, "A"),
+        ("kaczmarz", {"A": [[1.0, 0.0], [0.0, 0.0]], "b": [1.0, 2.0]}, "A"),
+        ("kaczmarz", {"A": [1.0, 2.0], "b": [1.0, 2.0]}, "A"),
+        ("kaczmarz", {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0]}, "b"),
     ],
 )
 def test_rejected_parameter_value_names_its_key(name, params, key):
