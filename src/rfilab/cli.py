@@ -13,13 +13,15 @@ parameters' keys and values are checked once, by ``build_scenario``, and a
 parameter it rejects is a config error too.  ``run`` and ``rate`` fit rates
 with one function, ``_fit_rates``.  All CSV outputs are byte-deterministic
 for a fixed config, and reruns reproduce files exactly.  ``run`` splits its
-independent work into jobs (the burn-in reference, one per floor pair of
-burn-ins, and one per recorded step, which writes that step's ensemble file
-and then computes its W2 + Psi) and runs them on a pool of ``workers``
-forked processes, capped at the usable CPUs, each with one BLAS thread.
-Each job is pickled in the thread that submits it, as a check, so a job
-that cannot be sent fails the run at once.  This process runs the chain,
-estimates regularity and writes the reference, series, report and
+independent work into jobs (the burn-in reference; one per floor pair,
+which draws two ensembles from the scenario's invariant sampler, or burns
+in two where it has none, and takes their W2; one that writes the
+reference; and one per recorded step, which writes that step's ensemble
+file and then computes its W2 + Psi) and runs them on a pool of
+``workers`` forked processes, capped at the usable CPUs, each with one
+BLAS thread.  Each job is pickled in the thread that submits it, as a
+check, so a job that cannot be sent fails the run at once.  This process
+runs the chain, estimates regularity and writes the series, report and
 manifest.  The worker count changes no output byte: every job is a pure
 function of its arguments.  scipy's assignment solver is loaded only by a
 command that solves an assignment, as the compiled ``_lsap`` extension
@@ -64,6 +66,7 @@ from .scenarios import (  # noqa: F401
     build_scenario,
     floor_draw,
     floor_pair_seeds,
+    floor_source,
     long_run_reference,
     monte_carlo_floor,
 )
@@ -279,7 +282,8 @@ def _read_reference(path: str, n: int, space) -> Ensemble:
 
 
 def _burn_in_steps(cfg: dict) -> int:
-    """Steps of every burn-in: the reference in mode burn_in, and the floor's in any mode."""
+    """Steps of every burn-in: the reference's in mode burn_in, and in any
+    mode the floor's, where the scenario has no invariant sampler."""
     return cfg["reference"]["factor"] * max(cfg["iterations"], 1)
 
 
@@ -347,8 +351,9 @@ def _floor_pair(spec: tuple, n: int, steps: int, seed_a: int, seed_b: int) -> fl
 
 
 def _write_ensemble(ens: Ensemble, path: Path) -> None:
-    """A step job's first stage; a job names module-level functions, which
-    pickle by name, and this one finds ``to_csv`` in the worker."""
+    """A step job's first stage, and the reference write's one stage; a job
+    names module-level functions, which pickle by name, and this one finds
+    ``to_csv`` in the worker."""
     ens.to_csv(path)
 
 
@@ -484,9 +489,10 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     floor_pairs = floor_pair_seeds(cfg["seed"]) if diags["rates"] else []
     if series and not transport.sorted_path(scenario.space):
         transport.assignment_solver()  # once here, before the pool forks, not in every worker
-    # one job each: the reference burn-in, a floor pair (two burn-ins and
-    # their W2) and a recorded step (its file, then its W2 + Psi)
-    submissions = (cfg["reference"]["mode"] == "burn_in") + len(floor_pairs) + len(chain.recorded_steps())
+    # one job each: the reference burn-in, a floor pair (two sampler draws
+    # or burn-ins, and their W2), the reference write and a recorded step
+    # (its file, then its W2 + Psi)
+    submissions = (cfg["reference"]["mode"] == "burn_in") + len(floor_pairs) + 1 + len(chain.recorded_steps())
     with _Pool(max(1, min(cfg["workers"], usable_cpus(), submissions))) as pool:
         reference_job, ref_provenance = _reference_ensemble(scenario, cfg, pool)
         out.mkdir(parents=True, exist_ok=True)  # only now: a bad scenario or reference leaves none behind
@@ -509,9 +515,9 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
             if series:
                 stages.append(("w2_psi", _series_point, spec, ens, reference, diags["wasserstein"], diags["psi"]))
             step_jobs.append(pool.submit(*stages))
-        with pool.timed("io"):
-            reference.to_csv(out / "reference.csv")
+        reference_write = pool.submit(("io", _write_ensemble, reference, out / "reference.csv"))
         values = [pool.take(job) for job in step_jobs]
+        pool.take(reference_write)
         if not series:
             values = [(None, None)] * len(values)
         with pool.timed("io"):
@@ -519,8 +525,14 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
                 fh.write("k,W2_to_reference,psi_hat\n")
                 for step, (w2, psi) in zip(trajectory.steps, values):
                     fh.write(f"{step},{_float_repr(w2)},{_float_repr(psi)}\n")
+        floor = None
         if diags["rates"]:
-            report["floor"] = float(np.median([pool.take(job) for job in floor_jobs]))
+            draws = [pool.take(job) for job in floor_jobs]
+            report["floor"] = float(np.median(draws))
+            floor = {"source": floor_source(scenario), "pair_seeds": [list(pair) for pair in floor_pairs],
+                     "draws": draws}
+            if floor["source"] == "burn_in":
+                floor["steps"] = _burn_in_steps(cfg)
 
     if diags["rates"]:
         _fit_rates(report, trajectory.steps, *zip(*values))
@@ -532,6 +544,7 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
         "config_path": str(config_path),
         "scenario_params": scenario.params,
         "reference": ref_provenance,
+        "floor": floor,
         "recorded_steps": trajectory.steps,
         "versions": {"rfilab": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
         "seed": cfg["seed"],

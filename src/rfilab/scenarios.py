@@ -49,6 +49,7 @@ __all__ = [
     "random_kaczmarz_instance",
     "spider_frechet_mean",
     "long_run_reference",
+    "floor_source",
     "floor_draw",
     "monte_carlo_floor",
     "floor_pair_seeds",
@@ -60,7 +61,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """What is known about a scenario independently of any simulation."""
+    """What is known about a scenario independently of any simulation.
+
+    ``invariant_sampler(n, seed)``, where there is one, returns n i.i.d.
+    draws of the invariant measure, and distinct seeds give independent
+    ensembles: the Monte-Carlo floor compares two of them (see
+    :func:`floor_draw`), so an ensemble that is the same for every seed
+    would read as a floor of 0.
+    """
 
     invariant_sampler: Optional[Callable[[int, int], Ensemble]] = None
     alpha: Optional[float] = None
@@ -82,6 +90,17 @@ class Scenario:
 
 def _init_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), STREAM_INIT)))
+
+
+def _row_blocks(n: int, rows: int = 1024):
+    """``(lo, hi)`` bounds of consecutive blocks of ``rows`` rows covering
+    ``range(n)``.  A last block of one row joins the block before it: numpy
+    takes a one-row matrix-vector product as a dot product, whose rounding
+    can differ from the matrix kernel's."""
+    bounds = list(range(0, n, rows)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _require_sizes(**sizes: int) -> None:
@@ -112,9 +131,7 @@ def scenario_two_point() -> Scenario:
         return Ensemble(space, gen.uniform(-3.0, 3.0, size=(n, 1)))
 
     def invariant(n: int, seed: int) -> Ensemble:
-        pts = np.ones((n, 1))
-        pts[: n // 2, 0] = -1.0
-        return Ensemble(space, pts)
+        return Ensemble(space, _init_rng(seed).choice([-1.0, 1.0], size=(n, 1)))
 
     truth = GroundTruth(
         invariant_sampler=invariant,
@@ -136,7 +153,11 @@ def scenario_contraction(r: float = 0.5, offset: float = 50.0) -> Scenario:
 
     The invariant measure is the law of sum_j r^j zeta_j with zeta = +-1
     uniform (uniform on [-2, 2] when r = 1/2); the ground-truth sampler
-    truncates the series far below double precision.
+    truncates the series far below double precision.  It draws the signs in
+    blocks of 1024 rows: at r = 1/2 a block's signs and their indices take
+    0.9 MB, where one (N, depth) draw took 43 MB at N = 50,000.  The
+    generator's stream does not depend on the split, so the signs are those
+    of one (N, depth) draw.
     """
     if not 0.0 < r < 1.0:
         raise ParamError("r", f"contraction factor must lie in (0, 1), got {r}")
@@ -153,11 +174,14 @@ def scenario_contraction(r: float = 0.5, offset: float = 50.0) -> Scenario:
         gen = _init_rng(seed)
         return Ensemble(space, offset + gen.uniform(-1.0, 1.0, size=(n, 1)))
 
+    powers = r ** np.arange(depth)
+
     def invariant(n: int, seed: int) -> Ensemble:
         gen = _init_rng(seed)
-        signs = gen.choice([-1.0, 1.0], size=(n, depth))
-        powers = r ** np.arange(depth)
-        return Ensemble(space, (signs @ powers).reshape(n, 1))
+        pts = np.empty((n, 1))
+        for lo, hi in _row_blocks(n):
+            pts[lo:hi, 0] = gen.choice([-1.0, 1.0], size=(hi - lo, depth)) @ powers
+        return Ensemble(space, pts)
 
     truth = GroundTruth(
         invariant_sampler=invariant,
@@ -474,23 +498,38 @@ def long_run_reference(scenario: Scenario, n: int, steps: int, seed: int) -> Ens
     return run_ensemble(cfg).final()
 
 
+def floor_source(scenario: Scenario) -> str:
+    """Where :func:`floor_draw` takes its ensembles from: "invariant_sampler"
+    when the scenario has one, else "burn_in"."""
+    return "burn_in" if scenario.ground_truth.invariant_sampler is None else "invariant_sampler"
+
+
 def floor_draw(scenario: Scenario, n: int, steps: int, seed_a: int, seed_b: int) -> float:
-    """One agreement draw: W2 between two burn-ins under independent seeds."""
-    return wasserstein(long_run_reference(scenario, n, steps, seed_a),
-                       long_run_reference(scenario, n, steps, seed_b), p=2.0)[0]
+    """One agreement draw: W2 between two independent N-samples of the
+    invariant measure, drawn by the scenario's invariant sampler under
+    ``seed_a`` and ``seed_b``.  A scenario without a sampler gets two
+    burn-ins of ``steps`` steps under those seeds instead; ``steps`` is read
+    only then."""
+    if floor_source(scenario) == "burn_in":
+        a, b = (long_run_reference(scenario, n, steps, seed) for seed in (seed_a, seed_b))
+    else:
+        a, b = (scenario.ground_truth.invariant_sampler(n, seed) for seed in (seed_a, seed_b))
+    return wasserstein(a, b, p=2.0)[0]
 
 
 def monte_carlo_floor(scenario: Scenario, n: int, steps: int, seed: int, repeats: int = 3) -> float:
-    """Two-independent-run agreement: the resolution limit of W2 estimates.
+    """Two-independent-sample agreement: the resolution limit of W2 estimates.
 
-    A single agreement draw fluctuates by a factor of 2-3, so the floor is
-    the median over ``repeats`` independent pairs.
+    A single agreement draw (:func:`floor_draw`: two sampler draws, or two
+    burn-ins of ``steps`` steps where the scenario has no sampler)
+    fluctuates by a factor of 2-3, so the floor is the median over
+    ``repeats`` independent pairs.
     """
     return float(np.median([floor_draw(scenario, n, steps, a, b) for a, b in floor_pair_seeds(seed, repeats)]))
 
 
 def floor_pair_seeds(seed: int, repeats: int = 3) -> list:
-    """Burn-in seeds of the ``repeats`` independent pairs behind
+    """Seeds of the ``repeats`` independent pairs behind
     :func:`monte_carlo_floor`, one ``(a, b)`` tuple per pair."""
     return [(derive_seed(seed, 11 + 2 * i), derive_seed(seed, 12 + 2 * i)) for i in range(repeats)]
 

@@ -1,10 +1,13 @@
 """Reference helpers that only the tests use: single-point geometry, extra
 operators (with their one-row cases for ``test_call_is_apply_on_a_one_row_ensemble``),
-a Gaussian pair sampler and ``check_submonotone``, the inner-product oracle of
-the a(1/2)-firm violation that ``regularity.estimate_violation`` computes."""
+a Gaussian pair sampler, ``check_submonotone``, the inner-product oracle of
+the a(1/2)-firm violation that ``regularity.estimate_violation`` computes,
+the two-point scenario's balanced invariant ensemble, and the contraction
+scenario's invariant sampler as one unblocked draw."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +15,8 @@ import numpy as np
 from rfilab.geometry import EuclideanSpace, Space
 from rfilab.operators import Operator, _require_euclidean
 from rfilab.regularity import MIN_PAIR_DISTANCE, PairSampler, _rng
+from rfilab.rfi import STREAM_INIT
+from rfilab.transport import Ensemble
 
 
 def _packed(space: Space, x) -> np.ndarray:
@@ -151,3 +156,18 @@ def check_submonotone(resolvent: Operator, sampler: PairSampler, n_pairs: int) -
     w = (B - Bp)[keep]
     inner = np.sum(((z - w) * np.conj((Ap - Bp)[keep])).real, axis=1)
     return float(np.max(-2.0 * inner / d2[keep]))
+
+
+def balanced_two_point(space: Space, n: int) -> Ensemble:
+    """The exact invariant ensemble of the two-point scenario: n//2 points
+    at -1 and the rest at +1."""
+    return Ensemble(space, np.where(np.arange(n) < n // 2, -1.0, 1.0)[:, None])
+
+
+def contraction_invariant_unblocked(r: float, n: int, seed: int) -> np.ndarray:
+    """Points of ``scenario_contraction(r)``'s invariant sampler, drawn as one
+    (n, depth) sign matrix: sum_j r^j zeta_j truncated at depth terms."""
+    depth = max(8, int(math.ceil(math.log(1e-16) / math.log(r))))
+    gen = np.random.default_rng(np.random.SeedSequence((int(seed), STREAM_INIT)))
+    signs = gen.choice([-1.0, 1.0], size=(n, depth))
+    return (signs @ r ** np.arange(depth)).reshape(n, 1)

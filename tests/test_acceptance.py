@@ -18,7 +18,7 @@ import pytest
 from scipy.stats import binom
 
 from conftest import brute_force_wasserstein, chain_path, point, spider_frechet_mean_grid
-from oracles import GaussianPairSampler, QuadraticProx, SoftThreshold, check_submonotone, distance
+from oracles import GaussianPairSampler, QuadraticProx, SoftThreshold, balanced_two_point, check_submonotone, distance
 
 from rfilab.analysis import build_rate_report, estimate_subregularity, rate_bound_from_theorem, theta_linear
 from rfilab.cli import main as cli_main
@@ -114,7 +114,7 @@ def _two_point_w2_check(family: OperatorFamily, n: int, seed: int):
     k_star, tail = _binomial_deviation_bound(n, C1B_FALSE_FAILURE)
     started = time.perf_counter()
     traj = run_ensemble(ChainConfig(family, sc.initial(n, 1), 1, seed=seed))
-    pi_exact = sc.ground_truth.invariant_sampler(n, 0)
+    pi_exact = balanced_two_point(sc.space, n)
     value, _ = wasserstein(traj.ensembles[1], pi_exact)
     k_plus = int((traj.ensembles[1].points[:, 0] > 0).sum())
     elapsed = time.perf_counter() - started
@@ -161,6 +161,27 @@ def test_c01b_check_rejects_biased_two_point_family():
     exact_ok, sampling_ok, detail, _ = _two_point_w2_check(biased, 4000, SEED)
     print(f"[acceptance] C1b rejects (0.4, 0.6) family: {detail}")
     assert exact_ok and not sampling_ok, detail
+
+
+def test_c01b_two_point_sampler_draws_iid():
+    # the floor compares two sampler draws, so the sampler must draw i.i.d.
+    # points of pi: the count K at +1 of one draw satisfies C1b's Binomial
+    # bound (false failure <= 1e-6), and a second seed gives a different
+    # ensemble (the balanced ensemble is the same for every seed)
+    n = 4000
+    sc = scenario_two_point()
+    k_star, tail = _binomial_deviation_bound(n, C1B_FALSE_FAILURE)
+    draw, other = (sc.ground_truth.invariant_sampler(n, seed).points for seed in (SEED, SEED + 1))
+    k_plus = int((draw[:, 0] > 0).sum())
+    support_ok = set(np.unique(draw)) <= {-1.0, 1.0}
+    sampling_ok = abs(k_plus - n / 2) <= k_star
+    distinct = not np.array_equal(draw, other)
+    _report(
+        "C1b two-point sampler is i.i.d.",
+        support_ok and sampling_ok and distinct,
+        f"K={k_plus} of {n}, |K-N/2|={abs(k_plus - n / 2):g} <= k*={k_star:g} (false-failure rate {tail:.2e}); "
+        f"support exact={support_ok}, seeds differ={distinct}",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -367,15 +368,16 @@ def test_run_pool_is_capped_at_usable_cpus(tmp_path, monkeypatch):
     "module, name, reference",
     [
         ("cli", "long_run_reference", "burn_in"),
-        ("scenarios", "long_run_reference", "ground_truth"),
+        ("scenarios", "wasserstein", "ground_truth"),
         ("cli", "markov_transport_discrepancy", "burn_in"),
         ("transport.Ensemble", "to_csv", "burn_in"),
     ],
     ids=["reference_burn_in", "floor_pair", "w2_psi_step", "step_write"],
 )
 def test_run_worker_failure_exits_like_in_process(tmp_path, monkeypatch, capsys, module, name, reference):
-    # each job kind in turn fails (a step job at writing its file, while this
-    # process writes reference.csv); the patch is made before the pool forks
+    # each job kind in turn fails (a floor pair at its W2, a step job at
+    # writing its file, while the reference write's own job writes
+    # reference.csv); the patch is made before the pool forks
     owner = functools.reduce(getattr, module.split("."), rfilab)
     original = getattr(owner, name)
 
@@ -494,14 +496,56 @@ def test_run_ground_truth_reference(tmp_path):
 
 
 def test_reference_factor_sets_the_floor_burn_in(tmp_path):
-    # the floor's burn-ins run factor * max(iterations, 1) steps in every reference mode
-    cfg = write_config(tmp_path, reference={"mode": "ground_truth", "factor": 3},
-                       diagnostics={"wasserstein": True, "psi": False, "rates": True})
-    out = tmp_path / "o"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    report = json.loads((out / "report.json").read_text())
-    scenario = rfilab.scenarios.build_scenario("contraction", {"r": 0.5, "offset": 5.0})
+    # without an invariant sampler the floor's burn-ins run
+    # factor * max(iterations, 1) steps in every reference mode, mode file
+    # included; with one, the factor does not move the floor
+    from rfilab.geometry import EuclideanSpace
+    from rfilab.transport import Ensemble
+
+    Ensemble(EuclideanSpace(2), [[0.0, float(i)] for i in range(200)]).to_csv(tmp_path / "ref.csv")
+    kaczmarz = {"name": "kaczmarz", "params": {"m": 3, "n": 2, "instance_seed": 0}}
+    diagnostics = {"wasserstein": True, "psi": False, "rates": True}
+    cfg = write_config(tmp_path, scenario=kaczmarz, diagnostics=diagnostics,
+                       reference={"mode": "file", "path": str(tmp_path / "ref.csv"), "factor": 3})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    scenario = rfilab.scenarios.build_scenario("kaczmarz", kaczmarz["params"])
     assert report["floor"] == rfilab.scenarios.monte_carlo_floor(scenario, 200, 3 * 10, 7)
+
+    floors = []
+    for factor in (3, 10):
+        cfg = write_config(tmp_path, reference={"mode": "ground_truth", "factor": factor}, diagnostics=diagnostics)
+        out = tmp_path / f"contraction{factor}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        floors.append(json.loads((out / "report.json").read_text())["floor"])
+    assert floors[0] == floors[1] > 0
+
+
+@pytest.mark.parametrize("scenario, source", [
+    ({"name": "contraction", "params": {"r": 0.5, "offset": 5.0}}, "invariant_sampler"),
+    ({"name": "spider_frechet"}, "burn_in"),
+], ids=["contraction", "spider_frechet"])
+def test_manifest_records_where_the_floor_came_from(tmp_path, monkeypatch, scenario, source):
+    # the manifest's floor block names the source, the pair seeds and every
+    # draw, whose median is the report's floor; burn-in steps only where the
+    # floor burns in.  Apart from the worker count, timings, config path and
+    # wall time, the manifests at 1 and 2 workers are the same.
+    monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path, scenario=scenario, diagnostics={"wasserstein": True, "psi": False, "rates": True})
+    manifests = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", workers]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        floor = manifest["floor"]
+        assert floor["source"] == source
+        assert floor["pair_seeds"] == [list(pair) for pair in rfilab.scenarios.floor_pair_seeds(7)]
+        assert len(floor["draws"]) == 3
+        assert statistics.median(floor["draws"]) == json.loads((out / "report.json").read_text())["floor"]
+        assert floor.get("steps") == (10 * 10 if source == "burn_in" else None)
+        assert manifest["config"].pop("workers") == int(workers)
+        manifests.append({k: v for k, v in manifest.items() if k not in ("timings", "config_path", "wall_time_s")})
+    assert manifests[0] == manifests[1]
 
 
 def test_run_file_reference(tmp_path):

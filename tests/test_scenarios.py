@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import chain_path, phase_error, point, spider_frechet_mean_grid
-from oracles import GaussianPairSampler, check_submonotone, distance
+from oracles import (
+    GaussianPairSampler,
+    balanced_two_point,
+    check_submonotone,
+    contraction_invariant_unblocked,
+    distance,
+)
 
 from rfilab.geometry import SpiderPoint
 from rfilab.regularity import (
@@ -21,6 +27,7 @@ from rfilab.scenarios import (
     build_scenario,
     floor_draw,
     floor_pair_seeds,
+    floor_source,
     long_run_reference,
     monte_carlo_floor,
     random_kaczmarz_instance,
@@ -46,7 +53,7 @@ def test_two_point_structure():
     for ens in traj.ensembles[1:]:
         assert set(np.unique(ens.points)) <= {-1.0, 1.0}
     # least-squares point is the mean of the invariant measure
-    pi = sc.ground_truth.invariant_sampler(400, 0)
+    pi = balanced_two_point(sc.space, 400)
     assert float(pi.points.mean()) == pytest.approx(sc.ground_truth.extras["mean"], abs=1e-12)
 
 
@@ -535,13 +542,34 @@ def test_boolean_parameter_takes_json_booleans():
 
 
 def test_monte_carlo_floor_is_the_median_over_its_pair_seeds():
+    # contraction has an invariant sampler: each pair is two of its draws
     sc = scenario_contraction()
+    sample = sc.ground_truth.invariant_sampler
+    draws = [wasserstein(sample(40, a), sample(40, b))[0] for a, b in floor_pair_seeds(9, 3)]
+    assert floor_source(sc) == "invariant_sampler"
+    assert [floor_draw(sc, 40, 5, a, b) for a, b in floor_pair_seeds(9, 3)] == draws
+    assert monte_carlo_floor(sc, 40, 5, seed=9) == float(np.median(draws))
+
+
+def test_monte_carlo_floor_without_a_sampler_is_the_median_over_burn_in_pairs():
+    sc = scenario_spider_frechet()
     draws = [
         wasserstein(long_run_reference(sc, 40, 5, a), long_run_reference(sc, 40, 5, b))[0]
         for a, b in floor_pair_seeds(9, 3)
     ]
+    assert floor_source(sc) == "burn_in"
     assert [floor_draw(sc, 40, 5, a, b) for a, b in floor_pair_seeds(9, 3)] == draws
     assert monte_carlo_floor(sc, 40, 5, seed=9) == float(np.median(draws))
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 5000])
+def test_contraction_sampler_draws_the_unblocked_values(n, r):
+    # the sampler draws its signs in blocks of 1024 rows, n = 1025 ending in
+    # a block of one row; the values are those of one (n, depth) draw, to
+    # the last bit
+    got = scenario_contraction(r).ground_truth.invariant_sampler(n, 4).points
+    assert got.tobytes() == contraction_invariant_unblocked(r, n, 4).tobytes()
 
 
 def test_builders_are_seed_deterministic():
