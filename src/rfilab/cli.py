@@ -15,13 +15,14 @@ with one function, ``_fit_rates``.  All CSV outputs are byte-deterministic
 for a fixed config, and reruns reproduce files exactly.  ``run`` splits its
 independent work into jobs (the burn-in reference; one per floor pair,
 which draws two ensembles from the scenario's invariant sampler, or burns
-in two where it has none, and takes their W2; one that writes the
-reference; and one per recorded step, which writes that step's ensemble
-file and then computes its W2 + Psi) and runs them on a pool of
-``workers`` forked processes, capped at the usable CPUs, each with one
-BLAS thread.  Each job is pickled in the thread that submits it, as a
-check, so a job that cannot be sent fails the run at once.  This process
-runs the chain, estimates regularity and writes the series, report and
+in two where it has none, and takes their W2; one that estimates the
+regularity block, submitted once the reference is taken, so that it
+overlaps the chain; one that writes the reference; and one per recorded
+step, which writes that step's ensemble file and then computes its W2 +
+Psi) and runs them on a pool of ``workers`` forked processes, capped at the
+usable CPUs, each with one BLAS thread.  Each job is pickled in the thread
+that submits it, as a check, so a job that cannot be sent fails the run at
+once.  This process runs the chain and writes the series, report and
 manifest.  The worker count changes no output byte: every job is a pure
 function of its arguments.  scipy's assignment solver is loaded only by a
 command that solves an assignment, as the compiled ``_lsap`` extension
@@ -52,7 +53,8 @@ import scipy
 from . import __version__, transport
 from .analysis import build_rate_report, estimate_subregularity, rate_bound_from_theorem
 from .geometry import SpiderSpace
-from .regularity import (
+# estimate_violation is not called here, but perfbench/spans.py wraps cli.estimate_violation
+from .regularity import (  # noqa: F401
     BoxPairSampler,
     SpiderPairSampler,
     estimate_violation,
@@ -218,13 +220,15 @@ def _default_sampler(scenario, reference: Ensemble, seed: int):
     return BoxPairSampler(space, low=lo - pad, high=hi + pad, seed=pair_seed)
 
 
-def _regularity_block(scenario, sampler, n_pairs: int) -> dict:
+def _regularity_block(spec: tuple, reference: Ensemble, seed: int, n_pairs: int) -> dict:
+    """The report's ``regularity`` block: the violation estimates of each
+    operator and of the family, at the scenario's alpha (0.5 when it states
+    none), from one draw of ``n_pairs`` pairs in the region
+    :func:`_default_sampler` derives from the reference."""
+    scenario = build_scenario(*spec)
     alpha = scenario.ground_truth.alpha if scenario.ground_truth.alpha is not None else 0.5
-    per_op = [
-        asdict(estimate_violation(op, alpha, sampler, n_pairs)) for op in scenario.family.operators
-    ]
-    in_exp = asdict(estimate_violation_in_expectation(scenario.family, alpha, sampler, n_pairs))
-    return {"alpha": alpha, "per_operator": per_op, "in_expectation": in_exp}
+    sampler = _default_sampler(scenario, reference, seed)
+    return asdict(estimate_violation_in_expectation(scenario.family, alpha, sampler, n_pairs))
 
 
 def _write_report(out_dir: Path, report: dict) -> None:
@@ -490,21 +494,19 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     if series and not transport.sorted_path(scenario.space):
         transport.assignment_solver()  # once here, before the pool forks, not in every worker
     # one job each: the reference burn-in, a floor pair (two sampler draws
-    # or burn-ins, and their W2), the reference write and a recorded step
-    # (its file, then its W2 + Psi)
-    submissions = (cfg["reference"]["mode"] == "burn_in") + len(floor_pairs) + 1 + len(chain.recorded_steps())
+    # or burn-ins, and their W2), the regularity block, the reference write
+    # and a recorded step (its file, then its W2 + Psi)
+    submissions = ((cfg["reference"]["mode"] == "burn_in") + len(floor_pairs) + diags["regularity"] + 1
+                   + len(chain.recorded_steps()))
     with _Pool(max(1, min(cfg["workers"], usable_cpus(), submissions))) as pool:
         reference_job, ref_provenance = _reference_ensemble(scenario, cfg, pool)
         out.mkdir(parents=True, exist_ok=True)  # only now: a bad scenario or reference leaves none behind
         floor_jobs = [pool.submit(("floor", _floor_pair, spec, n, _burn_in_steps(cfg), a, b)) for a, b in floor_pairs]
 
-        # regularity first: its temporary arrays are freed before the chain's ensembles exist
         reference = pool.take(reference_job)
-        report = _empty_report(scenario)
         if diags["regularity"]:
-            with pool.timed("regularity"):
-                sampler = _default_sampler(scenario, reference, cfg["seed"])
-                report["regularity"] = _regularity_block(scenario, sampler, cfg["regularity_pairs"])
+            regularity_job = pool.submit(
+                ("regularity", _regularity_block, spec, reference, cfg["seed"], cfg["regularity_pairs"]))
         with pool.timed("chain"):
             trajectory = run_ensemble(chain)
         ens_dir = out / "ensembles"
@@ -518,6 +520,9 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
         reference_write = pool.submit(("io", _write_ensemble, reference, out / "reference.csv"))
         values = [pool.take(job) for job in step_jobs]
         pool.take(reference_write)
+        report = _empty_report(scenario)
+        if diags["regularity"]:
+            report["regularity"] = pool.take(regularity_job)
         if not series:
             values = [(None, None)] * len(values)
         with pool.timed("io"):
@@ -593,13 +598,13 @@ def _predicted_rate(report: dict) -> Optional[float]:
 def cmd_regularity(config_path, out_dir, seed: Optional[int] = None) -> int:
     cfg = load_config(config_path, {"seed": seed})
     out = Path(out_dir or cfg.get("output_dir") or "results")
-    scenario = _configured_scenario(_scenario_spec(cfg))
+    spec = _scenario_spec(cfg)
+    scenario = _configured_scenario(spec)
     with _Pool(1) as pool:
         reference = pool.take(_reference_ensemble(scenario, cfg, pool)[0])
     out.mkdir(parents=True, exist_ok=True)
-    sampler = _default_sampler(scenario, reference, cfg["seed"])
     report = _empty_report(scenario)
-    report["regularity"] = _regularity_block(scenario, sampler, cfg["regularity_pairs"])
+    report["regularity"] = _regularity_block(spec, reference, cfg["seed"], cfg["regularity_pairs"])
     _write_report(out, report)
     print(
         f"scenario={scenario.name} alpha={report['regularity']['alpha']} "

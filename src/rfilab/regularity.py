@@ -13,10 +13,13 @@ violation eps when
 
     d^2(Fx, Fy) <= (1 + eps) d^2(x, y) - ((1 - alpha)/alpha) psi(x, y, Fx, Fy).
 
-The estimators below compute, over a sampled pair region, the smallest
-violation making that inequality hold pair by pair, and report the max.
-This is a sampled lower bound on the true violation, never a certificate;
-the sampling region travels with the report.
+The estimator below computes, over a sampled pair region, the smallest
+violation making that inequality hold pair by pair, and reports the max:
+for each operator of a family, and in expectation over the family's index.
+It draws the pairs once and applies each operator once to each array, so
+the family's terms are sums of the operators' own.  This is a sampled lower
+bound on the true violation, never a certificate; the sampling region
+travels with the report.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "BoxPairSampler",
     "SpiderPairSampler",
     "RegularityReport",
+    "RegularityBlock",
     "psi_array",
     "psi_estimation_array",
     "estimate_violation",
@@ -89,8 +93,8 @@ class PairSampler:
         raise NotImplementedError
 
 
-def _rng(seed: int, salt: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, 0x5A17, salt)))
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence((seed, 0x5A17, 0)))
 
 
 @dataclass(frozen=True)
@@ -157,49 +161,72 @@ class RegularityReport:
     region: str
 
 
+@dataclass
+class RegularityBlock:
+    """The report's ``regularity`` block, as ``dataclasses.asdict`` gives
+    it: the constant ``alpha``, one report per operator of the family, in
+    order, and the report in expectation over the family's index."""
+
+    alpha: float
+    per_operator: list
+    in_expectation: RegularityReport
+
+
 def estimate_violation(op: Operator, alpha: float, sampler: PairSampler, n_pairs: int) -> RegularityReport:
-    """Smallest sampled violation of the alpha-firm inequality for one operator."""
-    return estimate_violation_in_expectation(OperatorFamily((op,), [1.0]), alpha, sampler, n_pairs)
+    """Smallest sampled violation of the alpha-firm inequality for one
+    operator: the family estimate of ``op`` alone, at weight 1."""
+    return estimate_violation_in_expectation(OperatorFamily((op,), [1.0]), alpha, sampler, n_pairs).in_expectation
 
 
 def estimate_violation_in_expectation(
     family: OperatorFamily, alpha: float, sampler: PairSampler, n_pairs: int
-) -> RegularityReport:
-    """Smallest sampled violation of the alpha-firm inequality in expectation
-    over the family's index, with exact weights."""
+) -> RegularityBlock:
+    """Smallest sampled violation of the alpha-firm inequality for each
+    operator of the family, and in expectation over its index, with exact
+    weights, from one draw of ``n_pairs`` pairs.  Each operator is applied
+    once to each side of the pairs; its report comes from its own terms,
+    and the family's from their weighted sums, which skip zero weights."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if n_pairs < 1:
         raise ValueError("need at least one pair")
     A, B = sampler.pairs(n_pairs)
     space = family.space
-    d2F = np.zeros(len(A))
-    psi = np.zeros(len(A))
-    for w, op in zip(family.weights, family.operators):
-        if w == 0.0:
-            continue
-        FA = op.apply(A)
-        FB = op.apply(B)
-        d2F += w * space.pair_dist(FA, FB) ** 2
-        psi += w * psi_estimation_array(space, A, B, FA, FB)
     d2 = space.pair_dist(A, B) ** 2
     keep = d2 >= MIN_PAIR_DISTANCE**2
     if not np.any(keep):
         raise ValueError("all sampled pairs are degenerate (coincident points)")
-    ratio = (d2F[keep] + ((1.0 - alpha) / alpha) * psi[keep] - d2[keep]) / d2[keep]
-    k = int(np.argmax(ratio))
-    idx = np.flatnonzero(keep)[k]
-    pair = (A[idx], B[idx])
-    if np.iscomplexobj(A):
-        pair = tuple(np.stack([row.real, row.imag], axis=1) for row in pair)
-    return RegularityReport(
-        alpha=alpha,
-        epsilon_hat=max(0.0, float(ratio[k])),
-        worst_pair=tuple(row.tolist() for row in pair),
-        n_pairs=n_pairs,
-        n_used=int(keep.sum()),
-        region=sampler.describe(),
-    )
+    region = sampler.describe()
+
+    def report(d2F: np.ndarray, psi: np.ndarray) -> RegularityReport:
+        ratio = (d2F[keep] + ((1.0 - alpha) / alpha) * psi[keep] - d2[keep]) / d2[keep]
+        k = int(np.argmax(ratio))
+        idx = np.flatnonzero(keep)[k]
+        pair = (A[idx], B[idx])
+        if np.iscomplexobj(A):
+            pair = tuple(np.stack([row.real, row.imag], axis=1) for row in pair)
+        return RegularityReport(
+            alpha=alpha,
+            epsilon_hat=max(0.0, float(ratio[k])),
+            worst_pair=tuple(row.tolist() for row in pair),
+            n_pairs=n_pairs,
+            n_used=int(keep.sum()),
+            region=region,
+        )
+
+    d2F = np.zeros(len(A))
+    psi = np.zeros(len(A))
+    per_operator = []
+    for w, op in zip(family.weights, family.operators):
+        FA = op.apply(A)
+        FB = op.apply(B)
+        d2F_op = space.pair_dist(FA, FB) ** 2
+        psi_op = psi_estimation_array(space, A, B, FA, FB)
+        per_operator.append(report(d2F_op, psi_op))
+        if w != 0.0:
+            d2F += w * d2F_op
+            psi += w * psi_op
+    return RegularityBlock(alpha, per_operator, report(d2F, psi))
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,20 @@
 operators (with their one-row cases for ``test_call_is_apply_on_a_one_row_ensemble``),
 a Gaussian pair sampler, ``check_submonotone``, the inner-product oracle of
 the a(1/2)-firm violation that ``regularity.estimate_violation`` computes,
-the two-point scenario's balanced invariant ensemble, and the contraction
-scenario's invariant sampler as one unblocked draw."""
+the regularity block estimated operator by operator, the two-point
+scenario's balanced invariant ensemble, and the contraction and sgd
+scenarios' invariant samplers as one unblocked draw."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from rfilab.geometry import EuclideanSpace, Space
-from rfilab.operators import Operator, _require_euclidean
-from rfilab.regularity import MIN_PAIR_DISTANCE, PairSampler, _rng
+from rfilab.operators import Operator, OperatorFamily, _require_euclidean
+from rfilab.regularity import MIN_PAIR_DISTANCE, PairSampler, RegularityReport, _rng, psi_estimation_array
 from rfilab.rfi import STREAM_INIT
 from rfilab.transport import Ensemble
 
@@ -171,3 +172,60 @@ def contraction_invariant_unblocked(r: float, n: int, seed: int) -> np.ndarray:
     gen = np.random.default_rng(np.random.SeedSequence((int(seed), STREAM_INIT)))
     signs = gen.choice([-1.0, 1.0], size=(n, depth))
     return (signs @ r ** np.arange(depth)).reshape(n, 1)
+
+
+def sgd_invariant_unblocked(Q, q, atoms, t: float, n: int, seed: int) -> np.ndarray:
+    """Points of ``scenario_sgd_linear_noise(Q, q=q, atoms=atoms, t=t)``'s
+    invariant sampler, drawn with one (n, depth) atom-index matrix:
+    sum_j (I - tQ)^j (-t)(zeta_j + q) truncated at depth terms."""
+    Q = np.asarray(Q, dtype=float)
+    q = np.asarray(q, dtype=float)
+    zmat = np.asarray(atoms, dtype=float)
+    M = np.eye(len(Q)) - t * Q
+    rho = float(np.max(np.abs(np.linalg.eigvals(M))))
+    depth = max(8, int(math.ceil(math.log(1e-16) / math.log(max(rho, 1e-16)))))
+    gen = np.random.default_rng(np.random.SeedSequence((int(seed), STREAM_INIT)))
+    idx = gen.integers(0, len(zmat), size=(n, depth))
+    pts = np.zeros((n, len(Q)))
+    power = np.eye(len(Q))
+    for j in range(depth):
+        pts += (-t) * (zmat[idx[:, j]] + q) @ power.T
+        power = power @ M.T
+    return pts
+
+
+def _violation_separately(family: OperatorFamily, alpha: float, sampler: PairSampler, n_pairs: int):
+    """The family's violation estimate from its own draw of the pairs."""
+    A, B = sampler.pairs(n_pairs)
+    space = family.space
+    d2F = np.zeros(len(A))
+    psi = np.zeros(len(A))
+    for w, op in zip(family.weights, family.operators):
+        if w == 0.0:
+            continue
+        FA = op.apply(A)
+        FB = op.apply(B)
+        d2F += w * space.pair_dist(FA, FB) ** 2
+        psi += w * psi_estimation_array(space, A, B, FA, FB)
+    d2 = space.pair_dist(A, B) ** 2
+    keep = d2 >= MIN_PAIR_DISTANCE**2
+    ratio = (d2F[keep] + ((1.0 - alpha) / alpha) * psi[keep] - d2[keep]) / d2[keep]
+    k = int(np.argmax(ratio))
+    idx = np.flatnonzero(keep)[k]
+    pair = (A[idx], B[idx])
+    if np.iscomplexobj(A):
+        pair = tuple(np.stack([row.real, row.imag], axis=1) for row in pair)
+    return RegularityReport(alpha, max(0.0, float(ratio[k])), tuple(row.tolist() for row in pair), n_pairs,
+                            int(keep.sum()), sampler.describe())
+
+
+def regularity_block_separately(family: OperatorFamily, alpha: float, sampler: PairSampler, n_pairs: int) -> dict:
+    """The report's ``regularity`` block from K + 1 separate estimates: each
+    operator alone at weight 1, then the family, each drawing the pairs
+    again and applying its operators to them."""
+    return {
+        "alpha": alpha,
+        "per_operator": [asdict(_violation_separately(OperatorFamily((op,), [1.0]), alpha, sampler, n_pairs))
+                         for op in family.operators],
+        "in_expectation": asdict(_violation_separately(family, alpha, sampler, n_pairs)),
+    }

@@ -200,7 +200,7 @@ def test_c02_contraction_rate_and_violation():
     rate = report.r_linear.rate
     rep = estimate_violation_in_expectation(
         sc.family, (1 + r) / 2, BoxPairSampler(sc.space, -5, 5, seed=SEED + 4), 10_000
-    )
+    ).in_expectation
     elapsed = time.perf_counter() - started
     _report(
         "C2 contraction rate + violation",
@@ -336,7 +336,7 @@ def test_c06_dr_convexity_and_invariance():
     sc = scenario_dr_parallel_lines(gap=2.0)
     fam_rep = estimate_violation_in_expectation(
         sc.family, 0.5, BoxPairSampler(sc.space, -4, 4, seed=SEED + 11), 5000
-    )
+    ).in_expectation
     worst_eps = max(worst_eps, fam_rep.epsilon_hat)
 
     n, k = 400, 60

@@ -114,7 +114,7 @@ def test_non_utf8_config_exits_2_naming_the_path(tmp_path, capsys, command):
         ({"reference": {"mode": "ground_truth", "path": "ref.csv"}}, [], "config.reference.path"),
         ({"scenario": {"name": "contraction", "params": {"R": 0.9}}}, [], "config.scenario.params.R"),
         ({"scenario": {"name": "kaczmarz", "params": {"b": [1.0]}}}, [],
-         "config.scenario.params: kaczmarz takes 'A' and 'b' together"),
+         "config.scenario.params.A: kaczmarz takes 'A' and 'b' together"),
         ({"scenario": {"name": "kaczmarz", "params": {"m": 0}}}, [],
          "config.scenario.params.m: must be >= 1, got 0"),
         ({"scenario": {"name": "kaczmarz", "params": {"consistent": "false"}}}, [],
@@ -160,7 +160,7 @@ def test_non_utf8_config_exits_2_naming_the_path(tmp_path, capsys, command):
         ({"scenario": {"name": "dr_parallel_lines", "params": {"gap": -1.0}}}, [],
          "config.scenario.params.gap: gap must be > 0"),
         ({"scenario": {"name": "sgd_linear_noise", "params": {"t": -1.0}}}, [],
-         "config.scenario.params: step must be > 0, got -1.0"),
+         "config.scenario.params.t: step must be > 0, got -1.0"),
         ({"scenario": {"name": "sgd_linear_noise", "params": {"q": [1, 2]}}}, [],
          "config.scenario.params.q: must have length 1, the size of Q; got 2"),
         ({"scenario": {"name": "sgd_linear_noise", "params": {"atoms": [[1, 2], [3]]}}}, [],
@@ -187,6 +187,12 @@ def test_non_utf8_config_exits_2_naming_the_path(tmp_path, capsys, command):
          "config.scenario.params.A: must be a matrix with at least one column, got shape (2,)"),
         ({"scenario": {"name": "kaczmarz", "params": {"A": [[1, 0], [0, 1]], "b": [1]}}}, [],
          "config.scenario.params.b: must have length 2, the rows of A; got 1"),
+        ({"scenario": {"name": "sgd_linear_noise", "params": {"t": 0}}}, [],
+         "config.scenario.params.t: step must be > 0, got 0.0"),
+        ({"scenario": {"name": "kaczmarz", "params": {"A": [[1, 0]]}}}, [],
+         "config.scenario.params.b: kaczmarz takes 'A' and 'b' together, or neither"),
+        ({"scenario": {"name": "spider_frechet", "params": {"anchors": []}}}, [],
+         "config.scenario.params.anchors: need at least one anchor"),
     ],
 )
 def test_run_invalid_value_exits_2_naming_the_key(tmp_path, capsys, overrides, argv, fragment):
@@ -254,13 +260,16 @@ def _result_files(out):
 
 
 def test_run_determinism_across_reruns_and_workers(tmp_path, monkeypatch):
-    # every result file, the floor in report.json included, is the same
-    # whether the jobs run in this process or on 2 or 4 worker processes;
-    # contraction takes the sorted W2 path, kaczmarz the assignment path
+    # every result file, the floor and the regularity block in report.json
+    # included, is the same whether the jobs run in this process or on 2 or
+    # 4 worker processes; contraction takes the sorted W2 path, kaczmarz the
+    # assignment path, and phase_retrieval sends the regularity job a
+    # complex reference, from which the worker builds a complex box sampler
     monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 4)
-    for scenario in ({"name": "contraction", "params": {"r": 0.5, "offset": 5.0}},
-                     {"name": "kaczmarz", "params": {"m": 3, "n": 2, "instance_seed": 0}}):
-        cfg = write_config(tmp_path, scenario=scenario)
+    for scenario, size in (({"name": "contraction", "params": {"r": 0.5, "offset": 5.0}}, 200),
+                           ({"name": "kaczmarz", "params": {"m": 3, "n": 2, "instance_seed": 0}}, 200),
+                           ({"name": "phase_retrieval", "params": {"n": 8, "n_masks": 2}}, 40)):
+        cfg = write_config(tmp_path, scenario=scenario, ensemble_size=size)
         outs = {}
         for name, workers in (("a", None), ("b", None), ("c", 2), ("d", 4)):
             out = tmp_path / f"{scenario['name']}-{name}"
@@ -599,6 +608,20 @@ def test_cmd_regularity(tmp_path, capsys):
     assert report["regularity"]["in_expectation"]["epsilon_hat"] <= 1e-8
     assert len(report["regularity"]["per_operator"]) == 2
     assert "epsilon_hat" in capsys.readouterr().out
+
+
+def test_cmd_regularity_writes_the_block_of_run(tmp_path, monkeypatch):
+    # both commands take the block from one job function: run on a worker,
+    # regularity in this process, from the same reference and seed
+    monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path, scenario={"name": "kaczmarz", "params": {"m": 4, "n": 2}}, ensemble_size=50,
+                       iterations=3, diagnostics={"regularity": True})
+    run, reg = tmp_path / "run", tmp_path / "reg"
+    assert main(["run", "--config", str(cfg), "--out", str(run), "--workers", "2", "--seed", "5"]) == EXIT_OK
+    assert main(["regularity", "--config", str(cfg), "--out", str(reg), "--seed", "5"]) == EXIT_OK
+    blocks = [json.loads((out / "report.json").read_text())["regularity"] for out in (run, reg)]
+    assert len(blocks[0]["per_operator"]) == 4
+    assert blocks[0] == blocks[1]
 
 
 def test_cmd_rate_appends_fits(tmp_path, capsys):

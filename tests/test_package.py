@@ -140,12 +140,16 @@ def test_every_public_name_has_a_caller():
 
 def test_benchmark_tracer_installs_and_restores(monkeypatch):
     # perfbench/spans.py wraps rfilab attributes by name (cli.monte_carlo_floor,
-    # transport.linear_sum_assignment, ...): a rename fails here, not in `--trace 1`
+    # transport.linear_sum_assignment, ...): a rename fails here, not in `--trace 1`.
+    # cli imports monte_carlo_floor and estimate_violation only to be wrapped
     from rfilab import cli, transport
 
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spans = importlib.import_module("spans")
-    before = (cli.monte_carlo_floor, transport.linear_sum_assignment)
+    names = ("monte_carlo_floor", "estimate_violation", "estimate_violation_in_expectation")
+    before = {name: getattr(cli, name) for name in names}
+    solver = transport.linear_sum_assignment
     with spans.installed(spans.Tracer()):
-        assert cli.monte_carlo_floor is not before[0]
-    assert (cli.monte_carlo_floor, transport.linear_sum_assignment) == before
+        assert [name for name in names if getattr(cli, name) is before[name]] == []
+    assert {name: getattr(cli, name) for name in names} == before
+    assert transport.linear_sum_assignment is solver

@@ -4,7 +4,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import pytest
 
-from oracles import SoftThreshold, SphereProjection, check_submonotone
+from oracles import SoftThreshold, SphereProjection, check_submonotone, regularity_block_separately
 
 from rfilab.geometry import EuclideanSpace, Space, SpiderPoint, SpiderSpace
 from rfilab.operators import (
@@ -28,6 +28,7 @@ from rfilab.regularity import (
     fb_violation_bound,
     psi_array,
 )
+from rfilab.scenarios import build_scenario
 
 R1 = EuclideanSpace(1)
 R2 = EuclideanSpace(2)
@@ -113,14 +114,14 @@ def test_in_expectation_two_point_and_singleton():
         [PointProjection(R1, np.array([-1.0])), PointProjection(R1, np.array([1.0]))]
     )
     samp = BoxPairSampler(R1, -4, 4, seed=3)
-    rep = estimate_violation_in_expectation(family, 0.5, samp, 4000)
+    rep = estimate_violation_in_expectation(family, 0.5, samp, 4000).in_expectation
     # six-term psi cancellation noise divided by small d^2 leaves ~1e-10
     assert rep.epsilon_hat <= 1e-8
 
     single = OperatorFamily.uniform([AffineMap(R1, np.asarray(2.0), np.array([0.0]))])
     a = estimate_violation_in_expectation(single, 0.5, samp, 4000)
     b = estimate_violation(single.operators[0], 0.5, samp, 4000)
-    assert a.epsilon_hat == pytest.approx(b.epsilon_hat, abs=1e-12)
+    assert a.per_operator == [a.in_expectation] == [b]
 
 
 def test_in_expectation_contraction_constant():
@@ -128,8 +129,80 @@ def test_in_expectation_contraction_constant():
     family = OperatorFamily.uniform(
         [AffineMap(R1, np.asarray(r), np.array([1.0])), AffineMap(R1, np.asarray(r), np.array([-1.0]))]
     )
-    rep = estimate_violation_in_expectation(family, (1 + r) / 2, BoxPairSampler(R1, -5, 5, seed=8), 10_000)
+    samp = BoxPairSampler(R1, -5, 5, seed=8)
+    rep = estimate_violation_in_expectation(family, (1 + r) / 2, samp, 10_000).in_expectation
     assert rep.epsilon_hat <= 1e-10
+
+
+def _zero_weight_family():
+    ops = [AffineMap(R1, np.asarray(1.4), np.array([0.3])), SoftThreshold(R1, 0.5),
+           AffineMap(R1, np.asarray(0.3), np.array([-1.0]))]
+    return OperatorFamily(tuple(ops), [0.5, 0.0, 0.5]), BoxPairSampler(R1, -6, 6, seed=17)
+
+
+def _scenario_case(name, params, sampler):
+    sc = build_scenario(name, params)
+    return sc.family, sampler(sc.space)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _scenario_case("kaczmarz", {}, lambda space: BoxPairSampler(space, -5, 5, seed=21)),
+        lambda: _scenario_case("phase_retrieval", {"n": 16}, lambda space: BoxPairSampler(space, -2, 2, seed=22)),
+        lambda: _scenario_case("spider_frechet", {}, lambda space: SpiderPairSampler(space, 3.0, seed=23)),
+        _zero_weight_family,
+    ],
+    ids=["kaczmarz_R2", "phase_retrieval_C16", "spider", "zero_weight"],
+)
+def test_one_pass_block_is_the_separate_estimates_to_the_byte(case):
+    # one draw and one application of each operator give the block that
+    # K + 1 separate estimates gave, every value to the last bit
+    family, sampler = case()
+    block = estimate_violation_in_expectation(family, 0.5, sampler, 1500)
+    expected = regularity_block_separately(family, 0.5, sampler, 1500)
+    assert json.dumps(asdict(block), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@dataclass(frozen=True)
+class _CountedPairs(PairSampler):
+    sampler: PairSampler
+    calls: list
+
+    @property
+    def space(self):
+        return self.sampler.space
+
+    def pairs(self, n: int):
+        self.calls.append("pairs")
+        return self.sampler.pairs(n)
+
+    def describe(self) -> str:
+        return self.sampler.describe()
+
+
+@dataclass(frozen=True)
+class _CountedOperator(Operator):
+    op: Operator
+    calls: list
+
+    @property
+    def space(self):
+        return self.op.space
+
+    def apply(self, pts):
+        self.calls.append("apply")
+        return self.op.apply(pts)
+
+
+def test_block_draws_the_pairs_once_and_applies_each_operator_twice():
+    family, sampler = _zero_weight_family()
+    calls = []
+    counted = OperatorFamily(tuple(_CountedOperator(op, calls) for op in family.operators), family.weights)
+    block = estimate_violation_in_expectation(counted, 0.5, _CountedPairs(sampler, calls), 500)
+    # the zero-weight member is applied too: it has its own report
+    assert len(block.per_operator) == 3
+    assert sorted(calls) == ["apply"] * 6 + ["pairs"]
 
 
 def test_lifting_bound(rng):
@@ -142,9 +215,9 @@ def test_lifting_bound(rng):
         ]
     )
     samp = BoxPairSampler(R1, -6, 6, seed=17)
-    exp_rep = estimate_violation_in_expectation(family, 0.6, samp, 5000)
-    worst = max(estimate_violation(op, 0.6, samp, 5000).epsilon_hat for op in family.operators)
-    assert exp_rep.epsilon_hat <= worst + 1e-8
+    block = estimate_violation_in_expectation(family, 0.6, samp, 5000)
+    worst = max(rep.epsilon_hat for rep in block.per_operator)
+    assert block.in_expectation.epsilon_hat <= worst + 1e-8
 
 
 def test_afne_implies_ane_on_sample():

@@ -10,9 +10,11 @@ from oracles import (
     check_submonotone,
     contraction_invariant_unblocked,
     distance,
+    sgd_invariant_unblocked,
 )
 
-from rfilab.geometry import SpiderPoint
+from rfilab.geometry import EuclideanSpace, SpiderPoint
+from rfilab.operators import ForwardBackward, Identity, quadratic_smooth_term
 from rfilab.regularity import (
     BoxPairSampler,
     dr_violation_bound,
@@ -71,7 +73,7 @@ def test_two_point_violation_zero():
     sc = scenario_two_point()
     rep = estimate_violation_in_expectation(
         sc.family, 0.5, BoxPairSampler(sc.space, -4, 4, seed=6), 4000
-    )
+    ).in_expectation
     assert rep.epsilon_hat <= 1e-8
 
 
@@ -104,7 +106,7 @@ def test_contraction_rate_and_violation():
     assert np.max(ratios) <= sc.ground_truth.q_rate + 0.1
     rep = estimate_violation_in_expectation(
         sc.family, sc.ground_truth.alpha, BoxPairSampler(sc.space, -5, 5, seed=13), 10_000
-    )
+    ).in_expectation
     assert rep.epsilon_hat <= 1e-8
 
 
@@ -186,7 +188,7 @@ def test_sgd_example_rate_and_bound():
     assert np.max(ratios) <= 0.5 + 0.1  # contraction factor 1 - t
     rep = estimate_violation_in_expectation(
         sc.family, 2.0 / 3.0, BoxPairSampler(sc.space, -5, 5, seed=43), 10_000
-    )
+    ).in_expectation
     extras = sc.ground_truth.extras
     assert rep.epsilon_hat <= fb_violation_bound(0.5, extras["lipschitz"], extras["tau_f"], 0.0) + 1e-6
 
@@ -317,7 +319,7 @@ def test_dr_parallel_lines_convex_violation_zero():
     sc = scenario_dr_parallel_lines(gap=2.0)
     rep = estimate_violation_in_expectation(
         sc.family, 0.5, BoxPairSampler(sc.space, -4, 4, seed=60), 5000
-    )
+    ).in_expectation
     assert rep.epsilon_hat <= 1e-8
 
 
@@ -508,6 +510,11 @@ def test_size_is_not_read_when_the_matrix_is_given(name, params):
         ("kaczmarz", {"A": [[1.0, 0.0], [0.0, 0.0]], "b": [1.0, 2.0]}, "A"),
         ("kaczmarz", {"A": [1.0, 2.0], "b": [1.0, 2.0]}, "A"),
         ("kaczmarz", {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0]}, "b"),
+        ("sgd_linear_noise", {"t": 0.0}, "t"),
+        ("sgd_linear_noise", {"t": -1.0}, "t"),
+        ("kaczmarz", {"A": [[1.0, 0.0]]}, "b"),
+        ("kaczmarz", {"b": [1.0]}, "A"),
+        ("spider_frechet", {"anchors": []}, "anchors"),
     ],
 )
 def test_rejected_parameter_value_names_its_key(name, params, key):
@@ -518,10 +525,16 @@ def test_rejected_parameter_value_names_its_key(name, params, key):
 
 
 def test_builder_range_check_is_not_a_param_error():
-    # the converter accepts t = -1; the gradient step rejects it, and names no key
+    # an operator knows no parameter keys: the gradient step's own check of
+    # t = -1 names none.  sgd's builder checks t before it builds the step,
+    # so a scenario parameter is named
+    space = EuclideanSpace(1)
     with pytest.raises(ValueError, match="step must be > 0") as caught:
-        build_scenario("sgd_linear_noise", {"t": -1.0})
+        ForwardBackward(space, Identity(space), quadratic_smooth_term(np.eye(1)), -1.0)
     assert not isinstance(caught.value, ParamError)
+    with pytest.raises(ParamError, match="step must be > 0") as caught:
+        build_scenario("sgd_linear_noise", {"t": -1.0})
+    assert caught.value.args[0] == "t"
 
 
 @pytest.mark.parametrize(
@@ -570,6 +583,32 @@ def test_contraction_sampler_draws_the_unblocked_values(n, r):
     # the last bit
     got = scenario_contraction(r).ground_truth.invariant_sampler(n, 4).points
     assert got.tobytes() == contraction_invariant_unblocked(r, n, 4).tobytes()
+
+
+SGD_SAMPLER_PARAMS = [
+    {},
+    {"dim": 2},
+    {"Q": [[2.0, 0.5], [0.5, 1.0]], "q": [0.3, -0.2], "t": 0.15},
+    {"dim": 2, "atoms": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], "t": 0.1},
+    {"Q": [[1.0, 0.2, 0.0], [0.2, 1.5, 0.1], [0.0, 0.1, 0.8]], "atoms": [[1.0, 2.0, 0.0], [-1.0, 0.0, 0.5]],
+     "t": 0.2},
+    {"t": 0.9},
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2049, 5000])
+def test_sgd_sampler_draws_the_unblocked_values(n):
+    # the sampler draws its atom indices in blocks of 1024 rows, as
+    # contraction's draws its signs; the values are those of one (n, depth)
+    # draw, to the last bit
+    for params in SGD_SAMPLER_PARAMS:
+        sc = build_scenario("sgd_linear_noise", params)
+        ops = sc.family.operators
+        smooth = ops[0].smooth
+        for seed in (4, 11):
+            got = sc.ground_truth.invariant_sampler(n, seed).points
+            expected = sgd_invariant_unblocked(smooth.Q, smooth.q, [op.smooth.zeta for op in ops], ops[0].step, n, seed)
+            assert got.tobytes() == expected.tobytes(), (params, seed)
 
 
 def test_builders_are_seed_deterministic():
