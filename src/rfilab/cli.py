@@ -16,17 +16,18 @@ for a fixed config, and reruns reproduce files exactly.  ``run`` splits its
 independent work into jobs (the burn-in reference; one per floor pair,
 which draws two ensembles from the scenario's invariant sampler, or burns
 in two where it has none, and takes their W2; one that estimates the
-regularity block, submitted once the reference is taken, so that it
-overlaps the chain; one that writes the reference; and one per recorded
-step, which writes that step's ensemble file and then computes its W2 +
-Psi) and runs them on a pool of ``workers`` forked processes, capped at the
-usable CPUs, each with one BLAS thread.  Each job is pickled in the thread
-that submits it, as a check, so a job that cannot be sent fails the run at
-once.  This process runs the chain and writes the series, report and
-manifest.  The worker count changes no output byte: every job is a pure
-function of its arguments.  scipy's assignment solver is loaded only by a
-command that solves an assignment, as the compiled ``_lsap`` extension
-(the public import is the fallback), so no command imports scipy.optimize.
+regularity block, submitted once the reference is taken; one that writes
+the reference; and one per recorded step, which writes that step's
+ensemble file and then computes its W2 + Psi) and runs them on a pool of
+``workers`` forked processes, capped at the usable CPUs, each with one BLAS
+thread.  Each job is pickled in the thread that submits it, as a check, so
+a job that cannot be sent fails the run at once.  This process runs the
+chain while the reference burns in, since the chain does not use it, and
+writes the series, report and manifest.  The worker count changes no output
+byte: every job is a pure function of its arguments.  scipy's assignment
+solver is loaded only by a command that solves an assignment, as the
+compiled ``_lsap`` extension (the public import is the fallback), so no
+command imports scipy.optimize.
 """
 
 from __future__ import annotations
@@ -503,12 +504,13 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
         out.mkdir(parents=True, exist_ok=True)  # only now: a bad scenario or reference leaves none behind
         floor_jobs = [pool.submit(("floor", _floor_pair, spec, n, _burn_in_steps(cfg), a, b)) for a, b in floor_pairs]
 
+        # the chain does not use the reference: it runs while the reference burns in
+        with pool.timed("chain"):
+            trajectory = run_ensemble(chain)
         reference = pool.take(reference_job)
         if diags["regularity"]:
             regularity_job = pool.submit(
                 ("regularity", _regularity_block, spec, reference, cfg["seed"], cfg["regularity_pairs"]))
-        with pool.timed("chain"):
-            trajectory = run_ensemble(chain)
         ens_dir = out / "ensembles"
         ens_dir.mkdir(exist_ok=True)
         step_jobs = []

@@ -392,10 +392,12 @@ class OperatorFamily:
         return np.searchsorted(self._cum, uniforms, side="right")
 
     def apply_index(self, idx: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Apply operator idx[k] to row k of a packed array."""
+        """Apply operator idx[k] to row k of a packed array.  Each operator
+        gets its rows in increasing order as an index list, which gathers and
+        scatters faster than the equivalent boolean mask at large N."""
         out = np.empty_like(pts)
         for i, op in enumerate(self.operators):
-            rows = idx == i
-            if np.any(rows):
-                out[rows] = op.apply(pts[rows])
+            rows = np.flatnonzero(idx == i)
+            if rows.size:
+                out[rows] = op.apply(pts.take(rows, axis=0))
         return out

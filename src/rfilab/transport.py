@@ -126,14 +126,16 @@ class Ensemble:
     def to_csv(self, path) -> None:
         """Write a header and one row per particle, each value its ``repr``:
         the bytes of ``csv.writer``, since no name or value needs quoting,
-        formatted a block of rows at a time."""
+        formatted a block of rows at a time: one ``repr`` pass over the
+        block's values, grouped back into rows of ``ncols``."""
         rows = self.rows()
-        block = max(1, CSV_BLOCK_VALUES // rows.shape[1])
+        ncols = rows.shape[1]
+        block = max(1, CSV_BLOCK_VALUES // ncols)
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(self.column_names()) + "\r\n")
             for start in range(0, len(rows), block):
-                lines = [",".join(map(repr, row)) for row in rows[start : start + block].tolist()]
-                fh.write("\r\n".join(lines) + "\r\n")
+                values = map(repr, rows[start : start + block].ravel().tolist())
+                fh.write("\r\n".join(map(",".join, zip(*[values] * ncols))) + "\r\n")
 
     @classmethod
     def from_csv(cls, path, space: Optional[Space] = None) -> "Ensemble":
@@ -167,13 +169,14 @@ def _space_from_header(header: Sequence[str], data: np.ndarray) -> Space:
 
 @dataclass(frozen=True)
 class Coupling:
-    """Permutation pairing particle i of the source to sigma[i] of the target."""
+    """Permutation pairing particle i of the source to sigma[i] of the target:
+    a 1-D array that sorts to ``arange(n)``, checked in numpy."""
 
     permutation: np.ndarray
 
     def __post_init__(self):
         sigma = np.asarray(self.permutation, dtype=np.intp)
-        if sorted(sigma.tolist()) != list(range(len(sigma))):
+        if sigma.ndim != 1 or not np.array_equal(np.sort(sigma), np.arange(len(sigma))):
             raise ValueError("coupling must be a permutation")
         object.__setattr__(self, "permutation", sigma)
 

@@ -3,8 +3,9 @@ operators (with their one-row cases for ``test_call_is_apply_on_a_one_row_ensemb
 a Gaussian pair sampler, ``check_submonotone``, the inner-product oracle of
 the a(1/2)-firm violation that ``regularity.estimate_violation`` computes,
 the regularity block estimated operator by operator, the two-point
-scenario's balanced invariant ensemble, and the contraction and sgd
-scenarios' invariant samplers as one unblocked draw."""
+scenario's balanced invariant ensemble, the contraction and sgd
+scenarios' invariant samplers as one unblocked draw, and the family
+dispatch by boolean masks."""
 
 from __future__ import annotations
 
@@ -163,6 +164,17 @@ def balanced_two_point(space: Space, n: int) -> Ensemble:
     """The exact invariant ensemble of the two-point scenario: n//2 points
     at -1 and the rest at +1."""
     return Ensemble(space, np.where(np.arange(n) < n // 2, -1.0, 1.0)[:, None])
+
+
+def apply_index_masked(family: OperatorFamily, idx: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """``family.apply_index(idx, pts)`` dispatched by one boolean mask per
+    operator: operator idx[k] applied to row k of a packed array."""
+    out = np.empty_like(pts)
+    for i, op in enumerate(family.operators):
+        rows = idx == i
+        if np.any(rows):
+            out[rows] = op.apply(pts[rows])
+    return out
 
 
 def contraction_invariant_unblocked(r: float, n: int, seed: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from rfilab.operators import (
     project_magnitude,
     quadratic_smooth_term,
 )
+from rfilab.scenarios import build_scenario
 
 R1 = EuclideanSpace(1)
 R2 = EuclideanSpace(2)
@@ -307,7 +308,52 @@ def test_family_apply_index_matches_pointwise(rng):
     idx = rng.integers(0, 2, size=64)
     out = fam.apply_index(idx, X)
     for k in range(64):
-        assert np.allclose(out[k], fam.operators[idx[k]](X[k]))
+        # the scalar AffineMap is elementwise: a row and a one-row ensemble round alike
+        assert np.array_equal(out[k], fam.operators[idx[k]](X[k]))
+
+
+# one family per scenario: R^1, R^2, C^16 and the spider
+DISPATCH_SCENARIOS = {
+    "two_point": {},
+    "contraction": {},
+    "sgd_linear_noise": {},
+    "kaczmarz": {},
+    "dr_parallel_lines": {},
+    "phase_retrieval": {"n": 16},
+    "spider_frechet": {},
+}
+
+
+def _index_vectors(family, n, seed):
+    """A sampled index vector, the same with operator 0 never chosen, and
+    every row given the last operator."""
+    idx = family.sample_indices(np.random.default_rng(seed).random(n))
+    return [idx, np.where(idx == 0, 1, idx), np.full(n, len(family) - 1, dtype=np.intp)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 1025])
+@pytest.mark.parametrize("name", list(DISPATCH_SCENARIOS))
+def test_apply_index_is_the_masked_dispatch_on_each_scenario(name, n):
+    # index lists give each operator the rows a boolean mask gives, in the
+    # same order, so every output byte is the mask dispatch's
+    scenario = build_scenario(name, DISPATCH_SCENARIOS[name])
+    fam = scenario.family
+    pts = scenario.initial(n, 3).points
+    for idx in _index_vectors(fam, n, seed=n):
+        got = fam.apply_index(idx, pts)
+        assert got.dtype == pts.dtype and got.shape == pts.shape
+        assert got.tobytes() == oracles.apply_index_masked(fam, idx, pts).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 1025])
+def test_apply_index_is_the_masked_dispatch_with_a_zero_weight_member(rng, n):
+    ops = (AffineMap(R2, np.array([[0.5, 0.1], [0.0, 0.7]]), np.array([1.0, 0.0])),
+           HyperplaneProjection(R2, np.array([1.0, 2.0]), 0.7),
+           AffineMap(R2, np.asarray(0.3), np.array([0.0, -1.0])))
+    fam = OperatorFamily(ops, np.array([0.5, 0.0, 0.5]))
+    X = rng.normal(size=(n, 2))
+    for idx in _index_vectors(fam, n, seed=n) + [np.ones(n, dtype=np.intp)]:
+        assert fam.apply_index(idx, X).tobytes() == oracles.apply_index_masked(fam, idx, X).tobytes()
 
 
 # ---------------------------------------------------------------------------

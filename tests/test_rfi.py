@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import chain_path
 
 from rfilab.geometry import EuclideanSpace
 from rfilab.operators import AffineMap, Identity, OperatorFamily, PointProjection
 from rfilab.rfi import ChainConfig, derive_seed, run_ensemble
+from rfilab.scenarios import build_scenario
 from rfilab.transport import Ensemble, wasserstein
 
 R1 = EuclideanSpace(1)
@@ -107,6 +109,18 @@ def test_rerun_is_bit_identical(rng):
     b = run_ensemble(cfg)
     for ea, eb in zip(a.ensembles, b.ensembles):
         assert np.array_equal(ea.points, eb.points)
+
+
+@pytest.mark.parametrize("name", ["contraction", "phase_retrieval"])
+def test_chain_is_byte_identical_under_the_masked_dispatch(monkeypatch, name):
+    scenario = build_scenario(name)
+    cfg = ChainConfig(scenario.family, scenario.initial(1025, 5), 6, seed=9, record_every=2)
+    got = run_ensemble(cfg)
+    monkeypatch.setattr(OperatorFamily, "apply_index", oracles.apply_index_masked)
+    want = run_ensemble(cfg)
+    assert got.steps == want.steps
+    for a, b in zip(got.ensembles, want.ensembles, strict=True):
+        assert a.points.tobytes() == b.points.tobytes()
 
 
 def test_index_sampler_frequencies():

@@ -575,12 +575,12 @@ def test_monte_carlo_floor_without_a_sampler_is_the_median_over_burn_in_pairs():
     assert monte_carlo_floor(sc, 40, 5, seed=9) == float(np.median(draws))
 
 
-@pytest.mark.parametrize("r", [0.3, 0.5, 0.9])
-@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 5000])
+@pytest.mark.parametrize("n, r", [(n, r) for n in (1, 1023, 1024, 1025, 5000) for r in (0.3, 0.5, 0.9)]
+                         + [(50_000, 0.5)])
 def test_contraction_sampler_draws_the_unblocked_values(n, r):
     # the sampler draws its signs in blocks of 1024 rows, n = 1025 ending in
     # a block of one row; the values are those of one (n, depth) draw, to
-    # the last bit
+    # the last bit, up to the benchmark's n = 50,000
     got = scenario_contraction(r).ground_truth.invariant_sampler(n, 4).points
     assert got.tobytes() == contraction_invariant_unblocked(r, n, 4).tobytes()
 

@@ -117,8 +117,16 @@ def test_optimal_coupling_realizes_value(rng):
 
 
 def test_coupling_validation():
-    with pytest.raises(ValueError):
-        Coupling(np.array([0, 0, 1]))
+    # a duplicate, an index out of range, a negative index, and 2-D arrays
+    # whose rows are permutations
+    for sigma in ([0, 0, 1], [0, 1, 3], [-1, 0, 1], [[0, 1], [1, 0]], [[0, 1, 2]]):
+        with pytest.raises(ValueError, match="must be a permutation"):
+            Coupling(np.array(sigma))
+    # a random permutation at the benchmark's N = 50,000
+    sigma = np.random.default_rng(3).permutation(50_000)
+    coupling = Coupling(sigma)
+    assert coupling.permutation.dtype == np.intp
+    assert np.array_equal(coupling.permutation, sigma)
 
 
 # ---------------------------------------------------------------------------
