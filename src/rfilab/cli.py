@@ -214,8 +214,7 @@ def _default_sampler(scenario, reference: Ensemble, seed: int):
     if isinstance(space, SpiderSpace):
         rmax = float(reference.points[:, 1].max(initial=0.0))
         return SpiderPairSampler(space, max_radius=1.5 * max(rmax, 1.0), seed=pair_seed)
-    pts = reference.points
-    coords = np.concatenate([pts.real.ravel(), pts.imag.ravel()]) if space.complex_coords else pts.ravel()
+    coords = space.real_view(reference.points)
     lo, hi = float(coords.min()), float(coords.max())
     pad = 0.5 * max(hi - lo, 1.0)
     return BoxPairSampler(space, low=lo - pad, high=hi + pad, seed=pair_seed)
@@ -580,15 +579,18 @@ def _fit_rates(report: dict, steps, w2, psi):
 
 
 def _predicted_rate(report: dict) -> Optional[float]:
-    """Predicted linear rate from (alpha, violation, subregularity constant)."""
+    """Predicted linear rate from (alpha, violation, subregularity constant);
+    None when one of them is missing.  The violation is the regularity
+    block's estimate, else the scenario's closed-form bound."""
     alpha = report.get("alpha")
     sub = report.get("subregularity")
     reg = report.get("regularity")
-    eps = 0.0
     if reg is not None:
         eps = float(reg["in_expectation"]["epsilon_hat"])
     elif report.get("bound") is not None:
         eps = float(report["bound"])
+    else:
+        return None
     if alpha is None or sub is None:
         return None
     try:

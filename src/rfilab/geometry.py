@@ -90,7 +90,8 @@ class EuclideanSpace:
         return x
 
     # -- metric ----------------------------------------------------------
-    def _real_view(self, arr: np.ndarray) -> np.ndarray:
+    def real_view(self, arr: np.ndarray) -> np.ndarray:
+        """Packed rows as real rows: ``[re, im]`` per complex coordinate."""
         if self.complex_coords:
             return np.ascontiguousarray(arr).view(np.float64).reshape(arr.shape[0], -1)
         return arr
@@ -104,8 +105,8 @@ class EuclideanSpace:
 
     def cross_dist(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Full (len(A), len(B)) distance matrix."""
-        Ar = self._real_view(A)
-        Br = self._real_view(B)
+        Ar = self.real_view(A)
+        Br = self.real_view(B)
         aa = np.sum(Ar * Ar, axis=1)[:, None]
         bb = np.sum(Br * Br, axis=1)[None, :]
         sq = aa + bb - 2.0 * (Ar @ Br.T)

@@ -204,7 +204,7 @@ def estimate_violation_in_expectation(
         idx = np.flatnonzero(keep)[k]
         pair = (A[idx], B[idx])
         if np.iscomplexobj(A):
-            pair = tuple(np.stack([row.real, row.imag], axis=1) for row in pair)
+            pair = tuple(space.real_view(row[None]).reshape(-1, 2) for row in pair)
         return RegularityReport(
             alpha=alpha,
             epsilon_hat=max(0.0, float(ratio[k])),

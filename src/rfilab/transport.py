@@ -116,12 +116,7 @@ class Ensemble:
     def rows(self) -> np.ndarray:
         if isinstance(self.space, SpiderSpace):
             return self.points
-        if self.space.complex_coords:
-            out = np.empty((len(self), 2 * self.space.dim))
-            out[:, 0::2] = self.points.real
-            out[:, 1::2] = self.points.imag
-            return out
-        return self.points
+        return self.space.real_view(self.points)
 
     def to_csv(self, path) -> None:
         """Write a header and one row per particle, each value its ``repr``:

@@ -4,16 +4,18 @@ a Gaussian pair sampler, ``check_submonotone``, the inner-product oracle of
 the a(1/2)-firm violation that ``regularity.estimate_violation`` computes,
 the regularity block estimated operator by operator, the two-point
 scenario's balanced invariant ensemble, the contraction and sgd
-scenarios' invariant samplers as one unblocked draw, and the family
-dispatch by boolean masks."""
+scenarios' invariant samplers as one unblocked draw, the family
+dispatch by boolean masks, and the rate fits and linear gauge as separate
+functions, each fit windowing the series itself."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from rfilab.analysis import QLinearFit, RateReport, RLinearFit
 from rfilab.geometry import EuclideanSpace, Space
 from rfilab.operators import Operator, OperatorFamily, _require_euclidean
 from rfilab.regularity import MIN_PAIR_DISTANCE, PairSampler, RegularityReport, _rng, psi_estimation_array
@@ -241,3 +243,81 @@ def regularity_block_separately(family: OperatorFamily, alpha: float, sampler: P
                          for op in family.operators],
         "in_expectation": asdict(_violation_separately(family, alpha, sampler, n_pairs)),
     }
+
+
+def _positive_window(series, window, steps):
+    """Step axis and values of the window, cut before its first entry that is
+    not positive (a zero distance has no ratio or logarithm)."""
+    d = np.asarray(series, dtype=float)
+    n = len(d)
+    lo, hi = (0, n - 1) if window is None else (int(window[0]), int(window[1]))
+    if not (0 <= lo < hi <= n - 1):
+        raise ValueError(f"window [{lo}, {hi}] invalid for a series of length {n}")
+    stop = np.flatnonzero(~(d[lo : hi + 1] > 0.0))
+    if stop.size:
+        hi = lo + int(stop[0]) - 1
+    if hi - lo < 1:
+        raise ValueError("window must contain at least two positive entries")
+    k = np.arange(n, dtype=float) if steps is None else np.asarray(steps, dtype=float)
+    return k[lo : hi + 1], d[lo : hi + 1], (lo, hi)
+
+
+def fit_qlinear(series, window=None, steps=None) -> QLinearFit:
+    """Max (and geometric mean) of the per-step ratio over the window, each
+    ratio spanning g steps taken to the power 1/g."""
+    k, d, (lo, hi) = _positive_window(series, window, steps)
+    ratios = (d[1:] / d[:-1]) ** (1.0 / np.diff(k))
+    return QLinearFit(
+        rate=float(np.max(ratios)),
+        geometric_mean=float(np.exp(np.mean(np.log(ratios)))),
+        window=(lo, hi),
+    )
+
+
+def fit_rlinear(series, window=None, steps=None) -> RLinearFit:
+    """Least-squares (step, log d) fit: d ~ beta * rate^step, windowed as :func:`fit_qlinear`."""
+    k, d, (lo, hi) = _positive_window(series, window, steps)
+    y = np.log(d)
+    coef = np.polyfit(k, y, 1)
+    fitted = np.polyval(coef, k)
+    residual = float(np.sqrt(np.mean((y - fitted) ** 2)))
+    return RLinearFit(beta=float(np.exp(coef[1])), rate=float(np.exp(coef[0])), residual=residual, window=(lo, hi))
+
+
+def theta_linear(epsilon: float, tau: float, r: float) -> float:
+    """Linear-gauge contraction factor gamma = 1 + epsilon - tau / r^2."""
+    if epsilon < 0 or tau <= 0 or r <= 0:
+        raise ValueError("need epsilon >= 0, tau > 0, r > 0")
+    lower = math.sqrt(tau / (1.0 + epsilon))
+    upper = math.sqrt(tau / epsilon) if epsilon > 0 else math.inf
+    if r < lower * (1.0 - 1e-15):
+        raise ValueError(f"r={r} below the admissibility bound sqrt(tau/(1+eps))={lower}")
+    if r > upper:
+        raise ValueError(f"r={r} above the admissibility bound sqrt(tau/eps)={upper}")
+    return 1.0 + epsilon - tau / (r * r)
+
+
+def build_rate_report(steps, distances, burn_in_fraction: float = 0.2, floor=None) -> RateReport:
+    """The rates block from the two fits above, each windowing the series
+    again, with their windows then overwritten by the requested one.  A
+    series with no fit counts as converged only when an entry of the window
+    is within 3x the floor."""
+    steps = list(int(s) for s in steps)
+    d = np.asarray(distances, dtype=float)
+    series = list(zip(steps, d.tolist()))
+    lo = int(np.floor(burn_in_fraction * (len(d) - 1)))
+    hi = len(d) - 1
+    if floor is not None and floor > 0:
+        below = np.flatnonzero(d <= 3.0 * floor)
+        if below.size and below[0] > lo + 1:
+            hi = int(below[0])
+        elif below.size and below[0] <= lo + 1:
+            return RateReport(series, None, None, (lo, hi), converged_within_floor=True, floor=floor)
+    window = (lo, hi)
+    try:
+        q_linear = fit_qlinear(d, window, steps)
+    except ValueError:  # fewer than two positive entries in the window
+        converged = floor is not None and bool(np.any(d[max(lo, 0) : hi + 1] <= 3.0 * floor))
+        return RateReport(series, None, None, window, converged_within_floor=converged, floor=floor)
+    r_linear = fit_rlinear(d, window, steps)
+    return RateReport(series, replace(q_linear, window=window), replace(r_linear, window=window), window, floor=floor)

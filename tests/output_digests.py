@@ -1,0 +1,116 @@
+"""Digests of every output of the standard command matrix, for checking that a
+change to the code keeps each output byte.
+
+The matrix: the 7 scenarios at their default parameters, with ``kaczmarz``
+both consistent and inconsistent (8 configs), at seed 7, N = 200, every
+diagnostic on, K in {0, 1, 6} iterations and 1 and 2 workers.  Each cell
+runs ``rfilab run``, then ``rfilab rate`` on its results, then
+``rfilab wasserstein`` between its reference and last-step ensembles, each
+command in a fresh interpreter on the given source tree.
+
+One line is printed per command and per output file, ``<sha256>  <name>``:
+the files ``run`` writes, then the two that ``rate`` writes.  A command's
+digest covers its stdout and its exit code.  A manifest is hashed without
+``timings``, ``config_path`` and ``wall_time_s``, which differ from run to
+run.  The last line is the digest of all lines above it.
+Compare two trees by diffing the output of
+
+    python tests/output_digests.py --src <tree>/src
+
+on each.  The file is not a test module: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SCENARIOS = [
+    ("two_point", {}),
+    ("contraction", {}),
+    ("kaczmarz", {"consistent": True}),
+    ("kaczmarz", {"consistent": False}),
+    ("sgd_linear_noise", {}),
+    ("phase_retrieval", {}),
+    ("spider_frechet", {}),
+    ("dr_parallel_lines", {}),
+]
+ITERATIONS = (0, 1, 6)
+WORKERS = (1, 2)
+RUN_TO_RUN = ("timings", "config_path", "wall_time_s")  # manifest keys left out of its digest
+RATE_WRITES = ("report.json", "rates_series.csv")  # the files `rate` writes, over `run`'s report
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _command(src: Path, args: list) -> str:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "rfilab.cli", *args], capture_output=True, env=env)
+    return _sha(proc.stdout + b"\nexit %d\n" % proc.returncode)
+
+
+def _file_digest(path: Path) -> str:
+    if not path.exists():
+        return "missing"
+    if path.name == "manifest.json":
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        for key in RUN_TO_RUN:
+            manifest.pop(key, None)
+        return _sha(json.dumps(manifest, sort_keys=True).encode())
+    return _sha(path.read_bytes())
+
+
+def digests(src: Path, work: Path):
+    """Yield ``(digest, name)`` for every command and output of the matrix."""
+    for name, params in SCENARIOS:
+        label = "-".join([name, *(f"{key}={value}" for key, value in params.items())])
+        for iterations in ITERATIONS:
+            config = {
+                "scenario": {"name": name, "params": params},
+                "ensemble_size": 200,
+                "iterations": iterations,
+                "seed": 7,
+                "diagnostics": {"wasserstein": True, "psi": True, "regularity": True, "rates": True},
+            }
+            config_path = work / f"{label}-K{iterations}.json"
+            config_path.write_text(json.dumps(config))
+            for workers in WORKERS:
+                cell = f"{label}/K{iterations}/w{workers}"
+                out = work / cell
+                yield _command(src, ["run", "--config", str(config_path), "--out", str(out),
+                                     "--workers", str(workers)]), f"{cell}/run"
+                for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                    yield _file_digest(path), f"{cell}/{path.relative_to(out).as_posix()}"
+                yield _command(src, ["rate", str(out)]), f"{cell}/rate"
+                for written in RATE_WRITES:
+                    yield _file_digest(out / written), f"{cell}/rate/{written}"
+                last = out / "ensembles" / f"step_{iterations:06d}.csv"
+                yield _command(src, ["wasserstein", str(out / "reference.csv"), str(last)]), f"{cell}/wasserstein"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+                        help="the source tree to run (default: this checkout's src/)")
+    args = parser.parse_args(argv)
+    combined = hashlib.sha256()
+    with tempfile.TemporaryDirectory(prefix="rfilab-digests-") as work:
+        for digest, name in digests(args.src.resolve(), Path(work)):
+            line = f"{digest}  {name}\n"
+            combined.update(line.encode())
+            sys.stdout.write(line)
+            sys.stdout.flush()
+    print(f"{combined.hexdigest()}  combined")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,9 +18,17 @@ import pytest
 from scipy.stats import binom
 
 from conftest import brute_force_wasserstein, chain_path, point, spider_frechet_mean_grid
-from oracles import GaussianPairSampler, QuadraticProx, SoftThreshold, balanced_two_point, check_submonotone, distance
+from oracles import (
+    GaussianPairSampler,
+    QuadraticProx,
+    SoftThreshold,
+    balanced_two_point,
+    check_submonotone,
+    distance,
+    theta_linear,
+)
 
-from rfilab.analysis import build_rate_report, estimate_subregularity, rate_bound_from_theorem, theta_linear
+from rfilab.analysis import build_rate_report, estimate_subregularity, rate_bound_from_theorem
 from rfilab.cli import main as cli_main
 from rfilab.geometry import EuclideanSpace, SpiderPoint, SpiderSpace
 from rfilab.operators import (

@@ -1,48 +1,47 @@
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rfilab.analysis import (
-    build_rate_report,
-    estimate_subregularity,
-    fit_qlinear,
-    fit_rlinear,
-    rate_bound_from_theorem,
-    theta_linear,
-)
+import oracles
+from rfilab.analysis import build_rate_report, estimate_subregularity, rate_bound_from_theorem
 
 
 # ---------------------------------------------------------------------------
 # rate fits
 # ---------------------------------------------------------------------------
 
+def _fits(series):
+    report = build_rate_report(range(len(series)), series, burn_in_fraction=0.0)
+    return report.q_linear, report.r_linear
+
+
 def test_fit_qlinear_exact_geometric():
-    series = 0.5 ** np.arange(12)
-    fit = fit_qlinear(series)
+    fit, _ = _fits(0.5 ** np.arange(12))
     assert fit.rate == pytest.approx(0.5, abs=1e-14)
     assert fit.geometric_mean == pytest.approx(0.5, abs=1e-14)
 
 
 def test_fit_qlinear_constant_series():
-    fit = fit_qlinear(np.ones(10))
+    fit, _ = _fits(np.ones(10))
     assert fit.rate == pytest.approx(1.0, abs=1e-15)  # reported, not linear-convergent
 
 
 def test_fit_qlinear_window_and_zeros():
     series = [1.0, 0.5, 0.25, 0.0, 7.0]
-    fit = fit_qlinear(series)  # zero terminates the window
-    assert fit.window == (0, 2)
+    fit, _ = _fits(series)  # zero terminates the fit, not the recorded window
+    assert fit.window == (0, 4)
     assert fit.rate == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ValueError):
-        fit_qlinear([1.0])
-    with pytest.raises(ValueError):
-        fit_qlinear([1.0, 0.5], window=(0, 0))
+    assert oracles.fit_qlinear(series).window == (0, 2)
+    assert _fits([1.0]) == (None, None)
+    assert build_rate_report(range(2), [1.0, 0.5], burn_in_fraction=1.0).q_linear is None  # window (1, 1)
 
 
 def test_fit_rlinear_exact():
-    series = 3.0 * 0.8 ** np.arange(15)
-    fit = fit_rlinear(series)
+    _, fit = _fits(3.0 * 0.8 ** np.arange(15))
     assert fit.beta == pytest.approx(3.0, abs=1e-10)
     assert fit.rate == pytest.approx(0.8, abs=1e-10)
     assert fit.residual <= 1e-12
@@ -51,15 +50,15 @@ def test_fit_rlinear_exact():
 def test_fit_rlinear_alternating_envelope():
     k = np.arange(20)
     series = np.where(k % 2 == 0, 0.9**k, 2 * 0.9**k)
-    fit = fit_rlinear(series)
+    _, fit = _fits(series)
     assert fit.rate == pytest.approx(0.9, abs=0.01)  # R-linear despite ratio swings
 
 
 def test_fit_rlinear_sublinear_flagged():
     k = np.arange(1, 400)
     series = 1.0 / k
-    short = fit_rlinear(series, window=(0, 30))
-    long = fit_rlinear(series, window=(0, 398 - 1))
+    _, short = _fits(series[:31])
+    _, long = _fits(series[:398])
     assert long.rate > short.rate  # fitted rate creeps toward 1 as the window grows
     assert long.rate > 0.97
 
@@ -69,16 +68,22 @@ def test_fit_rlinear_sublinear_flagged():
 # ---------------------------------------------------------------------------
 
 def test_theta_linear_values():
-    assert theta_linear(0.0, 1.0, np.sqrt(2.0)) == pytest.approx(0.5, abs=1e-14)
-    assert theta_linear(0.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-14)  # lower edge
-    assert theta_linear(0.02, 0.5, 1.0) == pytest.approx(0.52, abs=1e-14)
+    # gamma = c^2 at alpha = 1 / (1 + tau)
+    assert rate_bound_from_theorem(0.5, 0.0, np.sqrt(2.0)) ** 2 == pytest.approx(0.5, abs=1e-14)
+    assert rate_bound_from_theorem(0.5, 0.0, 1.0) ** 2 == pytest.approx(0.0, abs=1e-14)  # lower edge
+    assert rate_bound_from_theorem(2.0 / 3.0, 0.02, 1.0) ** 2 == pytest.approx(0.52, abs=1e-14)
 
 
 def test_theta_linear_window_errors():
     with pytest.raises(ValueError, match="below"):
-        theta_linear(0.0, 1.0, 0.5)
+        rate_bound_from_theorem(0.5, 0.0, 0.5)
     with pytest.raises(ValueError, match="above"):
-        theta_linear(0.5, 1.0, 2.0)
+        rate_bound_from_theorem(0.5, 0.5, 2.0)
+    with pytest.raises(ValueError, match="above"):
+        rate_bound_from_theorem(0.5, 0.5, math.sqrt(2.0))  # the upper edge itself is excluded
+    for alpha, eps, r in [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (0.5, -0.1, 1.0), (0.5, 0.0, 0.0), (0.5, 0.0, -1.0)]:
+        with pytest.raises(ValueError):
+            rate_bound_from_theorem(alpha, eps, r)
 
 
 def test_rate_bound_values():
@@ -102,7 +107,7 @@ def test_rate_bound_matches_theta_linear(rng):
         if r >= hi:
             continue
         c = rate_bound_from_theorem(alpha, eps, r)
-        gamma = theta_linear(eps, tau, r)
+        gamma = oracles.theta_linear(eps, tau, r)
         assert abs(c**2 - gamma) <= 1e-12
 
 
@@ -170,3 +175,44 @@ def test_rate_report_fields_are_the_report_rates_keys():
     assert set(rates) == {"series", "q_linear", "r_linear", "fit_window", "converged_within_floor", "floor"}
     assert set(rates["q_linear"]) == {"rate", "geometric_mean", "window"}
     assert set(rates["r_linear"]) == {"beta", "rate", "residual", "window"}
+
+
+@pytest.mark.parametrize(
+    "steps, d, floor, converged",
+    [
+        ([0], [49.96], 0.15, False),  # K = 0: one entry far above the floor
+        ([0], [49.96], 0.0, False),
+        ([0], [49.96], None, False),
+        ([], [], 0.15, False),
+        ([0, 1], [5.0, np.nan], 0.15, False),  # a NaN is no evidence either way
+        ([0, 1, 2], [5.0, 0.0, 1.0], 0.0, True),  # an exact zero with a floor of 0
+        ([0, 1, 2], [5.0, 0.0, 1.0], None, False),
+        ([0], [0.3], 0.15, True),  # within 3x the floor
+    ],
+    ids=["k0_floor", "k0_floor_zero", "k0_no_floor", "empty", "nan", "zero_floor_zero", "zero_no_floor", "k0_within"],
+)
+def test_build_rate_report_short_series_is_converged_only_within_the_floor(steps, d, floor, converged):
+    report = build_rate_report(steps, d, burn_in_fraction=0.0, floor=floor)
+    assert report.q_linear is None and report.r_linear is None
+    assert report.converged_within_floor is converged
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    data=st.lists(st.tuples(st.integers(1, 4), st.floats(0.05, 1.2)), max_size=30),
+    specials=st.lists(st.tuples(st.integers(0, 29), st.sampled_from([0.0, math.nan])), max_size=2),
+    burn_in_fraction=st.one_of(st.just(0.0), st.just(0.2), st.floats(0.0, 1.0)),
+    floor=st.one_of(st.none(), st.just(0.0), st.floats(1e-3, 1.0)),
+)
+def test_build_rate_report_is_the_two_fits_on_their_own_windows(data, specials, burn_in_fraction, floor):
+    # the one-window fold against the separate fits, each windowing the
+    # series itself, to the byte: repr tells nan, -0.0 and numpy scalars
+    # apart.  The series falls from 10 by a factor per step, with uneven
+    # steps, so that floors cut it, with a zero or NaN put in at random
+    steps = np.cumsum([gap for gap, _ in data]).tolist()
+    d = (10.0 * np.cumprod([factor for _, factor in data])).tolist()
+    for i, value in specials:
+        if i < len(d):
+            d[i] = value
+    got = asdict(build_rate_report(steps, d, burn_in_fraction, floor))
+    assert repr(got) == repr(asdict(oracles.build_rate_report(steps, d, burn_in_fraction, floor)))

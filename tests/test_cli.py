@@ -637,6 +637,24 @@ def test_cmd_rate_appends_fits(tmp_path, capsys):
     assert (out / "rates_series.csv").read_text().splitlines()[0] == "k,W2_to_pi,psi_hat,ratio"
 
 
+def test_cmd_rate_on_one_step_is_not_converged(tmp_path, capsys):
+    # K = 0 records one W2, far above the floor: too short to fit, and no
+    # evidence of convergence
+    cfg = write_config(tmp_path, scenario={"name": "contraction", "params": {"r": 0.5}}, iterations=0,
+                       diagnostics={"regularity": False, "rates": True})
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    for command in (None, ["rate", str(out)]):
+        if command is not None:
+            assert main(command) == EXIT_OK
+            assert capsys.readouterr().out == "series too short or degenerate; no rate fitted\n"
+        report = json.loads((out / "report.json").read_text())
+        (_, w2), = report["rates"]["series"]
+        assert w2 > 3 * report["floor"] > 0
+        assert report["rates"]["converged_within_floor"] is False
+        assert report["rates"]["q_linear"] is None
+
+
 def test_cmd_rate_missing_series(tmp_path):
     assert main(["rate", str(tmp_path)]) == EXIT_CONFIG
 
@@ -741,9 +759,11 @@ def _regularity(epsilon_hat):
         ({"alpha": 0.5, "subregularity": {"r_hat": 1.2}, "regularity": _regularity(0.1), "bound": 0.3}, 0.1),
         ({"alpha": 0.5, "subregularity": {"r_hat": 1.2}, "regularity": None, "bound": 0.3}, 0.3),
         ({"alpha": 0.5, "subregularity": {"r_hat": 0.5}, "regularity": None, "bound": 0.0}, None),
-        ({"alpha": 0.5, "subregularity": {"r_hat": 1.2}, "regularity": None, "bound": None}, 0.0),
+        ({"alpha": 0.5, "subregularity": {"r_hat": 1.2}, "regularity": None, "bound": None}, None),
+        ({"alpha": 0.5, "subregularity": {"r_hat": 1.2}, "regularity": None, "bound": 0.0}, 0.0),
     ],
-    ids=["no_alpha", "no_subregularity", "regularity_wins", "bound_fallback", "r_hat_outside_window", "admissible"],
+    ids=["no_alpha", "no_subregularity", "regularity_wins", "bound_fallback", "r_hat_outside_window", "admissible",
+         "bound_zero"],
 )
 def test_predicted_rate(report, epsilon):
     from rfilab.analysis import rate_bound_from_theorem
