@@ -2,12 +2,13 @@
 
 :func:`build_rate_report` classifies a distance series (d_k) by two fits on
 one window, which it alone computes: the recorded steps after a burn-in
-fraction, up to where the series first dips under 3x the Monte-Carlo floor,
-and up to its first entry that is not positive.  The Q-linear rate is the
-maximum per-step ratio over the window (conservative: the defining
-inequality quantifies over every k), with the geometric-mean ratio carried
-as a secondary diagnostic.  The R-linear fit is a least-squares line on
-(k, log d_k), giving d_k <= beta * c^k up to the reported residual.
+fraction, up to where the series, past that fraction, first dips under 3x
+the Monte-Carlo floor, and up to its first entry that is not positive.  The
+Q-linear rate is the maximum per-step ratio over the window (conservative:
+the defining inequality quantifies over every k), with the geometric-mean
+ratio carried as a secondary diagnostic.  The R-linear fit is a
+least-squares line on (k, log d_k), giving d_k <= beta * c^k up to the
+reported residual.
 
 Linear metric subregularity of the Markov transport discrepancy with
 constant r turns, together with a firm-nonexpansiveness constant alpha and
@@ -134,7 +135,8 @@ def build_rate_report(
 
     The window drops the first ``burn_in_fraction`` of recorded steps (early
     transients) and, when a Monte-Carlo floor is supplied, stops where the
-    series first dips under 3x the floor: past it, ratios measure sampling
+    series first dips under 3x the floor after the burn-in (entries the
+    window drops are not looked at): past it, ratios measure sampling
     noise.  Both fits stop before the window's first entry that is not
     positive (a zero has no ratio or logarithm) and record the window as it
     was before that cut.  A ratio spanning g steps is taken to the power
@@ -147,7 +149,7 @@ def build_rate_report(
     lo = int(np.floor(burn_in_fraction * (len(d) - 1)))
     hi = len(d) - 1
     if floor is not None and floor > 0:
-        below = np.flatnonzero(d <= 3.0 * floor)
+        below = lo + np.flatnonzero(d[lo:] <= 3.0 * floor)
         if below.size and below[0] > lo + 1:
             hi = int(below[0])
         elif below.size:

@@ -678,11 +678,28 @@ def cmd_rate(results_dir) -> int:
     return EXIT_OK
 
 
+def _shape(ens: Ensemble) -> str:
+    space = ens.space
+    if isinstance(space, SpiderSpace):
+        return f"{len(ens)} particles on a {space.legs}-leg spider"
+    return f"{len(ens)} particles in {'C' if space.complex_coords else 'R'}^{space.dim}"
+
+
 def cmd_wasserstein(path_a, path_b, p: float) -> int:
     if not (np.isfinite(p) and p >= 1.0):
         raise ConfigError(f"--p: must be a finite number >= 1, got {p}")
     a = _read_ensemble(path_a, "ensemble_a")
     b = _read_ensemble(path_b, "ensemble_b")
+    if isinstance(a.space, SpiderSpace) and isinstance(b.space, SpiderSpace):
+        # each file's leg count is inferred from its own particles; a leg that
+        # holds none changes no spider distance, so both take the larger count
+        legs = SpiderSpace(max(a.space.legs, b.space.legs))
+        a, b = Ensemble(legs, a.points), Ensemble(legs, b.points)
+    if a.space != b.space or len(a) != len(b):
+        raise ConfigError(
+            f"ensemble_b: {_shape(b)} against ensemble_a's {_shape(a)} "
+            "(W_p needs two ensembles of one size in one space)"
+        )
     value, _ = wasserstein(a, b, p=p)
     print(repr(value))
     return EXIT_OK

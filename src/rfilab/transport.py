@@ -6,6 +6,12 @@ couplings (permutations).  On the real line the sorted matching is optimal
 and used directly; elsewhere the cost matrix goes through an exact
 assignment solver.  The Markov transport discrepancy of an ensemble reuses
 such a coupling to the reference ensemble.
+
+Ensembles are stored as CSV: a header row, read by the ``csv`` module,
+that names the columns and so the space, then one row of plain decimal
+numbers per particle, parsed by numpy's C reader (``np.loadtxt``).  A blank
+line, a quoted field, a ``#``, a digit separator (``1_0``) or a row whose
+length differs from the header's is rejected with a ValueError.
 """
 
 from __future__ import annotations
@@ -134,14 +140,24 @@ class Ensemble:
 
     @classmethod
     def from_csv(cls, path, space: Optional[Space] = None) -> "Ensemble":
-        path = Path(path)
-        with path.open("r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            rows = [[float(v) for v in row] for row in reader]
-        if not header or any(len(row) != len(header) for row in rows):
+        """Read what :meth:`to_csv` writes.  The header is read by ``csv`` and,
+        unless ``space`` is given, decides the space; the rows by
+        ``np.loadtxt``, so each value is a plain decimal number as ``float``
+        reads it (``nan`` and ``inf`` included, ``1_0`` and non-ASCII digits
+        not), with no quoting and no comments.  A file with no header or no
+        rows, a blank line, a value that is not a number, or a row whose
+        length differs from the header's raises ValueError."""
+        with Path(path).open("r", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), [])
+            # not splitlines(), which would also break a row at \f, \v or \x1c
+            lines = fh.read().split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        if not header or not lines or not all(lines):
             raise ValueError("expected a header row, then one value per column on every row")
-        data = np.asarray(rows).reshape(len(rows), len(header))
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        if data.shape[1] != len(header):
+            raise ValueError(f"expected {len(header)} values per row, as in the header, got {data.shape[1]}")
         if space is None:
             space = _space_from_header(header, data)
         if isinstance(space, SpiderSpace):

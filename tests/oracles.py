@@ -5,22 +5,25 @@ the a(1/2)-firm violation that ``regularity.estimate_violation`` computes,
 the regularity block estimated operator by operator, the two-point
 scenario's balanced invariant ensemble, the contraction and sgd
 scenarios' invariant samplers as one unblocked draw, the family
-dispatch by boolean masks, and the rate fits and linear gauge as separate
-functions, each fit windowing the series itself."""
+dispatch by boolean masks, the rate fits and linear gauge as separate
+functions, each fit windowing the series itself, and the ensemble CSV
+reader as the ``csv`` module and one ``float`` per value."""
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from rfilab.analysis import QLinearFit, RateReport, RLinearFit
-from rfilab.geometry import EuclideanSpace, Space
+from rfilab.geometry import EuclideanSpace, Space, SpiderSpace
 from rfilab.operators import Operator, OperatorFamily, _require_euclidean
 from rfilab.regularity import MIN_PAIR_DISTANCE, PairSampler, RegularityReport, _rng, psi_estimation_array
 from rfilab.rfi import STREAM_INIT
-from rfilab.transport import Ensemble
+from rfilab.transport import Ensemble, _space_from_header
 
 
 def _packed(space: Space, x) -> np.ndarray:
@@ -308,7 +311,7 @@ def build_rate_report(steps, distances, burn_in_fraction: float = 0.2, floor=Non
     lo = int(np.floor(burn_in_fraction * (len(d) - 1)))
     hi = len(d) - 1
     if floor is not None and floor > 0:
-        below = np.flatnonzero(d <= 3.0 * floor)
+        below = lo + np.flatnonzero(d[lo:] <= 3.0 * floor)
         if below.size and below[0] > lo + 1:
             hi = int(below[0])
         elif below.size and below[0] <= lo + 1:
@@ -321,3 +324,22 @@ def build_rate_report(steps, distances, burn_in_fraction: float = 0.2, floor=Non
         return RateReport(series, None, None, window, converged_within_floor=converged, floor=floor)
     r_linear = fit_rlinear(d, window, steps)
     return RateReport(series, replace(q_linear, window=window), replace(r_linear, window=window), window, floor=floor)
+
+
+def ensemble_from_csv(path, space=None) -> Ensemble:
+    """``Ensemble.from_csv`` as the ``csv`` module and one ``float`` per value:
+    the header, then every row, with the row lengths checked against it."""
+    with Path(path).open("r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [[float(v) for v in row] for row in reader]
+    if not header or any(len(row) != len(header) for row in rows):
+        raise ValueError("expected a header row, then one value per column on every row")
+    data = np.asarray(rows).reshape(len(rows), len(header))
+    if space is None:
+        space = _space_from_header(header, data)
+    if isinstance(space, SpiderSpace):
+        return Ensemble(space, data)
+    if space.complex_coords:
+        return Ensemble(space, data[:, 0::2] + 1j * data[:, 1::2])
+    return Ensemble(space, data)

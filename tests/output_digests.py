@@ -6,7 +6,11 @@ both consistent and inconsistent (8 configs), at seed 7, N = 200, every
 diagnostic on, K in {0, 1, 6} iterations and 1 and 2 workers.  Each cell
 runs ``rfilab run``, then ``rfilab rate`` on its results, then
 ``rfilab wasserstein`` between its reference and last-step ensembles, each
-command in a fresh interpreter on the given source tree.
+command in a fresh interpreter on the given source tree.  One more cell per
+config, ``<config>/K6/w1-reference_file``, runs the K = 6 config at 1 worker
+with ``reference.mode: file``, reading the ``reference.csv`` that the
+``<config>/K6/w1`` cell wrote; its path, which the manifest records, is
+relative to the working directory of every command.
 
 One line is printed per command and per output file, ``<sha256>  <name>``:
 the files ``run`` writes, then the two that ``rate`` writes.  A command's
@@ -51,9 +55,9 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _command(src: Path, args: list) -> str:
+def _command(src: Path, work: Path, args: list) -> str:
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-m", "rfilab.cli", *args], capture_output=True, env=env)
+    proc = subprocess.run([sys.executable, "-m", "rfilab.cli", *args], capture_output=True, env=env, cwd=work)
     return _sha(proc.stdout + b"\nexit %d\n" % proc.returncode)
 
 
@@ -68,6 +72,23 @@ def _file_digest(path: Path) -> str:
     return _sha(path.read_bytes())
 
 
+def _cell(src: Path, work: Path, config: dict, cell: str, workers: int):
+    """Yield ``(digest, name)`` for `run`, its files, `rate` and `wasserstein`
+    of ``config`` at ``workers``, with results in ``work / cell``."""
+    config_path = work / f"{cell.replace('/', '-')}.json"
+    config_path.write_text(json.dumps(config))
+    out = work / cell
+    yield _command(src, work, ["run", "--config", str(config_path), "--out", str(out),
+                               "--workers", str(workers)]), f"{cell}/run"
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        yield _file_digest(path), f"{cell}/{path.relative_to(out).as_posix()}"
+    yield _command(src, work, ["rate", str(out)]), f"{cell}/rate"
+    for written in RATE_WRITES:
+        yield _file_digest(out / written), f"{cell}/rate/{written}"
+    last = out / "ensembles" / f"step_{config['iterations']:06d}.csv"
+    yield _command(src, work, ["wasserstein", str(out / "reference.csv"), str(last)]), f"{cell}/wasserstein"
+
+
 def digests(src: Path, work: Path):
     """Yield ``(digest, name)`` for every command and output of the matrix."""
     for name, params in SCENARIOS:
@@ -80,20 +101,11 @@ def digests(src: Path, work: Path):
                 "seed": 7,
                 "diagnostics": {"wasserstein": True, "psi": True, "regularity": True, "rates": True},
             }
-            config_path = work / f"{label}-K{iterations}.json"
-            config_path.write_text(json.dumps(config))
             for workers in WORKERS:
-                cell = f"{label}/K{iterations}/w{workers}"
-                out = work / cell
-                yield _command(src, ["run", "--config", str(config_path), "--out", str(out),
-                                     "--workers", str(workers)]), f"{cell}/run"
-                for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                    yield _file_digest(path), f"{cell}/{path.relative_to(out).as_posix()}"
-                yield _command(src, ["rate", str(out)]), f"{cell}/rate"
-                for written in RATE_WRITES:
-                    yield _file_digest(out / written), f"{cell}/rate/{written}"
-                last = out / "ensembles" / f"step_{iterations:06d}.csv"
-                yield _command(src, ["wasserstein", str(out / "reference.csv"), str(last)]), f"{cell}/wasserstein"
+                yield from _cell(src, work, config, f"{label}/K{iterations}/w{workers}", workers)
+        burn_in = f"{label}/K{ITERATIONS[-1]}/w1"
+        config["reference"] = {"mode": "file", "path": f"{burn_in}/reference.csv"}
+        yield from _cell(src, work, config, f"{burn_in}-reference_file", 1)
 
 
 def main(argv=None) -> int:

@@ -152,6 +152,16 @@ def test_build_rate_report_respects_floor():
     assert report.fit_window[1] <= 4  # stops once the series dips under 3x floor
 
 
+def test_build_rate_report_floor_cut_skips_the_burn_in():
+    # entry 0 lies under 3x the floor but before the window (2, 10): the cut
+    # is the first entry of the window under it, 0.08 at index 8
+    d = [0.1, 10, 5, 2.5, 1.25, 0.62, 0.31, 0.16, 0.08, 0.04, 0.02]
+    report = build_rate_report(range(11), d, floor=0.05)
+    assert not report.converged_within_floor
+    assert report.fit_window == report.q_linear.window == report.r_linear.window == (2, 8)
+    assert report.q_linear.rate == pytest.approx(0.16 / 0.31)
+
+
 def test_build_rate_report_converged_series():
     d = [0.01, 0.012, 0.009]
     report = build_rate_report(range(3), d, burn_in_fraction=0.0, floor=0.01)

@@ -693,6 +693,22 @@ def test_cmd_wasserstein(tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_cmd_wasserstein_reads_spiders_on_the_larger_leg_count(tmp_path, capsys):
+    # each file's leg count comes from its own particles (2 and 3 legs here);
+    # a leg with no particle changes no spider distance
+    import numpy as np
+    from conftest import brute_force_wasserstein
+    from rfilab.geometry import SpiderSpace
+
+    (tmp_path / "a.csv").write_text("leg,radius\n0,1.0\n1,2.0\n")
+    (tmp_path / "b.csv").write_text("leg,radius\n0,1.0\n2,2.0\n")
+    expected = brute_force_wasserstein(SpiderSpace(3), np.array([[0, 1.0], [1, 2.0]]), np.array([[0, 1.0], [2, 2.0]]))
+    assert expected == pytest.approx(8.0**0.5, rel=1e-15)  # 0 on leg 0, then 2 + 2 across legs 1 and 2
+    for first, second in (("a", "b"), ("b", "a")):
+        assert main(["wasserstein", str(tmp_path / f"{first}.csv"), str(tmp_path / f"{second}.csv")]) == EXIT_OK
+        assert float(capsys.readouterr().out) == pytest.approx(expected, rel=1e-15)
+
+
 @pytest.mark.parametrize(
     "argv, fragment",
     [
@@ -700,20 +716,31 @@ def test_cmd_wasserstein(tmp_path, capsys):
         (["--p", "nan"], "--p: must be a finite number >= 1"),
         (["--p", "inf"], "--p: must be a finite number >= 1"),
         (["missing.csv"], "missing.csv"),
+        (["x0\n0.0\n1.0\n2.0\n"], "ensemble_b: 3 particles in R^1 against ensemble_a's 2 particles in R^1 ("),
+        (["x0,x1\n0.0,0.0\n1.0,1.0\n"], "ensemble_b: 2 particles in R^2 against ensemble_a's 2 particles in R^1 ("),
+        (["leg,radius\n0,1.0\n1,2.0\n"],
+         "ensemble_b: 2 particles on a 2-leg spider against ensemble_a's 2 particles in R^1 ("),
+        (["x0_re,x0_im\n0.0,0.0\n1.0,1.0\n"], "ensemble_b: 2 particles in C^1 against ensemble_a's 2 particles in R^1 ("),
     ],
-    ids=["p_below_1", "p_nan", "p_inf", "missing_file"],
+    ids=["p_below_1", "p_nan", "p_inf", "missing_file", "sizes_differ", "r1_against_r2", "r1_against_spider",
+         "r1_against_c1"],
 )
 def test_cmd_wasserstein_invalid_input_exits_2(tmp_path, capsys, argv, fragment):
+    # a positional argument is ensemble_b: a file name, or the text written to b.csv
     from rfilab.geometry import EuclideanSpace
     from rfilab.transport import Ensemble
 
     Ensemble(EuclideanSpace(1), [[0.0], [1.0]]).to_csv(tmp_path / "a.csv")
     paths = [str(tmp_path / "a.csv"), str(tmp_path / "a.csv")]
     if not argv[0].startswith("--"):
-        paths[1] = str(tmp_path / argv.pop())
+        b = argv.pop()
+        if "\n" in b:
+            (tmp_path / "b.csv").write_text(b)
+            b = "b.csv"
+        paths[1] = str(tmp_path / b)
     assert main(["wasserstein", *paths, *argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and fragment in err
+    assert err.startswith("error: ") and fragment in err, err
 
 
 MALFORMED_CSV = {
@@ -721,6 +748,12 @@ MALFORMED_CSV = {
     "header_only": "x0\n",
     "empty": "",
     "ragged": "x0\n1.0\n2.0,3.0\n",
+    "blank_line": "x0\n1.0\n\n2.0\n",
+    "comment": "x0\n1.0#c\n",
+    "trailing_comma": "x0\n1.0,\n",
+    "fewer_columns_than_header": "x0,x1\n1.0\n2.0\n",
+    "quoted_field": 'x0\n"1.0"\n',
+    "digit_separator": "x0\n1_0\n",
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import brute_force_wasserstein, write_csv_oracle
 
 from rfilab import transport
@@ -289,3 +290,36 @@ def test_to_csv_bytes_equal_csv_writer_50000_rows(tmp_path):
     ens.to_csv(tmp_path / "fast.csv")
     write_csv_oracle(ens, tmp_path / "oracle.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.sampled_from([("real", 1), ("real", 2), ("real", 3), ("complex", 1), ("complex", 2), ("complex", 3),
+                           ("spider", 4)]),
+    n=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+    at=st.lists(st.integers(0, 10**6), min_size=len(EXTREMES), max_size=len(EXTREMES)),
+    drawn=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 10**6)), max_size=8),
+)
+def test_from_csv_reads_what_the_csv_module_reads(tmp_path_factory, shape, n, seed, at, drawn):
+    # numpy's C reader against the csv module and one float() per value, to
+    # the bit: -0.0, subnormals and +-max among normal values and random bit
+    # patterns, in R^1-R^3, C^1-C^3 and on a 5-leg spider
+    kind, dim = shape
+    path = tmp_path_factory.mktemp("csv") / "ensemble.csv"
+    _csv_ensemble(kind, dim, n, seed, [*zip(EXTREMES, at), *drawn]).to_csv(path)
+    got, expected = Ensemble.from_csv(path), oracles.ensemble_from_csv(path)
+    assert got.space == expected.space
+    assert got.points.dtype == expected.points.dtype
+    assert got.points.tobytes() == expected.points.tobytes()
+
+
+@pytest.mark.parametrize("text", ['x0\n"1.0"\n', "x0\n1_0\n"], ids=["quoted_field", "digit_separator"])
+def test_from_csv_rejects_what_the_csv_module_read(tmp_path, text):
+    # values rfilab never writes: the csv module unquotes a field and float()
+    # takes a digit separator, while numpy's reader rejects both
+    path = tmp_path / "ensemble.csv"
+    path.write_text(text)
+    assert oracles.ensemble_from_csv(path).points.tolist() == [[1.0 if "1.0" in text else 10.0]]
+    with pytest.raises(ValueError, match="could not convert"):
+        Ensemble.from_csv(path)
