@@ -13,16 +13,20 @@ parameters' keys and values are checked once, by ``build_scenario``, and a
 parameter it rejects is a config error too.  ``run`` and ``rate`` fit rates
 with one function, ``_fit_rates``.  All CSV outputs are byte-deterministic
 for a fixed config, and reruns reproduce files exactly.  ``run`` splits its
-independent work into jobs (the burn-in reference; one per floor pair,
-which draws two ensembles from the scenario's invariant sampler, or burns
-in two where it has none, and takes their W2; one that estimates the
-regularity block, submitted once the reference is taken; one that writes
-the reference; and one per recorded step, which writes that step's
-ensemble file and then computes its W2 + Psi) and runs them on a pool of
-``workers`` forked processes, capped at the usable CPUs, each with one BLAS
-thread.  Each job is pickled in the thread that submits it, as a check, so
-a job that cannot be sent fails the run at once.  This process runs the
-chain while the reference burns in, since the chain does not use it, and
+independent work into jobs (the burn-in reference; one per floor sample,
+a draw of the scenario's invariant sampler or, where it has none, a
+burn-in; one per floor draw, the W2 from the run's own reference to one
+sample; one that estimates the regularity block, submitted once the
+reference is taken; one that writes the reference; and one per recorded
+step, which writes that step's ensemble file and then computes its W2 +
+Psi) and runs them on a pool of ``workers`` forked processes, capped at the
+usable CPUs, each with one BLAS thread.  Each job is pickled in the thread
+that submits it, as a check, so a job that cannot be sent fails the run at
+once.  The floor samples are submitted with the reference burn-in, and this
+process runs the chain meanwhile, since none of them uses the reference.
+Once the reference is taken, a sample's W2 is submitted as soon as the
+sample is back: before the step jobs if it is back by then, else behind at
+most as many step jobs as there are workers.  This process
 writes the series, report and manifest.  The worker count changes no output
 byte: every job is a pure function of its arguments.  scipy's assignment
 solver is loaded only by a command that solves an assignment, as the
@@ -42,7 +46,7 @@ import pickle
 import resource
 import sys
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, as_completed, wait
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
@@ -67,8 +71,8 @@ from .scenarios import (  # noqa: F401
     SCENARIO_BUILDERS,
     ParamError,
     build_scenario,
-    floor_draw,
-    floor_pair_seeds,
+    floor_sample,
+    floor_seeds,
     floor_source,
     long_run_reference,
     monte_carlo_floor,
@@ -350,8 +354,14 @@ def _series_point(spec: tuple, ens: Ensemble, reference: Ensemble, want_w2: bool
     return w2, psi
 
 
-def _floor_pair(spec: tuple, n: int, steps: int, seed_a: int, seed_b: int) -> float:
-    return floor_draw(build_scenario(*spec), n, steps, seed_a, seed_b)
+def _floor_sample(spec: tuple, n: int, steps: int, seed: int) -> Ensemble:
+    return floor_sample(build_scenario(*spec), n, steps, seed)
+
+
+def _floor_solve(reference: Ensemble, sample: Ensemble) -> float:
+    """The W2 of :func:`floor_draw`, which a run splits in two jobs: the
+    sample does not need the reference, and is drawn while it burns in."""
+    return wasserstein(reference, sample, p=2.0)[0]
 
 
 def _write_ensemble(ens: Ensemble, path: Path) -> None:
@@ -490,35 +500,60 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     )
     diags = cfg["diagnostics"]
     series = diags["wasserstein"] or diags["psi"]
-    floor_pairs = floor_pair_seeds(cfg["seed"]) if diags["rates"] else []
+    seeds = floor_seeds(cfg["seed"]) if diags["rates"] else []
     if series and not transport.sorted_path(scenario.space):
         transport.assignment_solver()  # once here, before the pool forks, not in every worker
-    # one job each: the reference burn-in, a floor pair (two sampler draws
-    # or burn-ins, and their W2), the regularity block, the reference write
-    # and a recorded step (its file, then its W2 + Psi)
-    submissions = ((cfg["reference"]["mode"] == "burn_in") + len(floor_pairs) + diags["regularity"] + 1
+    # one job each: the reference burn-in, a floor sample (a sampler draw or
+    # a burn-in), its W2 to the reference, the regularity block, the
+    # reference write and a recorded step (its file, then its W2 + Psi)
+    submissions = ((cfg["reference"]["mode"] == "burn_in") + 2 * len(seeds) + diags["regularity"] + 1
                    + len(chain.recorded_steps()))
     with _Pool(max(1, min(cfg["workers"], usable_cpus(), submissions))) as pool:
         reference_job, ref_provenance = _reference_ensemble(scenario, cfg, pool)
         out.mkdir(parents=True, exist_ok=True)  # only now: a bad scenario or reference leaves none behind
-        floor_jobs = [pool.submit(("floor", _floor_pair, spec, n, _burn_in_steps(cfg), a, b)) for a, b in floor_pairs]
+        samples = {pool.submit(("floor", _floor_sample, spec, n, _burn_in_steps(cfg), seed)): i
+                   for i, seed in enumerate(seeds)}
 
-        # the chain does not use the reference: it runs while the reference burns in
+        # the chain and the floor samples do not use the reference: they run
+        # while it burns in, and only the floor's W2 solves wait for it
         with pool.timed("chain"):
             trajectory = run_ensemble(chain)
         reference = pool.take(reference_job)
+        solves = [None] * len(seeds)  # the floor's W2 jobs, in seed order
+
+        def solve_floor(done):
+            """Submit the W2 solve of each sample job in ``done``, and let
+            go of the job: the sample stays here no longer than its solve."""
+            for job in done:
+                solves[samples.pop(job)] = pool.submit(("floor", _floor_solve, reference, pool.take(job)))
+
+        # samples drawn by now are solved before the steps, the rest as they
+        # come in: this process never waits on a sample alone while a step
+        # job is still to be submitted
+        solve_floor([job for job in samples if job.done()])
         if diags["regularity"]:
             regularity_job = pool.submit(
                 ("regularity", _regularity_block, spec, reference, cfg["seed"], cfg["regularity_pairs"]))
+        # queued before the steps, so that the run does not end on it alone
+        reference_write = pool.submit(("io", _write_ensemble, reference, out / "reference.csv"))
         ens_dir = out / "ensembles"
         ens_dir.mkdir(exist_ok=True)
         step_jobs = []
+        ahead = []  # unfinished step jobs, which a sample's solve would queue behind
         for step, ens in zip(trajectory.steps, trajectory.ensembles):
             stages = [("io", _write_ensemble, ens, ens_dir / f"step_{step:06d}.csv")]
             if series:
                 stages.append(("w2_psi", _series_point, spec, ens, reference, diags["wasserstein"], diags["psi"]))
-            step_jobs.append(pool.submit(*stages))
-        reference_write = pool.submit(("io", _write_ensemble, reference, out / "reference.csv"))
+            # while a sample is being drawn, at most pool.size step jobs are
+            # queued ahead of its solve: one for each worker to run
+            while samples:
+                ahead = [job for job in ahead if not job.done()]
+                if len(ahead) < pool.size:
+                    break
+                solve_floor(samples.keys() & wait([*samples, *ahead], return_when=FIRST_COMPLETED).done)
+            ahead.append(pool.submit(*stages))
+            step_jobs.append(ahead[-1])
+        solve_floor(as_completed(list(samples)))
         values = [pool.take(job) for job in step_jobs]
         pool.take(reference_write)
         report = _empty_report(scenario)
@@ -533,10 +568,9 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
                     fh.write(f"{step},{_float_repr(w2)},{_float_repr(psi)}\n")
         floor = None
         if diags["rates"]:
-            draws = [pool.take(job) for job in floor_jobs]
+            draws = [pool.take(job) for job in solves]
             report["floor"] = float(np.median(draws))
-            floor = {"source": floor_source(scenario), "pair_seeds": [list(pair) for pair in floor_pairs],
-                     "draws": draws}
+            floor = {"source": floor_source(scenario), "seeds": seeds, "draws": draws}
             if floor["source"] == "burn_in":
                 floor["steps"] = _burn_in_steps(cfg)
 

@@ -50,9 +50,10 @@ __all__ = [
     "spider_frechet_mean",
     "long_run_reference",
     "floor_source",
+    "floor_sample",
     "floor_draw",
     "monte_carlo_floor",
-    "floor_pair_seeds",
+    "floor_seeds",
     "build_scenario",
     "ParamError",
     "SCENARIO_BUILDERS",
@@ -65,9 +66,9 @@ class GroundTruth:
 
     ``invariant_sampler(n, seed)``, where there is one, returns n i.i.d.
     draws of the invariant measure, and distinct seeds give independent
-    ensembles: the Monte-Carlo floor compares two of them (see
-    :func:`floor_draw`), so an ensemble that is the same for every seed
-    would read as a floor of 0.
+    ensembles: the Monte-Carlo floor compares a reference with draws under
+    other seeds (see :func:`floor_draw`), so an ensemble that is the same
+    for every seed would read as a floor of 0.
     """
 
     invariant_sampler: Optional[Callable[[int, int], Ensemble]] = None
@@ -506,39 +507,43 @@ def long_run_reference(scenario: Scenario, n: int, steps: int, seed: int) -> Ens
 
 
 def floor_source(scenario: Scenario) -> str:
-    """Where :func:`floor_draw` takes its ensembles from: "invariant_sampler"
+    """Where :func:`floor_sample` takes its ensembles from: "invariant_sampler"
     when the scenario has one, else "burn_in"."""
     return "burn_in" if scenario.ground_truth.invariant_sampler is None else "invariant_sampler"
 
 
-def floor_draw(scenario: Scenario, n: int, steps: int, seed_a: int, seed_b: int) -> float:
-    """One agreement draw: W2 between two independent N-samples of the
-    invariant measure, drawn by the scenario's invariant sampler under
-    ``seed_a`` and ``seed_b``.  A scenario without a sampler gets two
-    burn-ins of ``steps`` steps under those seeds instead; ``steps`` is read
-    only then."""
+def floor_sample(scenario: Scenario, n: int, steps: int, seed: int) -> Ensemble:
+    """One fresh N-sample of the invariant measure under ``seed``: a draw of
+    the scenario's invariant sampler, or where it has none a burn-in of
+    ``steps`` steps; ``steps`` is read only then."""
     if floor_source(scenario) == "burn_in":
-        a, b = (long_run_reference(scenario, n, steps, seed) for seed in (seed_a, seed_b))
-    else:
-        a, b = (scenario.ground_truth.invariant_sampler(n, seed) for seed in (seed_a, seed_b))
-    return wasserstein(a, b, p=2.0)[0]
+        return long_run_reference(scenario, n, steps, seed)
+    return scenario.ground_truth.invariant_sampler(n, seed)
+
+
+def floor_draw(scenario: Scenario, n: int, steps: int, reference: Ensemble, seed: int) -> float:
+    """One floor draw: W2 from ``reference`` to a fresh sample
+    (:func:`floor_sample` under ``seed``).  Against the reference a W2 series
+    is measured to, it is one draw of the level that series settles at once
+    the chain has reached the invariant measure, E[W2(sample, reference) |
+    reference]."""
+    return wasserstein(reference, floor_sample(scenario, n, steps, seed), p=2.0)[0]
 
 
 def monte_carlo_floor(scenario: Scenario, n: int, steps: int, seed: int, repeats: int = 3) -> float:
-    """Two-independent-sample agreement: the resolution limit of W2 estimates.
+    """The resolution limit of W2 estimates against a reference of N
+    particles: the median of ``repeats`` floor draws (:func:`floor_draw`,
+    under :func:`floor_seeds`) against a reference that is itself a fresh
+    sample, drawn under the first seed, ``derive_seed(seed, 11)``.  A
+    single draw fluctuates by a factor of 2-3, hence the median.  A run
+    measures its floor against its own reference instead (``cli.cmd_run``)."""
+    reference = floor_sample(scenario, n, steps, derive_seed(seed, 11))
+    return float(np.median([floor_draw(scenario, n, steps, reference, s) for s in floor_seeds(seed, repeats)]))
 
-    A single agreement draw (:func:`floor_draw`: two sampler draws, or two
-    burn-ins of ``steps`` steps where the scenario has no sampler)
-    fluctuates by a factor of 2-3, so the floor is the median over
-    ``repeats`` independent pairs.
-    """
-    return float(np.median([floor_draw(scenario, n, steps, a, b) for a, b in floor_pair_seeds(seed, repeats)]))
 
-
-def floor_pair_seeds(seed: int, repeats: int = 3) -> list:
-    """Seeds of the ``repeats`` independent pairs behind
-    :func:`monte_carlo_floor`, one ``(a, b)`` tuple per pair."""
-    return [(derive_seed(seed, 11 + 2 * i), derive_seed(seed, 12 + 2 * i)) for i in range(repeats)]
+def floor_seeds(seed: int, repeats: int = 3) -> list:
+    """Seeds of the ``repeats`` fresh samples behind a floor, one per draw."""
+    return [derive_seed(seed, 12 + i) for i in range(repeats)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import functools
 import importlib.util
+import re
 import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
@@ -146,7 +147,8 @@ class Ensemble:
         reads it (``nan`` and ``inf`` included, ``1_0`` and non-ASCII digits
         not), with no quoting and no comments.  A file with no header or no
         rows, a blank line, a value that is not a number, or a row whose
-        length differs from the header's raises ValueError."""
+        length differs from the header's raises ValueError; one from a row
+        names the row's line in the file."""
         with Path(path).open("r", encoding="utf-8") as fh:
             header = next(csv.reader(fh), [])
             # not splitlines(), which would also break a row at \f, \v or \x1c
@@ -155,7 +157,10 @@ class Ensemble:
             lines.pop()
         if not header or not lines or not all(lines):
             raise ValueError("expected a header row, then one value per column on every row")
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        try:
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(_at_file_line(str(exc))) from None
         if data.shape[1] != len(header):
             raise ValueError(f"expected {len(header)} values per row, as in the header, got {data.shape[1]}")
         if space is None:
@@ -167,6 +172,18 @@ class Ensemble:
         else:
             pts = data
         return cls(space, pts)
+
+
+def _at_file_line(message: str) -> str:
+    """np.loadtxt's ``message``, with the fault's line in the file in place
+    of loadtxt's data-row index, and without its hint to use ``usecols``.
+    loadtxt counts a bad value's row from 0 and a changed column count's
+    from 1; the header is line 1 of the file."""
+    if match := re.search(r" at row (\d+), column (\d+)\.$", message):
+        return f"line {int(match[1]) + 2}, column {match[2]}: {message[:match.start()]}"
+    if match := re.search(r" at row (\d+); use `usecols`.*$", message):
+        return f"line {int(match[1]) + 1}: {message[:match.start()]}"
+    return message
 
 
 def _space_from_header(header: Sequence[str], data: np.ndarray) -> Space:

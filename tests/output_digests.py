@@ -10,7 +10,10 @@ command in a fresh interpreter on the given source tree.  One more cell per
 config, ``<config>/K6/w1-reference_file``, runs the K = 6 config at 1 worker
 with ``reference.mode: file``, reading the ``reference.csv`` that the
 ``<config>/K6/w1`` cell wrote; its path, which the manifest records, is
-relative to the working directory of every command.
+relative to the working directory of every command.  A config whose
+scenario has an invariant sampler has one more cell,
+``<config>/K6/w1-reference_ground_truth``: the same run with
+``reference.mode: ground_truth``.
 
 One line is printed per command and per output file, ``<sha256>  <name>``:
 the files ``run`` writes, then the two that ``rate`` writes.  A command's
@@ -21,12 +24,15 @@ Compare two trees by diffing the output of
 
     python tests/output_digests.py --src <tree>/src
 
-on each.  The file is not a test module: pytest does not collect it.
+on each; with ``--keep DIR`` every output stays in DIR, so that the values
+behind a changed digest can be compared.  The file is not a test module:
+pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -35,15 +41,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+# (name, params, whether the scenario has an invariant sampler)
 SCENARIOS = [
-    ("two_point", {}),
-    ("contraction", {}),
-    ("kaczmarz", {"consistent": True}),
-    ("kaczmarz", {"consistent": False}),
-    ("sgd_linear_noise", {}),
-    ("phase_retrieval", {}),
-    ("spider_frechet", {}),
-    ("dr_parallel_lines", {}),
+    ("two_point", {}, True),
+    ("contraction", {}, True),
+    ("kaczmarz", {"consistent": True}, True),
+    ("kaczmarz", {"consistent": False}, False),
+    ("sgd_linear_noise", {}, True),
+    ("phase_retrieval", {}, False),
+    ("spider_frechet", {}, False),
+    ("dr_parallel_lines", {}, False),
 ]
 ITERATIONS = (0, 1, 6)
 WORKERS = (1, 2)
@@ -91,7 +98,7 @@ def _cell(src: Path, work: Path, config: dict, cell: str, workers: int):
 
 def digests(src: Path, work: Path):
     """Yield ``(digest, name)`` for every command and output of the matrix."""
-    for name, params in SCENARIOS:
+    for name, params, sampler in SCENARIOS:
         label = "-".join([name, *(f"{key}={value}" for key, value in params.items())])
         for iterations in ITERATIONS:
             config = {
@@ -106,16 +113,26 @@ def digests(src: Path, work: Path):
         burn_in = f"{label}/K{ITERATIONS[-1]}/w1"
         config["reference"] = {"mode": "file", "path": f"{burn_in}/reference.csv"}
         yield from _cell(src, work, config, f"{burn_in}-reference_file", 1)
+        if sampler:
+            config["reference"] = {"mode": "ground_truth"}
+            yield from _cell(src, work, config, f"{burn_in}-reference_ground_truth", 1)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                         help="the source tree to run (default: this checkout's src/)")
+    parser.add_argument("--keep", type=Path, default=None,
+                        help="an empty or new directory to leave every output in (default: a temporary one)")
     args = parser.parse_args(argv)
     combined = hashlib.sha256()
-    with tempfile.TemporaryDirectory(prefix="rfilab-digests-") as work:
-        for digest, name in digests(args.src.resolve(), Path(work)):
+    with contextlib.ExitStack() as stack:
+        if args.keep is None:
+            work = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="rfilab-digests-")))
+        else:
+            work = args.keep.resolve()
+            work.mkdir(parents=True, exist_ok=True)
+        for digest, name in digests(args.src.resolve(), work):
             line = f"{digest}  {name}\n"
             combined.update(line.encode())
             sys.stdout.write(line)

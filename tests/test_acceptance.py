@@ -197,6 +197,12 @@ def test_c01b_two_point_sampler_draws_iid():
 # ---------------------------------------------------------------------------
 
 def test_c02_contraction_rate_and_violation():
+    """The fitted R-rate depends on the floor through the fit window.  With
+    the statistic built as here on 200 other bases in place of SEED
+    (``tests/floor_check_rates.py``), no seed falls outside [0.4, 0.6]:
+    0/200 under the floor against a reference (R-rate 0.474-0.516) and
+    under the earlier two-sample floor (0.474-0.523); the false-failure rate
+    is at most 0.018 (95% Clopper-Pearson upper end)."""
     started = time.perf_counter()
     r, n, k = 0.5, 2000, 40
     sc = scenario_contraction(r)
@@ -320,6 +326,12 @@ def test_c05_fb_violation_bound():
 # ---------------------------------------------------------------------------
 
 def test_c06_dr_convexity_and_invariance():
+    """W2(pi P, pi) / floor on ``dr_parallel_lines``, over 200 other bases
+    (``tests/floor_check_rates.py``): 0/200 above 3 under the floor against
+    a reference (median 0.45, max 0.83) and under the earlier two-sample
+    floor (median 0.45, max 0.66); the false-failure rate is at most 0.018
+    (95% Clopper-Pearson upper end).  The scenario has no invariant
+    measure, so the margin says nothing about invariance."""
     started = time.perf_counter()
     gen = np.random.default_rng(SEED + 9)
     space = EuclideanSpace(2)
@@ -366,6 +378,19 @@ def test_c06_dr_convexity_and_invariance():
 # ---------------------------------------------------------------------------
 
 def test_c07_psi_separates_invariant_measures():
+    """psi(pi) / floor (fails above 3) and psi(far) / floor (fails at or
+    under 10), over other bases in place of SEED
+    (``tests/floor_check_rates.py``), under the floor against a reference
+    and, in brackets, the earlier two-sample floor:
+
+    * two_point, 200 bases: 1/200 fail [1/200], false-failure rate at most
+      0.028 (95% Clopper-Pearson upper end); psi(pi) / floor median 1.00,
+      q99 2.60, max 6.56 [1.00, 2.96, 3.46]; psi(far) / floor min 14.2
+      [14.4].  A floor from N = 2000 points at +-1 can be small, which
+      gives the ratio a heavy tail;
+    * contraction, 200 bases: 0/200 [0/200], at most 0.018; max 1.73 [1.75];
+    * kaczmarz, 100 bases: 0/100 [0/100], at most 0.036; max 2.09 [2.35].
+    """
     started = time.perf_counter()
     cases = [
         ("two_point", scenario_two_point(), 5.0),

@@ -288,7 +288,7 @@ def test_run_determinism_across_reruns_and_workers(tmp_path, monkeypatch):
 
 def test_run_solves_one_assignment_per_recorded_step(tmp_path, monkeypatch):
     # W2 and Psi share one optimal coupling per recorded step; the floor adds
-    # one solve per pair of burn-ins (3 pairs).  In process the solves are
+    # one solve per draw (3 draws).  In process the solves are
     # counted at the solver; on worker processes, from the manifest.
     import rfilab.transport
 
@@ -333,7 +333,7 @@ def test_run_manifest_timings(tmp_path, monkeypatch):
         assert set(timings["seconds"]) == {"reference", "chain", "w2_psi", "floor", "regularity", "io"}
         assert all(seconds >= 0.0 for seconds in timings["seconds"].values())
         assert timings["seconds"]["reference"] > 0.0 and timings["seconds"]["io"] > 0.0
-        # contraction lives on the line: 11 recorded steps + 3 floor pairs, all sorted
+        # contraction lives on the line: 11 recorded steps + 3 floor draws, all sorted
         assert (timings["sorted_solves"], timings["assignment_solves"]) == (14, 0)
         assert timings["workers_used"] == workers
         assert timings["peak_rss_mib"]["main"] > 0.0
@@ -362,6 +362,42 @@ def test_run_io_seconds_count_every_step_write(tmp_path, monkeypatch):
         assert seconds["w2_psi"] < 11 * 0.05, workers
 
 
+def test_run_queues_a_late_floor_sample_ahead_of_the_later_steps(tmp_path, monkeypatch):
+    # floor samples that take 0.3 s each keep both workers busy while the
+    # step jobs are submitted.  Each sample's solve is submitted with at
+    # most pool size = 2 step jobs unfinished ahead of it (11 without a
+    # bound on them), and the slow samples change no output byte.
+    original_submit, original_sample = rfilab.cli._Pool.submit, rfilab.cli.floor_sample
+    steps, queued_ahead = [], []
+
+    def logged(pool, *stages):
+        if stages[-1][1] is rfilab.cli._floor_solve:
+            queued_ahead.append(sum(not job.done() for job in steps))
+        job = original_submit(pool, *stages)
+        if stages[-1][1] is rfilab.cli._series_point:
+            steps.append(job)
+        return job
+
+    def slow(*args):
+        time.sleep(0.3)
+        return original_sample(*args)
+
+    monkeypatch.setattr(rfilab.cli._Pool, "submit", logged)
+    monkeypatch.setattr(rfilab.cli, "floor_sample", slow)
+    monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path)
+    outs = []
+    for workers in ("1", "2"):
+        steps.clear()
+        queued_ahead.clear()
+        out = tmp_path / workers
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", workers]) == EXIT_OK
+        outs.append((_result_files(out), json.loads((out / "manifest.json").read_text())["floor"]))
+        assert len(steps) == 11 and len(queued_ahead) == 3
+        assert max(queued_ahead) <= (0 if workers == "1" else 2), queued_ahead
+    assert outs[0] == outs[1]
+
+
 def test_run_pool_is_capped_at_usable_cpus(tmp_path, monkeypatch):
     monkeypatch.setattr(rfilab.cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = write_config(tmp_path, diagnostics={"wasserstein": True, "psi": True})
@@ -377,16 +413,17 @@ def test_run_pool_is_capped_at_usable_cpus(tmp_path, monkeypatch):
     "module, name, reference",
     [
         ("cli", "long_run_reference", "burn_in"),
-        ("scenarios", "wasserstein", "ground_truth"),
+        ("cli", "floor_sample", "ground_truth"),
         ("cli", "markov_transport_discrepancy", "burn_in"),
         ("transport.Ensemble", "to_csv", "burn_in"),
     ],
-    ids=["reference_burn_in", "floor_pair", "w2_psi_step", "step_write"],
+    ids=["reference_burn_in", "floor_sample", "w2_psi_step", "step_write"],
 )
 def test_run_worker_failure_exits_like_in_process(tmp_path, monkeypatch, capsys, module, name, reference):
-    # each job kind in turn fails (a floor pair at its W2, a step job at
-    # writing its file, while the reference write's own job writes
-    # reference.csv); the patch is made before the pool forks
+    # each job kind in turn fails (a floor sample at its draw, which this
+    # process takes before it takes a step, a step job at writing its file,
+    # while the reference write's own job writes reference.csv); the patch
+    # is made before the pool forks
     owner = functools.reduce(getattr, module.split("."), rfilab)
     original = getattr(owner, name)
 
@@ -505,21 +542,29 @@ def test_run_ground_truth_reference(tmp_path):
 
 
 def test_reference_factor_sets_the_floor_burn_in(tmp_path):
-    # without an invariant sampler the floor's burn-ins run
+    # in mode file the floor is measured against the file's ensemble;
+    # without an invariant sampler the floor's samples are burn-ins of
     # factor * max(iterations, 1) steps in every reference mode, mode file
     # included; with one, the factor does not move the floor
     from rfilab.geometry import EuclideanSpace
     from rfilab.transport import Ensemble
 
     Ensemble(EuclideanSpace(2), [[0.0, float(i)] for i in range(200)]).to_csv(tmp_path / "ref.csv")
+    file_reference = Ensemble.from_csv(tmp_path / "ref.csv")
     kaczmarz = {"name": "kaczmarz", "params": {"m": 3, "n": 2, "instance_seed": 0}}
     diagnostics = {"wasserstein": True, "psi": False, "rates": True}
     cfg = write_config(tmp_path, scenario=kaczmarz, diagnostics=diagnostics,
                        reference={"mode": "file", "path": str(tmp_path / "ref.csv"), "factor": 3})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     scenario = rfilab.scenarios.build_scenario("kaczmarz", kaczmarz["params"])
-    assert report["floor"] == rfilab.scenarios.monte_carlo_floor(scenario, 200, 3 * 10, 7)
+    draws = [rfilab.scenarios.floor_draw(scenario, 200, 3 * 10, file_reference, seed)
+             for seed in rfilab.scenarios.floor_seeds(7)]
+    assert manifest["floor"]["draws"] == draws
+    assert manifest["floor"]["steps"] == 3 * 10
+    assert report["floor"] == statistics.median(draws)
+    assert report["floor"] != rfilab.scenarios.monte_carlo_floor(scenario, 200, 3 * 10, 7)
 
     floors = []
     for factor in (3, 10):
@@ -530,28 +575,39 @@ def test_reference_factor_sets_the_floor_burn_in(tmp_path):
     assert floors[0] == floors[1] > 0
 
 
-@pytest.mark.parametrize("scenario, source", [
-    ({"name": "contraction", "params": {"r": 0.5, "offset": 5.0}}, "invariant_sampler"),
-    ({"name": "spider_frechet"}, "burn_in"),
-], ids=["contraction", "spider_frechet"])
-def test_manifest_records_where_the_floor_came_from(tmp_path, monkeypatch, scenario, source):
-    # the manifest's floor block names the source, the pair seeds and every
-    # draw, whose median is the report's floor; burn-in steps only where the
-    # floor burns in.  Apart from the worker count, timings, config path and
-    # wall time, the manifests at 1 and 2 workers are the same.
+@pytest.mark.parametrize("scenario, source, reference", [
+    ({"name": "contraction", "params": {"r": 0.5, "offset": 5.0}}, "invariant_sampler", "burn_in"),
+    ({"name": "spider_frechet"}, "burn_in", "burn_in"),
+    ({"name": "contraction", "params": {"r": 0.5, "offset": 5.0}}, "invariant_sampler", "ground_truth"),
+], ids=["contraction", "spider_frechet", "contraction_ground_truth"])
+def test_manifest_records_where_the_floor_came_from(tmp_path, monkeypatch, scenario, source, reference):
+    # the manifest's floor block names the source, one seed per draw and
+    # every draw, whose median is the report's floor; burn-in steps only
+    # where the floor burns in.  Each draw is the W2 from the run's own
+    # reference, in reference.csv, to that seed's sample.  Apart from the
+    # worker count, timings, config path and wall time, the manifests at 1
+    # and 2 workers are the same.
+    from rfilab.transport import Ensemble
+
     monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
-    cfg = write_config(tmp_path, scenario=scenario, diagnostics={"wasserstein": True, "psi": False, "rates": True})
+    cfg = write_config(tmp_path, scenario=scenario, reference={"mode": reference},
+                       diagnostics={"wasserstein": True, "psi": False, "rates": True})
+    built = rfilab.scenarios.build_scenario(scenario["name"], scenario.get("params", {}))
     manifests = []
     for workers in ("1", "2"):
         out = tmp_path / workers
         assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", workers]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         floor = manifest["floor"]
+        assert manifest["reference"]["mode"] == reference
         assert floor["source"] == source
-        assert floor["pair_seeds"] == [list(pair) for pair in rfilab.scenarios.floor_pair_seeds(7)]
+        assert floor["seeds"] == rfilab.scenarios.floor_seeds(7)
         assert len(floor["draws"]) == 3
         assert statistics.median(floor["draws"]) == json.loads((out / "report.json").read_text())["floor"]
         assert floor.get("steps") == (10 * 10 if source == "burn_in" else None)
+        run_reference = Ensemble.from_csv(out / "reference.csv", built.space)
+        assert floor["draws"] == [rfilab.scenarios.floor_draw(built, 200, 10 * 10, run_reference, seed)
+                                  for seed in floor["seeds"]]
         assert manifest["config"].pop("workers") == int(workers)
         manifests.append({k: v for k, v in manifest.items() if k not in ("timings", "config_path", "wall_time_s")})
     assert manifests[0] == manifests[1]
@@ -721,9 +777,12 @@ def test_cmd_wasserstein_reads_spiders_on_the_larger_leg_count(tmp_path, capsys)
         (["leg,radius\n0,1.0\n1,2.0\n"],
          "ensemble_b: 2 particles on a 2-leg spider against ensemble_a's 2 particles in R^1 ("),
         (["x0_re,x0_im\n0.0,0.0\n1.0,1.0\n"], "ensemble_b: 2 particles in C^1 against ensemble_a's 2 particles in R^1 ("),
+        (["x0\n1.0\nabc\n"], "b.csv (line 3, column 1: could not convert string 'abc' to float64)\n"),
+        (["x0\n1.0\n2.0,3.0\n"], "b.csv (line 3: the number of columns changed from 1 to 2)\n"),
+        (["x0,x1\n1.0,2.0\n3.0,4.0\n5.0,x\n"], "b.csv (line 4, column 2: could not convert string 'x' to float64)\n"),
     ],
     ids=["p_below_1", "p_nan", "p_inf", "missing_file", "sizes_differ", "r1_against_r2", "r1_against_spider",
-         "r1_against_c1"],
+         "r1_against_c1", "bad_value_line", "ragged_row_line", "bad_value_line_column"],
 )
 def test_cmd_wasserstein_invalid_input_exits_2(tmp_path, capsys, argv, fragment):
     # a positional argument is ensemble_b: a file name, or the text written to b.csv
@@ -748,6 +807,8 @@ MALFORMED_CSV = {
     "header_only": "x0\n",
     "empty": "",
     "ragged": "x0\n1.0\n2.0,3.0\n",
+    "non_numeric_on_line_4": "x0\n1.0\n2.0\nabc\n",
+    "ragged_on_line_4": "x0,x1\n1.0,2.0\n3.0,4.0\n5.0\n",
     "blank_line": "x0\n1.0\n\n2.0\n",
     "comment": "x0\n1.0#c\n",
     "trailing_comma": "x0\n1.0,\n",
@@ -755,16 +816,18 @@ MALFORMED_CSV = {
     "quoted_field": 'x0\n"1.0"\n',
     "digit_separator": "x0\n1_0\n",
 }
+# the line of the file that each fault in a row is reported on
+MALFORMED_ROW_LINE = {"non_numeric": 3, "ragged": 3, "non_numeric_on_line_4": 4, "ragged_on_line_4": 4}
 
 
 @pytest.mark.parametrize("command", ["wasserstein", "run"])
-@pytest.mark.parametrize("content", list(MALFORMED_CSV.values()), ids=list(MALFORMED_CSV))
-def test_malformed_ensemble_csv_exits_2_naming_the_file(tmp_path, capsys, command, content):
+@pytest.mark.parametrize("name", list(MALFORMED_CSV))
+def test_malformed_ensemble_csv_exits_2_naming_the_file(tmp_path, capsys, command, name):
     from rfilab.geometry import EuclideanSpace
     from rfilab.transport import Ensemble
 
     bad = tmp_path / "bad.csv"
-    bad.write_text(content)
+    bad.write_text(MALFORMED_CSV[name])
     if command == "wasserstein":
         Ensemble(EuclideanSpace(1), [[0.0], [1.0]]).to_csv(tmp_path / "a.csv")
         argv, key = ["wasserstein", str(tmp_path / "a.csv"), str(bad)], "ensemble_b"
@@ -772,7 +835,12 @@ def test_malformed_ensemble_csv_exits_2_naming_the_file(tmp_path, capsys, comman
         cfg = write_config(tmp_path, reference={"mode": "file", "path": str(bad)})
         argv, key = ["run", "--config", str(cfg), "--out", str(tmp_path / "o")], "config.reference.path"
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"error: {key}: cannot read {bad} (")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: cannot read {bad} (")
+    # a fault in a row names its line in the file, and no numpy option
+    assert "usecols" not in err and " at row " not in err
+    if name in MALFORMED_ROW_LINE:
+        assert f"(line {MALFORMED_ROW_LINE[name]}" in err, err
     assert not (tmp_path / "o").exists()
 
 

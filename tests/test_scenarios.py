@@ -22,13 +22,13 @@ from rfilab.regularity import (
     estimate_violation_in_expectation,
     fb_violation_bound,
 )
-from rfilab.rfi import ChainConfig, run_ensemble
+from rfilab.rfi import ChainConfig, derive_seed, run_ensemble
 from rfilab.scenarios import (
     SCENARIO_BUILDERS,
     ParamError,
     build_scenario,
     floor_draw,
-    floor_pair_seeds,
+    floor_seeds,
     floor_source,
     long_run_reference,
     monte_carlo_floor,
@@ -554,25 +554,29 @@ def test_boolean_parameter_takes_json_booleans():
     assert build_scenario("kaczmarz", {"consistent": True}).params == {"consistent": True}
 
 
-def test_monte_carlo_floor_is_the_median_over_its_pair_seeds():
-    # contraction has an invariant sampler: each pair is two of its draws
+def test_monte_carlo_floor_is_the_median_of_floor_draws_against_its_own_reference():
+    # contraction has an invariant sampler: the floor's reference and each
+    # of its samples are draws of it, and a draw is W2(reference, sample)
     sc = scenario_contraction()
     sample = sc.ground_truth.invariant_sampler
-    draws = [wasserstein(sample(40, a), sample(40, b))[0] for a, b in floor_pair_seeds(9, 3)]
+    reference = sample(40, derive_seed(9, 11))
+    draws = [wasserstein(reference, sample(40, seed))[0] for seed in floor_seeds(9, 3)]
     assert floor_source(sc) == "invariant_sampler"
-    assert [floor_draw(sc, 40, 5, a, b) for a, b in floor_pair_seeds(9, 3)] == draws
+    assert floor_seeds(9, 3) == [derive_seed(9, 12), derive_seed(9, 13), derive_seed(9, 14)]
+    assert [floor_draw(sc, 40, 5, reference, seed) for seed in floor_seeds(9, 3)] == draws
     assert monte_carlo_floor(sc, 40, 5, seed=9) == float(np.median(draws))
+    assert len(set(draws)) == 3 and min(draws) > 0
 
 
-def test_monte_carlo_floor_without_a_sampler_is_the_median_over_burn_in_pairs():
+def test_monte_carlo_floor_without_a_sampler_is_the_median_over_burn_in_draws():
+    # without a sampler the reference and each sample are burn-ins of 5 steps
     sc = scenario_spider_frechet()
-    draws = [
-        wasserstein(long_run_reference(sc, 40, 5, a), long_run_reference(sc, 40, 5, b))[0]
-        for a, b in floor_pair_seeds(9, 3)
-    ]
+    reference = long_run_reference(sc, 40, 5, derive_seed(9, 11))
+    draws = [wasserstein(reference, long_run_reference(sc, 40, 5, seed))[0] for seed in floor_seeds(9, 3)]
     assert floor_source(sc) == "burn_in"
-    assert [floor_draw(sc, 40, 5, a, b) for a, b in floor_pair_seeds(9, 3)] == draws
+    assert [floor_draw(sc, 40, 5, reference, seed) for seed in floor_seeds(9, 3)] == draws
     assert monte_carlo_floor(sc, 40, 5, seed=9) == float(np.median(draws))
+    assert len(set(draws)) == 3 and min(draws) > 0
 
 
 @pytest.mark.parametrize("n, r", [(n, r) for n in (1, 1023, 1024, 1025, 5000) for r in (0.3, 0.5, 0.9)]
