@@ -13,25 +13,24 @@ parameters' keys and values are checked once, by ``build_scenario``, and a
 parameter it rejects is a config error too.  ``run`` and ``rate`` fit rates
 with one function, ``_fit_rates``.  All CSV outputs are byte-deterministic
 for a fixed config, and reruns reproduce files exactly.  ``run`` splits its
-independent work into jobs (the burn-in reference; one per floor sample,
-a draw of the scenario's invariant sampler or, where it has none, a
-burn-in; one per floor draw, the W2 from the run's own reference to one
-sample; one that estimates the regularity block, submitted once the
-reference is taken; one that writes the reference; and one per recorded
-step, which writes that step's ensemble file and then computes its W2 +
-Psi) and runs them on a pool of ``workers`` forked processes, capped at the
-usable CPUs, each with one BLAS thread.  Each job is pickled in the thread
-that submits it, as a check, so a job that cannot be sent fails the run at
-once.  The floor samples are submitted with the reference burn-in, and this
-process runs the chain meanwhile, since none of them uses the reference.
-Once the reference is taken, a sample's W2 is submitted as soon as the
-sample is back: before the step jobs if it is back by then, else behind at
-most as many step jobs as there are workers.  This process
-writes the series, report and manifest.  The worker count changes no output
-byte: every job is a pure function of its arguments.  scipy's assignment
-solver is loaded only by a command that solves an assignment, as the
-compiled ``_lsap`` extension (the public import is the fallback), so no
-command imports scipy.optimize.
+independent work into jobs, each one function timed to one layer, and runs
+them on a pool of ``workers`` forked processes, capped at the usable CPUs,
+each with one BLAS thread.  It submits them in a fixed order: the
+reference burn-in and one job per floor sample (a draw of the scenario's
+invariant sampler or, where it has none, a burn-in); then, once this
+process has run the chain, one job per recorded step that writes its
+ensemble file; none of these uses the reference.  Then it takes the
+reference and submits, in seed order, each floor draw (the W2 from the
+reference to one sample, once that sample is back), the regularity block,
+the reference write and, with a series diagnostic on, one W2 + Psi job per
+recorded step.  It takes the results in the same order, and writes the
+series, report and manifest.  Each job is pickled in the thread that
+submits it, as a check, so a job that cannot be sent fails the run at
+once.  The worker count changes no output byte: every job is a pure
+function of its arguments.  scipy's assignment solver is loaded only by a
+command that solves an assignment, as the compiled ``_lsap`` extension
+(the public import is the fallback), so no command imports
+scipy.optimize.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import pickle
 import resource
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, as_completed, wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
@@ -302,7 +301,7 @@ def _reference_ensemble(scenario, cfg: dict, pool: "_Pool"):
     ref_cfg = cfg["reference"]
     n = cfg["ensemble_size"]
     if ref_cfg["mode"] == "file":
-        reference = pool.here(("reference", _read_reference, ref_cfg["path"], n, scenario.space))
+        reference = pool.here("reference", _read_reference, ref_cfg["path"], n, scenario.space)
         return reference, {"mode": "file", "path": ref_cfg["path"]}
     if ref_cfg["mode"] == "ground_truth":
         sampler = scenario.ground_truth.invariant_sampler
@@ -311,10 +310,10 @@ def _reference_ensemble(scenario, cfg: dict, pool: "_Pool"):
                 f"config.reference.mode: scenario '{scenario.name}' has no ground-truth invariant sampler"
             )
         ref_seed = derive_seed(cfg["seed"], 0x6D)
-        return pool.here(("reference", sampler, n, ref_seed)), {"mode": "ground_truth", "seed": ref_seed}
+        return pool.here("reference", sampler, n, ref_seed), {"mode": "ground_truth", "seed": ref_seed}
     steps = _burn_in_steps(cfg)
     ref_seed = derive_seed(cfg["seed"], 0x6E)
-    job = pool.submit(("reference", _burn_in, _scenario_spec(cfg), n, steps, ref_seed))
+    job = pool.submit("reference", _burn_in, _scenario_spec(cfg), n, steps, ref_seed)
     return job, {"mode": "burn_in", "steps": steps, "seed": ref_seed}
 
 
@@ -365,24 +364,20 @@ def _floor_solve(reference: Ensemble, sample: Ensemble) -> float:
 
 
 def _write_ensemble(ens: Ensemble, path: Path) -> None:
-    """A step job's first stage, and the reference write's one stage; a job
-    names module-level functions, which pickle by name, and this one finds
+    """The job that writes a step's ensemble file or the reference; a job
+    names a module-level function, which pickles by name, and this one finds
     ``to_csv`` in the worker."""
     ens.to_csv(path)
 
 
-def _job(*stages) -> tuple:
-    """Run one job in this process: each stage ``(layer, fn, *args)`` in
-    turn.  Returns the last stage's value, the seconds of each layer and the
-    exact-OT solves."""
+def _job(layer: str, fn, *args) -> tuple:
+    """Run one job in this process: ``fn(*args)``, timed to ``layer``.
+    Returns its value, its layer, its seconds and its exact-OT solves."""
     before = dict(transport.SOLVES)
-    seconds = {}
-    value = None
-    for layer, fn, *args in stages:
-        start = time.perf_counter()
-        value = fn(*args)
-        seconds[layer] = seconds.get(layer, 0.0) + time.perf_counter() - start
-    return value, seconds, {path: transport.SOLVES[path] - count for path, count in before.items()}
+    start = time.perf_counter()
+    value = fn(*args)
+    seconds = time.perf_counter() - start
+    return value, layer, seconds, {path: transport.SOLVES[path] - count for path, count in before.items()}
 
 
 def usable_cpus() -> int:
@@ -400,8 +395,8 @@ class _Pool:
 
     Every job takes all its inputs as arguments and keeps no state in the
     process that runs it, so which process that is changes no output byte.
-    A job is a sequence of stages ``(layer, fn, *args)``, each timed to its
-    layer.  Above size 1 the processes belong to one ProcessPoolExecutor.
+    A job is ``(layer, fn, *args)``: one function, timed to one layer.
+    Above size 1 the processes belong to one ProcessPoolExecutor.
     Fork, stated explicitly, lets them start without importing numpy again
     (or loading scipy's compiled ``_lsap`` solver again, if this process
     has loaded it), and a fork executor starts all of them at the first
@@ -420,28 +415,27 @@ class _Pool:
         self._executor = (None if size == 1
                           else ProcessPoolExecutor(size, mp_context=fork, initializer=_one_blas_thread))
 
-    def submit(self, *stages) -> Future:
-        """Queue the job made of ``stages``.  The pickling check keeps no
-        bytes: arrays go out of band, so it copies no ensemble, and the
-        executor gets the stages themselves (bytes handed to it would stay
-        in this process until the job ends)."""
+    def submit(self, layer: str, fn, *args) -> Future:
+        """Queue the job ``fn(*args)``, timed to ``layer``.  The pickling
+        check keeps no bytes: arrays go out of band, so it copies no
+        ensemble, and the executor gets the job itself (bytes handed to it
+        would stay in this process until the job ends)."""
         if self._executor is None:
-            return self.here(*stages)
-        pickle.dumps(stages, protocol=5, buffer_callback=[].append)
-        return self._executor.submit(_job, *stages)
+            return self.here(layer, fn, *args)
+        pickle.dumps((fn, args), protocol=5, buffer_callback=[].append)
+        return self._executor.submit(_job, layer, fn, *args)
 
     @staticmethod
-    def here(*stages) -> Future:
-        """Run the job made of ``stages`` now, in this process."""
+    def here(layer: str, fn, *args) -> Future:
+        """Run the job ``fn(*args)`` now, in this process."""
         future = Future()
-        future.set_result(_job(*stages))
+        future.set_result(_job(layer, fn, *args))
         return future
 
     def take(self, job: Future):
         """The value of ``job``; its seconds and solves count to the tally."""
-        value, seconds, solves = job.result()
-        for layer, spent in seconds.items():
-            self.seconds[layer] += spent
+        value, layer, seconds, solves = job.result()
+        self.seconds[layer] += seconds
         for path, count in solves.items():
             self.solves[path] += count
         return value
@@ -504,63 +498,40 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     if series and not transport.sorted_path(scenario.space):
         transport.assignment_solver()  # once here, before the pool forks, not in every worker
     # one job each: the reference burn-in, a floor sample (a sampler draw or
-    # a burn-in), its W2 to the reference, the regularity block, the
-    # reference write and a recorded step (its file, then its W2 + Psi)
-    submissions = ((cfg["reference"]["mode"] == "burn_in") + 2 * len(seeds) + diags["regularity"] + 1
-                   + len(chain.recorded_steps()))
-    with _Pool(max(1, min(cfg["workers"], usable_cpus(), submissions))) as pool:
+    # a burn-in) and its W2 to the reference, a step's file, the regularity
+    # block, the reference write and, with a series, a step's W2 + Psi
+    recorded = len(chain.recorded_steps())
+    jobs = ((cfg["reference"]["mode"] == "burn_in") + 2 * len(seeds) + (1 + series) * recorded
+            + diags["regularity"] + 1)
+    with _Pool(max(1, min(cfg["workers"], usable_cpus(), jobs))) as pool:
         reference_job, ref_provenance = _reference_ensemble(scenario, cfg, pool)
         out.mkdir(parents=True, exist_ok=True)  # only now: a bad scenario or reference leaves none behind
-        samples = {pool.submit(("floor", _floor_sample, spec, n, _burn_in_steps(cfg), seed)): i
-                   for i, seed in enumerate(seeds)}
-
-        # the chain and the floor samples do not use the reference: they run
-        # while it burns in, and only the floor's W2 solves wait for it
+        samples = [pool.submit("floor", _floor_sample, spec, n, _burn_in_steps(cfg), seed) for seed in seeds]
+        # the chain, the floor samples and the step files do not use the
+        # reference: they run while it burns in
         with pool.timed("chain"):
             trajectory = run_ensemble(chain)
-        reference = pool.take(reference_job)
-        solves = [None] * len(seeds)  # the floor's W2 jobs, in seed order
-
-        def solve_floor(done):
-            """Submit the W2 solve of each sample job in ``done``, and let
-            go of the job: the sample stays here no longer than its solve."""
-            for job in done:
-                solves[samples.pop(job)] = pool.submit(("floor", _floor_solve, reference, pool.take(job)))
-
-        # samples drawn by now are solved before the steps, the rest as they
-        # come in: this process never waits on a sample alone while a step
-        # job is still to be submitted
-        solve_floor([job for job in samples if job.done()])
-        if diags["regularity"]:
-            regularity_job = pool.submit(
-                ("regularity", _regularity_block, spec, reference, cfg["seed"], cfg["regularity_pairs"]))
-        # queued before the steps, so that the run does not end on it alone
-        reference_write = pool.submit(("io", _write_ensemble, reference, out / "reference.csv"))
         ens_dir = out / "ensembles"
         ens_dir.mkdir(exist_ok=True)
-        step_jobs = []
-        ahead = []  # unfinished step jobs, which a sample's solve would queue behind
-        for step, ens in zip(trajectory.steps, trajectory.ensembles):
-            stages = [("io", _write_ensemble, ens, ens_dir / f"step_{step:06d}.csv")]
-            if series:
-                stages.append(("w2_psi", _series_point, spec, ens, reference, diags["wasserstein"], diags["psi"]))
-            # while a sample is being drawn, at most pool.size step jobs are
-            # queued ahead of its solve: one for each worker to run
-            while samples:
-                ahead = [job for job in ahead if not job.done()]
-                if len(ahead) < pool.size:
-                    break
-                solve_floor(samples.keys() & wait([*samples, *ahead], return_when=FIRST_COMPLETED).done)
-            ahead.append(pool.submit(*stages))
-            step_jobs.append(ahead[-1])
-        solve_floor(as_completed(list(samples)))
-        values = [pool.take(job) for job in step_jobs]
-        pool.take(reference_write)
+        writes = [pool.submit("io", _write_ensemble, ens, ens_dir / f"step_{step:06d}.csv")
+                  for step, ens in zip(trajectory.steps, trajectory.ensembles)]
+        reference = pool.take(reference_job)
+        solves = [pool.submit("floor", _floor_solve, reference, pool.take(job)) for job in samples]
+        if diags["regularity"]:
+            regularity_job = pool.submit(
+                "regularity", _regularity_block, spec, reference, cfg["seed"], cfg["regularity_pairs"])
+        reference_write = pool.submit("io", _write_ensemble, reference, out / "reference.csv")
+        points = [pool.submit("w2_psi", _series_point, spec, ens, reference, diags["wasserstein"], diags["psi"])
+                  for ens in trajectory.ensembles if series]
+        # the results are taken in the order of submission
+        for job in writes:
+            pool.take(job)
+        draws = [pool.take(job) for job in solves]
         report = _empty_report(scenario)
         if diags["regularity"]:
             report["regularity"] = pool.take(regularity_job)
-        if not series:
-            values = [(None, None)] * len(values)
+        pool.take(reference_write)
+        values = [pool.take(job) for job in points] or [(None, None)] * recorded
         with pool.timed("io"):
             with (out / "series.csv").open("w", newline="", encoding="utf-8") as fh:
                 fh.write("k,W2_to_reference,psi_hat\n")
@@ -568,7 +539,6 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
                     fh.write(f"{step},{_float_repr(w2)},{_float_repr(psi)}\n")
         floor = None
         if diags["rates"]:
-            draws = [pool.take(job) for job in solves]
             report["floor"] = float(np.median(draws))
             floor = {"source": floor_source(scenario), "seeds": seeds, "draws": draws}
             if floor["source"] == "burn_in":

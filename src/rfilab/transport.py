@@ -111,14 +111,7 @@ class Ensemble:
 
     # -- serialization ----------------------------------------------------
     def column_names(self) -> list:
-        if isinstance(self.space, SpiderSpace):
-            return ["leg", "radius"]
-        if self.space.complex_coords:
-            names = []
-            for j in range(self.space.dim):
-                names += [f"x{j}_re", f"x{j}_im"]
-            return names
-        return [f"x{j}" for j in range(self.space.dim)]
+        return _column_names(self.space)
 
     def rows(self) -> np.ndarray:
         if isinstance(self.space, SpiderSpace):
@@ -141,14 +134,15 @@ class Ensemble:
 
     @classmethod
     def from_csv(cls, path, space: Optional[Space] = None) -> "Ensemble":
-        """Read what :meth:`to_csv` writes.  The header is read by ``csv`` and,
-        unless ``space`` is given, decides the space; the rows by
-        ``np.loadtxt``, so each value is a plain decimal number as ``float``
-        reads it (``nan`` and ``inf`` included, ``1_0`` and non-ASCII digits
-        not), with no quoting and no comments.  A file with no header or no
-        rows, a blank line, a value that is not a number, or a row whose
-        length differs from the header's raises ValueError; one from a row
-        names the row's line in the file."""
+        """Read what :meth:`to_csv` writes.  The header is read by ``csv`` and
+        decides the space, or, if ``space`` is given, must be its column
+        names; the rows by ``np.loadtxt``, so each value is a plain decimal
+        number as ``float`` reads it (``nan`` and ``inf`` included, ``1_0``
+        and non-ASCII digits not), with no quoting and no comments.  A file
+        with no header or no rows, a blank line, a value that is not a
+        number, a row whose length differs from the header's, or another
+        space's header raises ValueError; one from a row names the row's
+        line in the file."""
         with Path(path).open("r", encoding="utf-8") as fh:
             header = next(csv.reader(fh), [])
             # not splitlines(), which would also break a row at \f, \v or \x1c
@@ -165,6 +159,8 @@ class Ensemble:
             raise ValueError(f"expected {len(header)} values per row, as in the header, got {data.shape[1]}")
         if space is None:
             space = _space_from_header(header, data)
+        elif header != _column_names(space):
+            raise ValueError(f"expected the header {','.join(_column_names(space))}, got {','.join(header)}")
         if isinstance(space, SpiderSpace):
             return cls(space, data)
         if space.complex_coords:
@@ -184,6 +180,14 @@ def _at_file_line(message: str) -> str:
     if match := re.search(r" at row (\d+); use `usecols`.*$", message):
         return f"line {int(match[1]) + 1}: {message[:match.start()]}"
     return message
+
+
+def _column_names(space: Space) -> list:
+    if isinstance(space, SpiderSpace):
+        return ["leg", "radius"]
+    if space.complex_coords:
+        return [f"x{j}_{part}" for j in range(space.dim) for part in ("re", "im")]
+    return [f"x{j}" for j in range(space.dim)]
 
 
 def _space_from_header(header: Sequence[str], data: np.ndarray) -> Space:

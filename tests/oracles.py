@@ -326,9 +326,10 @@ def build_rate_report(steps, distances, burn_in_fraction: float = 0.2, floor=Non
     return RateReport(series, replace(q_linear, window=window), replace(r_linear, window=window), window, floor=floor)
 
 
-def ensemble_from_csv(path, space=None) -> Ensemble:
-    """``Ensemble.from_csv`` as the ``csv`` module and one ``float`` per value:
-    the header, then every row, with the row lengths checked against it."""
+def ensemble_from_csv(path) -> Ensemble:
+    """``Ensemble.from_csv(path)`` as the ``csv`` module and one ``float``
+    per value: the header, which decides the space, then every row, with
+    the row lengths checked against it."""
     with Path(path).open("r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -336,8 +337,7 @@ def ensemble_from_csv(path, space=None) -> Ensemble:
     if not header or any(len(row) != len(header) for row in rows):
         raise ValueError("expected a header row, then one value per column on every row")
     data = np.asarray(rows).reshape(len(rows), len(header))
-    if space is None:
-        space = _space_from_header(header, data)
+    space = _space_from_header(header, data)
     if isinstance(space, SpiderSpace):
         return Ensemble(space, data)
     if space.complex_coords:

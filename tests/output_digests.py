@@ -19,8 +19,10 @@ One line is printed per command and per output file, ``<sha256>  <name>``:
 the files ``run`` writes, then the two that ``rate`` writes.  A command's
 digest covers its stdout and its exit code.  A manifest is hashed without
 ``timings``, ``config_path`` and ``wall_time_s``, which differ from run to
-run.  The last line is the digest of all lines above it.
-Compare two trees by diffing the output of
+run.  The last line is the digest of all lines above it.  The ``w1`` and
+``w2`` cells of a config must agree in every output, the manifest compared
+without ``config.workers``: where they do not, the script names those
+cells on stderr and exits 1.  Compare two trees by diffing the output of
 
     python tests/output_digests.py --src <tree>/src
 
@@ -68,13 +70,17 @@ def _command(src: Path, work: Path, args: list) -> str:
     return _sha(proc.stdout + b"\nexit %d\n" % proc.returncode)
 
 
-def _file_digest(path: Path) -> str:
+def _file_digest(path: Path, any_workers: bool = False) -> str:
+    """The digest of the file at ``path``; a manifest's leaves out the keys
+    of ``RUN_TO_RUN`` and, with ``any_workers``, ``config.workers``."""
     if not path.exists():
         return "missing"
     if path.name == "manifest.json":
         manifest = json.loads(path.read_text(encoding="utf-8"))
         for key in RUN_TO_RUN:
             manifest.pop(key, None)
+        if any_workers:
+            manifest["config"].pop("workers", None)
         return _sha(json.dumps(manifest, sort_keys=True).encode())
     return _sha(path.read_bytes())
 
@@ -96,8 +102,10 @@ def _cell(src: Path, work: Path, config: dict, cell: str, workers: int):
     yield _command(src, work, ["wasserstein", str(out / "reference.csv"), str(last)]), f"{cell}/wasserstein"
 
 
-def digests(src: Path, work: Path):
-    """Yield ``(digest, name)`` for every command and output of the matrix."""
+def digests(src: Path, work: Path, differing: list):
+    """Yield ``(digest, name)`` for every command and output of the matrix,
+    and append to ``differing`` each config whose outputs depend on the
+    worker count."""
     for name, params, sampler in SCENARIOS:
         label = "-".join([name, *(f"{key}={value}" for key, value in params.items())])
         for iterations in ITERATIONS:
@@ -108,8 +116,17 @@ def digests(src: Path, work: Path):
                 "seed": 7,
                 "diagnostics": {"wasserstein": True, "psi": True, "regularity": True, "rates": True},
             }
+            outputs = {}  # output -> its digest at each worker count
             for workers in WORKERS:
-                yield from _cell(src, work, config, f"{label}/K{iterations}/w{workers}", workers)
+                cell = f"{label}/K{iterations}/w{workers}"
+                for digest, output in _cell(src, work, config, cell, workers):
+                    yield digest, output
+                    output = output.removeprefix(cell)
+                    if output == "/manifest.json":
+                        digest = _file_digest(work / cell / "manifest.json", any_workers=True)
+                    outputs.setdefault(output, []).append(digest)
+            if any(seen != [seen[0]] * len(WORKERS) for seen in outputs.values()):
+                differing.append(f"{label}/K{iterations}/w{{{','.join(map(str, WORKERS))}}}")
         burn_in = f"{label}/K{ITERATIONS[-1]}/w1"
         config["reference"] = {"mode": "file", "path": f"{burn_in}/reference.csv"}
         yield from _cell(src, work, config, f"{burn_in}-reference_file", 1)
@@ -126,18 +143,22 @@ def main(argv=None) -> int:
                         help="an empty or new directory to leave every output in (default: a temporary one)")
     args = parser.parse_args(argv)
     combined = hashlib.sha256()
+    differing = []
     with contextlib.ExitStack() as stack:
         if args.keep is None:
             work = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="rfilab-digests-")))
         else:
             work = args.keep.resolve()
             work.mkdir(parents=True, exist_ok=True)
-        for digest, name in digests(args.src.resolve(), work):
+        for digest, name in digests(args.src.resolve(), work, differing):
             line = f"{digest}  {name}\n"
             combined.update(line.encode())
             sys.stdout.write(line)
             sys.stdout.flush()
     print(f"{combined.hexdigest()}  combined")
+    if differing:
+        print(f"outputs differ between worker counts: {' '.join(differing)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -362,21 +362,18 @@ def test_run_io_seconds_count_every_step_write(tmp_path, monkeypatch):
         assert seconds["w2_psi"] < 11 * 0.05, workers
 
 
-def test_run_queues_a_late_floor_sample_ahead_of_the_later_steps(tmp_path, monkeypatch):
-    # floor samples that take 0.3 s each keep both workers busy while the
-    # step jobs are submitted.  Each sample's solve is submitted with at
-    # most pool size = 2 step jobs unfinished ahead of it (11 without a
-    # bound on them), and the slow samples change no output byte.
+def test_run_submits_the_step_writes_then_the_floor_solves_then_the_series(tmp_path, monkeypatch):
+    # floor samples that take 0.3 s each are still being drawn when the
+    # step files are queued.  The jobs are submitted in one order at 1 and 2
+    # workers: every step write before the first floor solve, and every
+    # floor solve before the first W2 + Psi job; the slow samples change no
+    # output byte.
     original_submit, original_sample = rfilab.cli._Pool.submit, rfilab.cli.floor_sample
-    steps, queued_ahead = [], []
+    submitted = []
 
-    def logged(pool, *stages):
-        if stages[-1][1] is rfilab.cli._floor_solve:
-            queued_ahead.append(sum(not job.done() for job in steps))
-        job = original_submit(pool, *stages)
-        if stages[-1][1] is rfilab.cli._series_point:
-            steps.append(job)
-        return job
+    def logged(pool, layer, fn, *args):
+        submitted.append(fn)
+        return original_submit(pool, layer, fn, *args)
 
     def slow(*args):
         time.sleep(0.3)
@@ -388,13 +385,15 @@ def test_run_queues_a_late_floor_sample_ahead_of_the_later_steps(tmp_path, monke
     cfg = write_config(tmp_path)
     outs = []
     for workers in ("1", "2"):
-        steps.clear()
-        queued_ahead.clear()
+        submitted.clear()
         out = tmp_path / workers
         assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", workers]) == EXIT_OK
         outs.append((_result_files(out), json.loads((out / "manifest.json").read_text())["floor"]))
-        assert len(steps) == 11 and len(queued_ahead) == 3
-        assert max(queued_ahead) <= (0 if workers == "1" else 2), queued_ahead
+        at = {fn: [i for i, f in enumerate(submitted) if f is fn]
+              for fn in (rfilab.cli._write_ensemble, rfilab.cli._floor_solve, rfilab.cli._series_point)}
+        writes, solves, points = at.values()
+        assert (len(writes), len(solves), len(points)) == (12, 3, 11)  # 11 step files and reference.csv
+        assert max(writes[:11]) < min(solves) and max(solves) < min(points), at
     assert outs[0] == outs[1]
 
 
@@ -485,20 +484,24 @@ def test_pool_of_one_runs_each_job_as_it_is_submitted():
         raise RuntimeError("job failed")
 
     with rfilab.cli._Pool(1) as pool:
-        assert pool.take(pool.submit(("io", len, "abc"))) == 3
+        assert pool.take(pool.submit("io", len, "abc")) == 3
         with pytest.raises(RuntimeError, match="job failed"):
-            pool.submit(("io", fail))
+            pool.submit("io", fail)
     assert multiprocessing.active_children() == []
 
 
 def _write_reference_files(directory):
-    """Reference CSVs in the wrong space for the test config: R^2 points for
-    contraction (R^1), and a 5-leg spider for the 3-leg spider_frechet."""
+    """Reference CSVs of 200 particles, in the wrong space for the run that
+    reads them: R^2 points for contraction (R^1), spider_frechet (a spider)
+    and phase_retrieval with n = 1 (C^1); a 5-leg spider for the 3-leg
+    spider_frechet and for kaczmarz (R^2); and C^1 points for kaczmarz."""
     from rfilab.geometry import EuclideanSpace, SpiderSpace
     from rfilab.transport import Ensemble
 
-    Ensemble(EuclideanSpace(2), [[float(i), 1.0] for i in range(200)]).to_csv(directory / "r2.csv")
+    # points whose x0 would pass for a leg of the 3-leg spider
+    Ensemble(EuclideanSpace(2), [[float(i % 3), i + 1.0] for i in range(200)]).to_csv(directory / "r2.csv")
     Ensemble(SpiderSpace(5), [[i % 5, 1.0] for i in range(200)]).to_csv(directory / "legs5.csv")
+    Ensemble(EuclideanSpace(1, complex_coords=True), [[i + 1.0j] for i in range(200)]).to_csv(directory / "c1.csv")
 
 
 @pytest.mark.parametrize("command", ["run", "regularity"])
@@ -515,18 +518,27 @@ def _write_reference_files(directory):
         ({"scenario": {"name": "kaczmarz", "params": {"m": 0}}}, EXIT_CONFIG),
         ({"scenario": {"name": "phase_retrieval", "params": {"n_masks": 0}}}, EXIT_CONFIG),
         ({"scenario": {"name": "kaczmarz", "params": {"A": [[1.0, 0.0], [0.0, 1.0]]}}}, EXIT_CONFIG),
+        ({"scenario": {"name": "kaczmarz"}, "reference": {"mode": "file", "path": "legs5.csv"}}, EXIT_CONFIG),
+        ({"scenario": {"name": "kaczmarz"}, "reference": {"mode": "file", "path": "c1.csv"}}, EXIT_CONFIG),
+        ({"scenario": {"name": "spider_frechet"}, "reference": {"mode": "file", "path": "r2.csv"}}, EXIT_CONFIG),
+        ({"scenario": {"name": "phase_retrieval", "params": {"n": 1}}, "reference": {"mode": "file", "path": "r2.csv"}},
+         EXIT_CONFIG),
     ],
     ids=["bad_param_value", "missing_reference_file", "no_ground_truth_sampler", "reference_wrong_dimension",
          "reference_wrong_dimension_no_series", "reference_spider_legs", "kaczmarz_no_rows",
-         "phase_retrieval_no_masks", "kaczmarz_A_without_b"],
+         "phase_retrieval_no_masks", "kaczmarz_A_without_b", "reference_spider_header_in_r2",
+         "reference_complex_header_in_r2", "reference_r2_header_on_spider", "reference_r2_header_in_c1"],
 )
-def test_failed_command_leaves_no_results_directory(tmp_path, monkeypatch, command, overrides, code):
+def test_failed_command_leaves_no_results_directory(tmp_path, monkeypatch, capsys, command, overrides, code):
     monkeypatch.chdir(tmp_path)
     _write_reference_files(tmp_path)
     cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == code
     assert not out.exists()
+    if overrides.get("reference", {}).get("mode") == "file":
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.reference.path: "), err
 
 
 def test_run_ground_truth_reference(tmp_path):
