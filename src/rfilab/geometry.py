@@ -27,6 +27,10 @@ __all__ = [
     "Space",
 ]
 
+# rows of |a_i|^2 + |b_j|^2 that EuclideanSpace.cross_dist forms at once:
+# a temporary of 64 rows next to the full cost, not a second full matrix
+CROSS_DIST_ROWS = 64
+
 
 @dataclass(frozen=True)
 class SpiderPoint:
@@ -104,14 +108,22 @@ class EuclideanSpace:
         return np.sqrt(np.sum(d * d, axis=1))
 
     def cross_dist(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Full (len(A), len(B)) distance matrix."""
+        """Full (len(A), len(B)) distance matrix, entry (i, j) the square
+        root of max(0, (|a_i|^2 + |b_j|^2) - 2 a_i.b_j), built in the one
+        float64 buffer it returns, 8 len(A) len(B) bytes: the sums
+        |a_i|^2 + |b_j|^2 are formed CROSS_DIST_ROWS rows at a time."""
         Ar = self.real_view(A)
         Br = self.real_view(B)
         aa = np.sum(Ar * Ar, axis=1)[:, None]
         bb = np.sum(Br * Br, axis=1)[None, :]
-        sq = aa + bb - 2.0 * (Ar @ Br.T)
+        sq = Ar @ Br.T
+        sq *= 2.0
+        for lo in range(0, len(sq), CROSS_DIST_ROWS):
+            blk = slice(lo, lo + CROSS_DIST_ROWS)
+            np.subtract(aa[blk] + bb, sq[blk], out=sq[blk])
         np.maximum(sq, 0.0, out=sq)
-        return np.sqrt(sq)
+        np.sqrt(sq, out=sq)
+        return sq
 
     # -- geodesics -------------------------------------------------------
     def geodesic_arr(self, A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
@@ -170,10 +182,16 @@ class SpiderSpace:
         return np.where(same, np.abs(A[:, 1] - B[:, 1]), A[:, 1] + B[:, 1])
 
     def cross_dist(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Full (len(A), len(B)) distance matrix, built in the one float64
+        buffer it returns (8 len(A) len(B) bytes) next to a boolean
+        same-leg mask of len(A) len(B) bytes."""
         same = A[:, 0][:, None] == B[:, 0][None, :]
         ra = A[:, 1][:, None]
         rb = B[:, 1][None, :]
-        return np.where(same, np.abs(ra - rb), ra + rb)
+        out = ra + rb
+        np.subtract(ra, rb, out=out, where=same)
+        np.abs(out, out=out, where=same)
+        return out
 
     # -- geodesics -------------------------------------------------------
     def geodesic_arr(self, A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:

@@ -4,8 +4,12 @@ Restricting to equal-size, equal-weight ensembles turns Wasserstein
 distances into assignment problems with exact solvers and explicit optimal
 couplings (permutations).  On the real line the sorted matching is optimal
 and used directly; elsewhere the cost matrix goes through an exact
-assignment solver.  The Markov transport discrepancy of an ensemble reuses
-such a coupling to the reference ensemble.
+assignment solver.  Such a solve between N-particle ensembles holds one
+N x N float64 cost, 8 N^2 bytes, in the process that runs it: ``cross_dist``
+builds it in one buffer and it is raised to the power p in place.  So
+solves running at once in several processes hold one such cost each.  The
+Markov transport discrepancy of an ensemble reuses such a coupling to the
+reference ensemble.
 
 Ensembles are stored as CSV: a header row, read by the ``csv`` module,
 that names the columns and so the space, then one row of plain decimal
@@ -240,7 +244,8 @@ def wasserstein(A: Ensemble, B: Ensemble, p: float = 2.0):
         dist = np.abs(A.points[:, 0] - B.points[sigma, 0])
     else:
         SOLVES["assignment"] += 1
-        cost = space.cross_dist(A.points, B.points) ** p
+        cost = space.cross_dist(A.points, B.points)
+        cost **= p
         rows, cols = linear_sum_assignment(cost)
         sigma = np.empty(len(A), dtype=np.intp)
         sigma[rows] = cols

@@ -1,6 +1,6 @@
 """Shared oracles for the test suite: brute-force solvers kept deliberately
-independent of the library code paths they check, and the one-chain view of
-the ensemble engine."""
+independent of the library code paths they check, random point clouds, and
+the one-chain view of the ensemble engine."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rfilab.geometry import SpiderPoint
+from rfilab.geometry import SpiderPoint, SpiderSpace
 from rfilab.rfi import ChainConfig, run_ensemble
 from rfilab.transport import Ensemble
 
@@ -25,6 +25,20 @@ def brute_force_wasserstein(space, A: np.ndarray, B: np.ndarray, p: float = 2.0)
     perms = np.array(list(itertools.permutations(range(n))))
     best = cost[np.arange(n), perms].sum(axis=1).min()
     return float((best / n) ** (1.0 / p))
+
+
+def cloud(space, n: int, seed: int) -> np.ndarray:
+    """``n`` packed points of ``space``: normal coordinates at a random
+    scale and offset, or spider points of which about a quarter sit at the
+    origin."""
+    rng = np.random.default_rng(seed)
+    if isinstance(space, SpiderSpace):
+        radii = np.where(rng.random(n) < 0.25, 0.0, rng.exponential(size=n))
+        return space.pack(np.column_stack([rng.integers(0, space.legs, size=n), radii]))
+    x = rng.normal(size=(n, space.dim)) * 10.0 ** rng.uniform(-3, 3) + rng.normal(size=space.dim) * 10.0
+    if space.complex_coords:
+        x = x + 1j * rng.normal(size=(n, space.dim))
+    return space.pack(x)
 
 
 def write_csv_oracle(ens: Ensemble, path) -> None:

@@ -6,8 +6,9 @@ the regularity block estimated operator by operator, the two-point
 scenario's balanced invariant ensemble, the contraction and sgd
 scenarios' invariant samplers as one unblocked draw, the family
 dispatch by boolean masks, the rate fits and linear gauge as separate
-functions, each fit windowing the series itself, and the ensemble CSV
-reader as the ``csv`` module and one ``float`` per value."""
+functions, each fit windowing the series itself, the ensemble CSV
+reader as the ``csv`` module and one ``float`` per value, and each space's
+cost matrix as whole-matrix expressions with their temporaries."""
 
 from __future__ import annotations
 
@@ -343,3 +344,20 @@ def ensemble_from_csv(path) -> Ensemble:
     if space.complex_coords:
         return Ensemble(space, data[:, 0::2] + 1j * data[:, 1::2])
     return Ensemble(space, data)
+
+
+def cross_dist(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``space.cross_dist(A, B)`` as whole-matrix expressions, each
+    temporary a full (len(A), len(B)) array."""
+    if isinstance(space, SpiderSpace):
+        same = A[:, 0][:, None] == B[:, 0][None, :]
+        ra = A[:, 1][:, None]
+        rb = B[:, 1][None, :]
+        return np.where(same, np.abs(ra - rb), ra + rb)
+    Ar = space.real_view(A)
+    Br = space.real_view(B)
+    aa = np.sum(Ar * Ar, axis=1)[:, None]
+    bb = np.sum(Br * Br, axis=1)[None, :]
+    sq = aa + bb - 2.0 * (Ar @ Br.T)
+    np.maximum(sq, 0.0, out=sq)
+    return np.sqrt(sq)

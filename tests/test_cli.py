@@ -464,7 +464,7 @@ rfilab.cli.usable_cpus = lambda: 2
 code = rfilab.cli.main(["run", "--config", {str(cfg)!r}, "--out", {str(tmp_path / str(rep))!r}, "--workers", "2"])
 print(json.dumps([code, len(multiprocessing.active_children())]))
 """
-        proc = subprocess.Popen([sys.executable, "-c", script], env={"PYTHONPATH": str(src)},
+        proc = subprocess.Popen([sys.executable, "-B", "-c", script], env={"PYTHONPATH": str(src)},
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
         try:
             stdout, stderr = proc.communicate(timeout=60)
@@ -897,7 +897,7 @@ def _fresh_python(script: str) -> list:
     """Run ``script`` in a new interpreter that imports rfilab from this
     checkout; the JSON value of each stdout line that opens with ``=>``."""
     src = Path(rfilab.cli.__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": str(src)}, capture_output=True,
+    done = subprocess.run([sys.executable, "-B", "-c", script], env={"PYTHONPATH": str(src)}, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return [json.loads(line[2:]) for line in done.stdout.splitlines() if line.startswith("=>")]

@@ -1,8 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from conftest import cloud
 from oracles import distance, geodesic_point
 
+from rfilab import geometry
 from rfilab.geometry import EuclideanSpace, SpiderPoint, SpiderSpace
 
 
@@ -137,6 +144,36 @@ def test_complex_coordinates_distance(rng):
     for i in range(5):
         for j in range(7):
             assert cross[i, j] == pytest.approx(np.sqrt(np.sum(np.abs(A[i] - B[j]) ** 2)), abs=1e-12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    space=st.sampled_from([EuclideanSpace(1), EuclideanSpace(2), EuclideanSpace(3),
+                           EuclideanSpace(1, True), EuclideanSpace(2, True), EuclideanSpace(3, True),
+                           SpiderSpace(2), SpiderSpace(3), SpiderSpace(4), SpiderSpace(5), SpiderSpace(6)]),
+    n=st.integers(1, 300),
+    m=st.integers(1, 300),
+    rows=st.sampled_from([1, 5, geometry.CROSS_DIST_ROWS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cross_dist_bytes_equal_whole_matrix_oracle(space, n, m, rows, seed):
+    # the cost built in one buffer, a block of rows at a time, holds the
+    # bytes of the whole-matrix expressions, for any block size
+    assume(n != m)
+    A, B = cloud(space, n, seed), cloud(space, m, seed + 1)
+    with mock.patch.object(geometry, "CROSS_DIST_ROWS", rows):
+        got = space.cross_dist(A, B)
+    assert got.shape == (n, m) and got.dtype == np.float64
+    assert got.tobytes() == oracles.cross_dist(space, A, B).tobytes()
+
+
+@pytest.mark.parametrize("space, n", [(EuclideanSpace(2), 1000), (EuclideanSpace(3), 1025),
+                                      (EuclideanSpace(64, complex_coords=True), 500)],
+                         ids=["R2-1000", "R3-1025", "C64-500"])
+def test_cross_dist_bytes_equal_whole_matrix_oracle_at_size(space, n):
+    # 1025 rows leave a last block of one row at the default block size
+    A, B = cloud(space, n, 3), cloud(space, n, 4)
+    assert space.cross_dist(A, B).tobytes() == oracles.cross_dist(space, A, B).tobytes()
 
 
 def test_space_validation():

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import brute_force_wasserstein, write_csv_oracle
+from conftest import brute_force_wasserstein, cloud, write_csv_oracle
 
 from rfilab import transport
 from rfilab.geometry import EuclideanSpace, SpiderSpace
@@ -115,6 +116,52 @@ def test_optimal_coupling_realizes_value(rng):
     value, coupling = wasserstein(A, B, 2.0)
     d = space.pair_dist(A.points, B.points[coupling.permutation])
     assert value == pytest.approx(float(np.sqrt(np.mean(d**2))), abs=1e-14)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("space", [EuclideanSpace(2), EuclideanSpace(3, complex_coords=True), SpiderSpace(4)],
+                         ids=["R2", "C3", "spider4"])
+def test_assignment_solve_equals_oracle_cost_solve(space, p):
+    # the solver receives the bytes of the whole-matrix cost raised to p out
+    # of place, and the value and coupling follow from its permutation
+    A, B = Ensemble(space, cloud(space, 150, 5)), Ensemble(space, cloud(space, 150, 6))
+    costs = []
+    solve = transport.linear_sum_assignment
+
+    def spy(cost):
+        costs.append(cost.tobytes())
+        return solve(cost)
+
+    with mock.patch.object(transport, "linear_sum_assignment", spy):
+        value, coupling = wasserstein(A, B, p)
+    want = oracles.cross_dist(space, A.points, B.points) ** p
+    assert costs == [want.tobytes()]
+    rows, cols = solve(want)
+    sigma = np.empty(len(A), dtype=np.intp)
+    sigma[rows] = cols
+    assert np.array_equal(coupling.permutation, sigma)
+    assert value == float(np.mean(space.pair_dist(A.points, B.points[sigma]) ** p) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("space, n", [(EuclideanSpace(2), 1000), (EuclideanSpace(16, complex_coords=True), 1000),
+                                      (SpiderSpace(5), 1000), (EuclideanSpace(3), 2000)],
+                         ids=["R2", "C16", "spider5", "R3-2000"])
+def test_assignment_solve_holds_one_cost_matrix(space, n):
+    # a solve holds one n x n float64 cost, 8 n^2 bytes, and no second buffer
+    # of that size; numpy reports its buffers to tracemalloc, so the peak
+    # repeats exactly (whole-matrix expressions peak at 2 to 3.13 costs).
+    # B is A in reverse order, which the solver matches in O(n^2), while the
+    # cost is the same n x n float64 buffer as for any other pair
+    A = Ensemble(space, cloud(space, n, 7))
+    B = Ensemble(space, A.points[::-1])
+    transport.assignment_solver()  # loaded before the trace starts
+    tracemalloc.start()
+    try:
+        wasserstein(A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
 
 
 def test_coupling_validation():
