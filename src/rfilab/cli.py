@@ -43,6 +43,7 @@ import multiprocessing
 import os
 import pickle
 import resource
+import statistics
 import sys
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -539,7 +540,7 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
                     fh.write(f"{step},{_float_repr(w2)},{_float_repr(psi)}\n")
         floor = None
         if diags["rates"]:
-            report["floor"] = float(np.median(draws))
+            report["floor"] = statistics.median(draws)
             floor = {"source": floor_source(scenario), "seeds": seeds, "draws": draws}
             if floor["source"] == "burn_in":
                 floor["steps"] = _burn_in_steps(cfg)

@@ -11,6 +11,7 @@ instance seed; the CLI addresses scenarios by name through
 from __future__ import annotations
 
 import math
+import statistics
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, NamedTuple, Optional, Sequence
@@ -538,7 +539,7 @@ def monte_carlo_floor(scenario: Scenario, n: int, steps: int, seed: int, repeats
     single draw fluctuates by a factor of 2-3, hence the median.  A run
     measures its floor against its own reference instead (``cli.cmd_run``)."""
     reference = floor_sample(scenario, n, steps, derive_seed(seed, 11))
-    return float(np.median([floor_draw(scenario, n, steps, reference, s) for s in floor_seeds(seed, repeats)]))
+    return statistics.median([floor_draw(scenario, n, steps, reference, s) for s in floor_seeds(seed, repeats)])
 
 
 def floor_seeds(seed: int, repeats: int = 3) -> list:

@@ -11,6 +11,31 @@ solves running at once in several processes hold one such cost each.  The
 Markov transport discrepancy of an ensemble reuses such a coupling to the
 reference ensemble.
 
+From N = WARM_START_MIN particles on, the solver is warm-started: an exact
+solve on every WARM_START_RATIO-th particle (m = N // 4 rows and columns)
+gives dual potentials, which c-transforms extend to all N rows and
+columns, and the cost has u_i + v_j subtracted in place.  That shifts the
+total of every permutation by the same constant, so the optimal assignment
+is the same, and W_p is priced on the points as before; but scipy's
+solver, which starts from zero duals, starts near the optimum.  On a
+Kaczmarz run in R^2 at N = 1000 the solve from step 0 to step 5 took
+0.15 s instead of 0.49 s, the warm start itself 0.03 s (2 vCPUs).  This is
+the coarse-to-fine idea of multiscale OT (Schmitzer, JMIV 2016; Merigot,
+CGF 2011), used only to warm-start the dense exact solver.  The cost is
+left as it is where the coarse optimum costs at least 99.9% of the
+identity pairing (a flat problem, such as a cloud against a near point
+mass, where duals carry nothing), where the Bellman-Ford relaxation that
+gives the coarse duals reaches no fixed point in m passes or stalls at
+rounding level (cycles on degenerate costs), and where an entry or a
+potential is not finite (the solver's own checks then apply).  The warm
+start holds one m x m float64 buffer, 8 N^2 / 16 bytes, next to the cost,
+and forms its other temporaries CROSS_DIST_ROWS rows at a time.  Below
+N = 1000 it does not pay: at N = 500 the solves of a 6-step run (each
+step against the reference, and 3 floor draws) took 9% longer in total
+for phase retrieval in C^64 and 3% longer for inconsistent Kaczmarz in
+R^2, whose step solves took 7% less but whose floor solves, two samples
+of one law, took 46% more.
+
 Ensembles are stored as CSV: a header row, read by the ``csv`` module,
 that names the columns and so the space, then one row of plain decimal
 numbers per particle, parsed by numpy's C reader (``np.loadtxt``).  A blank
@@ -32,7 +57,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import EuclideanSpace, Space, SpiderSpace
+from .geometry import CROSS_DIST_ROWS, EuclideanSpace, Space, SpiderSpace
 from .operators import OperatorFamily
 from .regularity import psi_estimation_array
 
@@ -49,6 +74,11 @@ SOLVES = {"assignment": 0, "sorted": 0}
 
 # values per block of text that `Ensemble.to_csv` formats and writes at once
 CSV_BLOCK_VALUES = 1 << 14
+
+# an assignment solve of at least WARM_START_MIN particles starts from the
+# potentials of an exact solve on every WARM_START_RATIO-th particle
+WARM_START_MIN = 1000
+WARM_START_RATIO = 4
 
 
 def _load_compiled_solver():
@@ -90,6 +120,75 @@ def linear_sum_assignment(cost: np.ndarray):
     fallback): no command imports scipy.optimize, and commands that solve no
     assignment load no solver at all."""
     return assignment_solver()(cost)
+
+
+def _row_slices(n: int):
+    return (slice(lo, lo + CROSS_DIST_ROWS) for lo in range(0, n, CROSS_DIST_ROWS))
+
+
+def _column_min(cost: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """min over i of cost[i, j] - u[i], for each column j, formed
+    CROSS_DIST_ROWS rows at a time: the c-transform of the row potentials."""
+    v = np.full(cost.shape[1], np.inf)
+    for blk in _row_slices(len(cost)):
+        np.minimum(v, (cost[blk] - u[blk, None]).min(axis=0), out=v)
+    return v
+
+
+def _coarse_column_duals(W: np.ndarray, sigma: np.ndarray) -> Optional[np.ndarray]:
+    """Column duals v of the square assignment ``W`` that ``sigma`` solves
+    optimally: with u_i = W[i, sigma_i] - v[sigma_i], every W_ij - u_i - v_j
+    is at least 0.  They are shortest-path distances from v = 0 over the
+    edges W_ij - W[i, sigma_i], which overwrite ``W`` (0 on the matching),
+    by Bellman-Ford relaxation, one c-transform per pass; None when m
+    passes reach no fixed point, or a pass lowers no dual by more than
+    m eps max|W| (rounding-level cycles on a degenerate cost)."""
+    m = len(W)
+    tol = m * np.finfo(np.float64).eps * W.max()  # costs are at least 0
+    W -= W[np.arange(m), sigma][:, None]
+    v = np.zeros(m)
+    for _ in range(m):
+        t = _column_min(W, -v[sigma])
+        drop = np.max(v - t)
+        if drop <= 0.0:
+            return v
+        if drop <= tol:
+            return None
+        np.minimum(v, t, out=v)
+    return None
+
+
+def _warm_start(cost: np.ndarray) -> None:
+    """Subtract from the square ``cost``, in place, row and column potentials
+    u_i + v_j taken from an exact solve on every WARM_START_RATIO-th row and
+    column, extended to all rows and columns by c-transforms; every entry
+    stays at least 0, and every permutation's total drops by the same
+    sum(u) + sum(v).  The cost is left as it is where the coarse problem is
+    flat (its optimum costs at least 99.9% of the identity pairing), where
+    its duals reach no fixed point, or where an entry or a potential is not
+    finite."""
+    n = len(cost)
+    m = n // WARM_START_RATIO
+    idx = np.linspace(0, n - 1, m).round().astype(np.intp)
+    W = cost[np.ix_(idx, idx)]
+    if not np.isfinite(W).all():
+        return
+    _, sigma = assignment_solver()(W)
+    if W[np.arange(m), sigma].sum() >= 0.999 * np.trace(W):
+        return
+    coarse_v = _coarse_column_duals(W, sigma)
+    if coarse_v is None:
+        return
+    u = np.empty(n)
+    for blk in _row_slices(n):
+        u[blk] = (cost[blk, idx] - coarse_v).min(axis=1)
+    v = _column_min(cost, u)
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        return
+    for blk in _row_slices(n):
+        # (c - u_i) - v_j, as _column_min forms c - u_i: at least 0 exactly
+        cost[blk] -= u[blk, None]
+        cost[blk] -= v
 
 
 def sorted_path(space: Space) -> bool:
@@ -228,7 +327,11 @@ def wasserstein(A: Ensemble, B: Ensemble, p: float = 2.0):
     """Exact W_p between equal-size ensembles, with an optimal coupling.
 
     Returns ``(value, Coupling)`` where value = (mean of d^p over the
-    optimal pairing)^(1/p).
+    optimal pairing)^(1/p).  Off the real line the pairing is an exact
+    assignment solve of the N x N cost d^p; from N = WARM_START_MIN on, the
+    cost first has potentials u_i + v_j from a quarter-size exact solve
+    subtracted in place (:func:`_warm_start`), which leaves the optimal
+    assignment as it is and lets the solver start near it.
     """
     _check_pair(A, B)
     if p < 1.0:
@@ -246,6 +349,8 @@ def wasserstein(A: Ensemble, B: Ensemble, p: float = 2.0):
         SOLVES["assignment"] += 1
         cost = space.cross_dist(A.points, B.points)
         cost **= p
+        if len(cost) >= WARM_START_MIN:
+            _warm_start(cost)
         rows, cols = linear_sum_assignment(cost)
         sigma = np.empty(len(A), dtype=np.intp)
         sigma[rows] = cols

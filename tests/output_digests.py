@@ -13,7 +13,10 @@ with ``reference.mode: file``, reading the ``reference.csv`` that the
 relative to the working directory of every command.  A config whose
 scenario has an invariant sampler has one more cell,
 ``<config>/K6/w1-reference_ground_truth``: the same run with
-``reference.mode: ground_truth``.
+``reference.mode: ground_truth``.  One config more runs at N = 1000, the
+size from which an assignment solve is warm-started: inconsistent
+``kaczmarz`` at K = 6 and 1 and 2 workers, its cells named
+``kaczmarz-consistent=False-N1000/K6/w<workers>``.
 
 One line is printed per command and per output file, ``<sha256>  <name>``:
 the files ``run`` writes, then the two that ``rate`` writes.  A command's
@@ -55,6 +58,9 @@ SCENARIOS = [
     ("dr_parallel_lines", {}, False),
 ]
 ITERATIONS = (0, 1, 6)
+ENSEMBLE_SIZE = 200
+# (name, params, N, K) of the one config at the warm-started size
+LARGE = ("kaczmarz", {"consistent": False}, 1000, 6)
 WORKERS = (1, 2)
 RUN_TO_RUN = ("timings", "config_path", "wall_time_s")  # manifest keys left out of its digest
 RATE_WRITES = ("report.json", "rates_series.csv")  # the files `rate` writes, over `run`'s report
@@ -102,6 +108,33 @@ def _cell(src: Path, work: Path, config: dict, cell: str, workers: int):
     yield _command(src, work, ["wasserstein", str(out / "reference.csv"), str(last)]), f"{cell}/wasserstein"
 
 
+def _config(name: str, params: dict, size: int, iterations: int) -> dict:
+    return {
+        "scenario": {"name": name, "params": params},
+        "ensemble_size": size,
+        "iterations": iterations,
+        "seed": 7,
+        "diagnostics": {"wasserstein": True, "psi": True, "regularity": True, "rates": True},
+    }
+
+
+def _worker_cells(src: Path, work: Path, config: dict, cells: str, differing: list):
+    """Yield ``(digest, name)`` for ``config`` at each worker count, with
+    results in ``work / cells / w<workers>``, and append ``cells`` to
+    ``differing`` where an output depends on the worker count."""
+    outputs = {}  # output -> its digest at each worker count
+    for workers in WORKERS:
+        cell = f"{cells}/w{workers}"
+        for digest, output in _cell(src, work, config, cell, workers):
+            yield digest, output
+            output = output.removeprefix(cell)
+            if output == "/manifest.json":
+                digest = _file_digest(work / cell / "manifest.json", any_workers=True)
+            outputs.setdefault(output, []).append(digest)
+    if any(seen != [seen[0]] * len(WORKERS) for seen in outputs.values()):
+        differing.append(f"{cells}/w{{{','.join(map(str, WORKERS))}}}")
+
+
 def digests(src: Path, work: Path, differing: list):
     """Yield ``(digest, name)`` for every command and output of the matrix,
     and append to ``differing`` each config whose outputs depend on the
@@ -109,30 +142,17 @@ def digests(src: Path, work: Path, differing: list):
     for name, params, sampler in SCENARIOS:
         label = "-".join([name, *(f"{key}={value}" for key, value in params.items())])
         for iterations in ITERATIONS:
-            config = {
-                "scenario": {"name": name, "params": params},
-                "ensemble_size": 200,
-                "iterations": iterations,
-                "seed": 7,
-                "diagnostics": {"wasserstein": True, "psi": True, "regularity": True, "rates": True},
-            }
-            outputs = {}  # output -> its digest at each worker count
-            for workers in WORKERS:
-                cell = f"{label}/K{iterations}/w{workers}"
-                for digest, output in _cell(src, work, config, cell, workers):
-                    yield digest, output
-                    output = output.removeprefix(cell)
-                    if output == "/manifest.json":
-                        digest = _file_digest(work / cell / "manifest.json", any_workers=True)
-                    outputs.setdefault(output, []).append(digest)
-            if any(seen != [seen[0]] * len(WORKERS) for seen in outputs.values()):
-                differing.append(f"{label}/K{iterations}/w{{{','.join(map(str, WORKERS))}}}")
+            config = _config(name, params, ENSEMBLE_SIZE, iterations)
+            yield from _worker_cells(src, work, config, f"{label}/K{iterations}", differing)
         burn_in = f"{label}/K{ITERATIONS[-1]}/w1"
         config["reference"] = {"mode": "file", "path": f"{burn_in}/reference.csv"}
         yield from _cell(src, work, config, f"{burn_in}-reference_file", 1)
         if sampler:
             config["reference"] = {"mode": "ground_truth"}
             yield from _cell(src, work, config, f"{burn_in}-reference_ground_truth", 1)
+    name, params, size, iterations = LARGE
+    label = "-".join([name, *(f"{key}={value}" for key, value in params.items()), f"N{size}"])
+    yield from _worker_cells(src, work, _config(name, params, size, iterations), f"{label}/K{iterations}", differing)
 
 
 def main(argv=None) -> int:

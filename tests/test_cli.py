@@ -922,6 +922,23 @@ assert rfilab.cli.main(["rate", {str(out)!r}]) == 0
     assert lines == [[False, False], True, [False, False], [False, False]]
 
 
+def test_run_with_rates_loads_no_numpy_ma(tmp_path):
+    # the floor is the median of 3 floats: np.median's first call imports
+    # numpy.ma for its NaN check (9 ms and 2 MiB of peak RSS in a fresh
+    # interpreter, 2 vCPUs), and statistics.median returns the same float.
+    # At workers 1 the floor draws, the regularity block and the rate fits
+    # all run in this process
+    cfg = write_config(tmp_path, workers=1)
+    out = tmp_path / "o"
+    script = f"""
+import json, sys, rfilab.cli
+assert rfilab.cli.main(["run", "--config", {str(cfg)!r}, "--out", {str(out)!r}]) == 0
+print("=>", json.dumps("numpy.ma" in sys.modules))
+"""
+    assert _fresh_python(script) == [False]
+    assert json.loads((out / "report.json").read_text())["floor"] > 0.0
+
+
 def test_assignment_run_imports_no_scipy_optimize(tmp_path):
     # kaczmarz in R^2 solves assignments; the solver is the compiled _lsap
     # module, loaded without scipy/optimize/__init__.py

@@ -1,3 +1,4 @@
+import contextlib
 import sys
 import tracemalloc
 from unittest import mock
@@ -150,8 +151,10 @@ def test_assignment_solve_holds_one_cost_matrix(space, n):
     # a solve holds one n x n float64 cost, 8 n^2 bytes, and no second buffer
     # of that size; numpy reports its buffers to tracemalloc, so the peak
     # repeats exactly (whole-matrix expressions peak at 2 to 3.13 costs).
-    # B is A in reverse order, which the solver matches in O(n^2), while the
-    # cost is the same n x n float64 buffer as for any other pair
+    # B is A in reverse order: the coarse solve of the warm start finds a
+    # matching of cost 0, its m x m buffer (n^2 / 16 entries) sits next to
+    # the cost, and the solver then matches in O(n^2); the cost is the same
+    # n x n float64 buffer as for any other pair
     A = Ensemble(space, cloud(space, n, 7))
     B = Ensemble(space, A.points[::-1])
     transport.assignment_solver()  # loaded before the trace starts
@@ -210,6 +213,159 @@ def test_assignment_solver_falls_back_to_the_public_import(monkeypatch, failure)
     for cost in [rng.random((n, n)) for n in (2, 7, 60)] + ties:
         for got, want in zip(fallback(cost), direct(cost)):
             assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the warm start of large assignment solves
+# ---------------------------------------------------------------------------
+
+WARM_SPACES = {"R2": EuclideanSpace(2), "R3": EuclideanSpace(3), "C8": EuclideanSpace(8, complex_coords=True),
+               "spider4": SpiderSpace(4)}
+# every space and p at N = 1000; N = 1001 (not a multiple of 4) in each
+# space with one p; N = 2000 in C^8 only, where a case takes 1.5-4.6 s
+# against 3.7-12 s in R^2, R^3 and on the spider
+WARM_CASES = ([(1000, space, p) for space in WARM_SPACES for p in (1.0, 2.0, 3.0)]
+              + [(1001, "R2", 3.0), (1001, "R3", 1.0), (1001, "C8", 2.0), (1001, "spider4", 3.0)]
+              + [(2000, "C8", 1.0)])
+
+
+def _pair(space, n: int, law: str):
+    """Two ensembles of ``n`` points: independent samples of one law
+    (``same``), or the second shifted by 3 and scaled by 1/2 (``shifted``).
+    Spider radii are exponential, so that no two points tie at the origin."""
+    rng = np.random.default_rng(n)
+
+    def draw(shift, scale):
+        if isinstance(space, SpiderSpace):
+            radii = shift + scale * rng.exponential(size=n)
+            return space.pack(np.column_stack([rng.integers(0, space.legs, size=n), radii]))
+        x = rng.normal(size=(n, space.dim))
+        if space.complex_coords:
+            x = x + 1j * rng.normal(size=(n, space.dim))
+        return space.pack(shift + scale * x)
+
+    A = Ensemble(space, draw(0.0, 1.0))
+    return A, Ensemble(space, draw(3.0, 0.5) if law == "shifted" else draw(0.0, 1.0))
+
+
+@contextlib.contextmanager
+def _solver_inputs():
+    """Patch the solver to keep a copy of each cost it receives, in the
+    list this yields."""
+    received = []
+    solve = transport.linear_sum_assignment
+
+    def spy(cost):
+        received.append(cost.copy())
+        return solve(cost)
+
+    with mock.patch.object(transport, "linear_sum_assignment", spy):
+        yield received
+
+
+def _plain_solve(A, B, p):
+    """``cross_dist(A, B) ** p``, and its permutation and W_p value from a
+    plain solve."""
+    space = A.space
+    cost = space.cross_dist(A.points, B.points) ** p
+    _, sigma = transport.assignment_solver()(cost)
+    return cost, sigma, float(np.mean(space.pair_dist(A.points, B.points[sigma]) ** p) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("law", ["shifted", "same"])
+@pytest.mark.parametrize("n, space, p", WARM_CASES, ids=[f"{s}-N{n}-p{p:g}" for n, s, p in WARM_CASES])
+def test_warm_started_solve_equals_plain_solve(n, space, p, law):
+    # the same permutation, and so the same value, as a plain solve; every
+    # reduced cost is at least 0
+    A, B = _pair(WARM_SPACES[space], n, law)
+    with _solver_inputs() as inputs:
+        value, coupling = wasserstein(A, B, p)
+    (received,) = inputs
+    cost, sigma, want = _plain_solve(A, B, p)
+    assert np.array_equal(coupling.permutation, sigma)
+    assert value == want
+    assert received.min() >= 0.0
+    if law == "shifted" and space != "spider4":
+        # the potentials from the coarse duals leave under 3% of the optimum
+        # as the reduced cost of the optimal assignment (0.02-1.2% in these
+        # cases); without the coarse duals (v = 0) they leave 12-52% in
+        # R^2, and without a warm start all of it
+        rows = np.arange(n)
+        assert received[rows, sigma].sum() <= 0.03 * cost[rows, sigma].sum()
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_warm_start_leaves_a_flat_cost(p):
+    # B within 1e-3 of one point: the columns look alike, and the coarse
+    # optimum costs over 99.9% of the identity pairing (99.94-99.98%
+    # measured), so the solver receives the cost as built
+    rng = np.random.default_rng(3)
+    space = EuclideanSpace(2)
+    A = Ensemble(space, rng.normal(size=(1000, 2)))
+    B = Ensemble(space, np.array([1.0, -2.0]) + 1e-3 * rng.normal(size=(1000, 2)))
+    with _solver_inputs() as received:
+        value, coupling = wasserstein(A, B, p)
+    cost, sigma, want = _plain_solve(A, B, p)
+    assert [r.tobytes() for r in received] == [cost.tobytes()]
+    assert np.array_equal(coupling.permutation, sigma)
+    assert value == want
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_warm_start_on_a_degenerate_cost(p):
+    # A and B within 1e-7 of one point: every cost is a small multiple of
+    # the rounding unit of |a|^2 + |b|^2, so many assignments tie at the
+    # optimum.  The solve finishes, and its assignment is optimal for the
+    # cost as built, as the plain solve's is; which of the tied assignments
+    # it returns may differ
+    rng = np.random.default_rng(3)
+    space, centre = EuclideanSpace(2), np.array([1.0, -2.0])
+    A = Ensemble(space, centre + 1e-7 * rng.normal(size=(1000, 2)))
+    B = Ensemble(space, centre + 1e-7 * rng.normal(size=(1000, 2)))
+    _, coupling = wasserstein(A, B, p)
+    cost, sigma, _ = _plain_solve(A, B, p)
+    rows = np.arange(1000)
+    total = cost[rows, sigma].sum()
+    assert cost[rows, coupling.permutation].sum() <= total + 1000 * np.finfo(np.float64).eps * total
+
+
+def test_coarse_duals_stop_on_a_rounding_level_cycle():
+    # the identity is optimal for W up to one rounding unit: the cycle
+    # through both off-diagonal entries is shorter by 2^-52, so every pass
+    # lowers both duals by that much and no pass reaches a fixed point
+    W = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]])
+    assert transport._coarse_column_duals(W.copy(), np.array([0, 1])) is None
+    # with the optimal matching, the duals satisfy W_ij - u_i - v_j >= 0
+    sigma = np.array([1, 0])
+    v = transport._coarse_column_duals(W.copy(), sigma)
+    u = W[[0, 1], sigma] - v[sigma]
+    assert (W - u[:, None] - v[None, :] >= 0.0).all()
+
+
+def test_warm_start_begins_at_warm_start_min():
+    # 999 particles: the solver receives the cost as built (1000: above)
+    A, B = _pair(EuclideanSpace(2), transport.WARM_START_MIN - 1, "shifted")
+    with _solver_inputs() as received:
+        wasserstein(A, B)
+    assert [r.tobytes() for r in received] == [(A.space.cross_dist(A.points, B.points) ** 2.0).tobytes()]
+
+
+@pytest.mark.parametrize("at", [0, 1], ids=["coarse_row", "other_row"])
+def test_warm_start_leaves_non_finite_costs(at):
+    # a point so far out that its squared norm overflows makes its row of
+    # the cost inf: the solver receives the cost as built and raises as on a
+    # plain solve (row 0 is in the coarse solve, row 1 not)
+    A, B = _pair(EuclideanSpace(2), 1000, "shifted")
+    points = A.points.copy()
+    points[at] = 1e200
+    A = Ensemble(A.space, points)
+    with _solver_inputs() as received, pytest.raises(ValueError) as raised:
+        wasserstein(A, B)
+    cost = A.space.cross_dist(A.points, B.points) ** 2.0
+    assert [r.tobytes() for r in received] == [cost.tobytes()]
+    with pytest.raises(ValueError) as plain:
+        transport.assignment_solver()(cost)
+    assert str(raised.value) == str(plain.value)
 
 
 # ---------------------------------------------------------------------------
