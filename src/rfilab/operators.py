@@ -3,9 +3,13 @@
 Every operator is immutable after construction and maps points of one
 declared space.  ``apply`` on a packed (N, ...) point array is the one
 implementation of each map; ``op(x)`` on a single point packs it as a
-one-row ensemble, applies, and unpacks.  Families pair a finite operator
-list with an explicit sampling weight vector, which keeps index
-expectations exactly computable.
+one-row ensemble, applies, and unpacks.  ``apply`` returns a new array
+that the caller owns: it never returns its input or a view of it.  The
+composite operators rely on this and finish their result in place, in
+the array their inner operator returned, so each particle step allocates
+its result once.  Families pair a finite operator list with an explicit
+sampling weight vector, which keeps index expectations exactly
+computable.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ __all__ = [
     "DouglasRachford",
     "SpiderProx",
     "UnsupportedSpaceError",
-    "project_magnitude",
     "quadratic_smooth_term",
 ]
 
@@ -67,7 +70,14 @@ class Operator(ABC):
 
     @abstractmethod
     def apply(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate on a packed (N, ...) array of points."""
+        """Evaluate on a packed (N, ...) array of points.
+
+        Returns a new array of the input's shape and dtype, which the caller
+        owns and may write to; ``pts`` is left unchanged.  An operator that
+        returned ``pts`` or a view of it would be overwritten by the
+        composites (``Reflection``, ``DouglasRachford``, ...) that finish
+        their result in place.
+        """
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +145,9 @@ class AffineMap(Operator):
         object.__setattr__(self, "shift", self.space.validate_point(self.shift))
 
     def apply(self, pts):
-        if self.scale.ndim == 2:
-            return pts @ self.scale.T + self.shift
-        return self.scale * pts + self.shift
+        out = pts @ self.scale.T if self.scale.ndim == 2 else self.scale * pts
+        out += self.shift
+        return out
 
 
 @dataclass(frozen=True)
@@ -175,20 +185,11 @@ class HyperplaneProjection(Operator):
         object.__setattr__(self, "_nrm2", nrm2)
 
     def apply(self, pts):
-        resid = (pts @ self.normal - self.offset) / self._nrm2
-        return pts - resid[:, None] * self.normal
-
-
-def project_magnitude(m, z):
-    """Coordinatewise projection of z onto circles of radius m (phase 1 at 0)."""
-    m = np.asarray(m, dtype=float)
-    z = np.asarray(z, dtype=np.complex128)
-    if np.any(m < 0):
-        raise ValueError("magnitudes must be nonnegative")
-    mag = np.abs(z)
-    zero = mag == 0.0
-    phase = np.where(zero, 1.0 + 0.0j, z / np.where(zero, 1.0, mag))
-    return m * phase
+        resid = pts @ self.normal
+        resid -= self.offset
+        resid /= self._nrm2
+        out = resid[:, None] * self.normal
+        return np.subtract(pts, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -220,11 +221,20 @@ class MagnitudeProjection(Operator):
         if not np.allclose(np.abs(mask), 1.0, atol=1e-12):
             raise ValueError("mask entries must have unit modulus")
         object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_mask_conj", mask.conj())
 
     def apply(self, pts):
         Z = np.fft.fft(pts * self.mask, axis=1, norm="ortho")
-        Z = project_magnitude(self.magnitudes, Z)
-        return np.fft.ifft(Z, axis=1, norm="ortho") * self.mask.conj()
+        mag = np.abs(Z)
+        if mag.all():
+            np.divide(Z, mag, out=Z)
+            Z *= self.magnitudes
+        else:  # some coefficient is exactly 0: it takes phase 1
+            zero = mag == 0.0
+            Z = self.magnitudes * np.where(zero, 1.0 + 0.0j, Z / np.where(zero, 1.0, mag))
+        out = np.fft.ifft(Z, axis=1, norm="ortho")
+        out *= self._mask_conj
+        return out
 
 
 @dataclass(frozen=True)
@@ -242,10 +252,11 @@ class SupportRealityProjection(Operator):
         if s.shape != (space.dim,):
             raise ValueError(f"support mask must have dimension {space.dim}")
         object.__setattr__(self, "support", s)
+        object.__setattr__(self, "_off_support", ~s)
 
     def apply(self, pts):
         out = pts.real.astype(np.complex128)
-        out[:, ~self.support] = 0.0
+        np.copyto(out, 0.0, where=self._off_support)
         return out
 
 
@@ -265,7 +276,10 @@ class RelaxedProjection(Operator):
 
     def apply(self, pts):
         proj = self.projector.apply(pts)
-        return pts + self.relax * (proj - pts)
+        proj -= pts
+        proj *= self.relax
+        proj += pts
+        return proj
 
 
 @dataclass(frozen=True)
@@ -280,7 +294,10 @@ class Reflection(Operator):
         _require_same_space(self.space, self.op)
 
     def apply(self, pts):
-        return 2.0 * self.op.apply(pts) - pts
+        out = self.op.apply(pts)
+        out *= 2.0
+        out -= pts
+        return out
 
 
 @dataclass(frozen=True)
@@ -299,7 +316,9 @@ class ForwardBackward(Operator):
         _require_same_space(self.space, self.g_resolvent)
 
     def apply(self, pts):
-        return self.g_resolvent.apply(pts - self.step * self.smooth.grad(pts))
+        g = self.smooth.grad(pts)
+        g *= self.step
+        return self.g_resolvent.apply(np.subtract(pts, g, out=g))
 
 
 @dataclass(frozen=True)
@@ -317,7 +336,10 @@ class DouglasRachford(Operator):
         object.__setattr__(self, "_reflect_g", Reflection(self.space, self.g_resolvent))
 
     def apply(self, pts):
-        return 0.5 * (self._reflect_f.apply(self._reflect_g.apply(pts)) + pts)
+        out = self._reflect_f.apply(self._reflect_g.apply(pts))
+        out += pts
+        out *= 0.5
+        return out
 
 
 @dataclass(frozen=True)
@@ -361,6 +383,9 @@ class OperatorFamily:
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if w.shape != (len(ops),):
             raise ValueError("weights length must match operator count")
+        bad = ~np.isfinite(w)
+        if bad.any():
+            raise ValueError(f"weights must be finite, got {w[bad].tolist()} at indices {np.flatnonzero(bad).tolist()}")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
@@ -388,8 +413,16 @@ class OperatorFamily:
         return len(self.operators)
 
     def sample_indices(self, uniforms: np.ndarray) -> np.ndarray:
-        """Map uniform(0,1) draws to operator indices by inverse CDF."""
-        return np.searchsorted(self._cum, uniforms, side="right")
+        """Map uniform(0,1) draws to operator indices by inverse CDF: the
+        number of cumulative weights at or below each draw, counted by one
+        comparison per interior weight.  For draws in [0, 1) this is
+        ``np.searchsorted(self._cum, uniforms, side="right")``, since the
+        last cumulative weight exceeds 1."""
+        u = np.asarray(uniforms)
+        idx = np.zeros(u.shape, dtype=np.intp)
+        for c in self._cum[:-1]:
+            idx += u >= c
+        return idx
 
     def apply_index(self, idx: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Apply operator idx[k] to row k of a packed array.  Each operator

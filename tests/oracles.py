@@ -5,7 +5,9 @@ the a(1/2)-firm violation that ``regularity.estimate_violation`` computes,
 the regularity block estimated operator by operator, the two-point
 scenario's balanced invariant ensemble, the contraction and sgd
 scenarios' invariant samplers as one unblocked draw, the family
-dispatch by boolean masks, the rate fits and linear gauge as separate
+dispatch by boolean masks and its index draw by binary search, the
+library operators as out-of-place expressions (with the coordinatewise
+magnitude projection), the rate fits and linear gauge as separate
 functions, each fit windowing the series itself, the ensemble CSV
 reader as the ``csv`` module and one ``float`` per value, and each space's
 cost matrix as whole-matrix expressions with their temporaries."""
@@ -21,7 +23,19 @@ import numpy as np
 
 from rfilab.analysis import QLinearFit, RateReport, RLinearFit
 from rfilab.geometry import EuclideanSpace, Space, SpiderSpace
-from rfilab.operators import Operator, OperatorFamily, _require_euclidean
+from rfilab.operators import (
+    AffineMap,
+    DouglasRachford,
+    ForwardBackward,
+    HyperplaneProjection,
+    MagnitudeProjection,
+    Operator,
+    OperatorFamily,
+    Reflection,
+    RelaxedProjection,
+    SupportRealityProjection,
+    _require_euclidean,
+)
 from rfilab.regularity import MIN_PAIR_DISTANCE, PairSampler, RegularityReport, _rng, psi_estimation_array
 from rfilab.rfi import STREAM_INIT
 from rfilab.transport import Ensemble, _space_from_header
@@ -181,6 +195,51 @@ def apply_index_masked(family: OperatorFamily, idx: np.ndarray, pts: np.ndarray)
         if np.any(rows):
             out[rows] = op.apply(pts[rows])
     return out
+
+
+def sample_indices_searchsorted(family: OperatorFamily, uniforms) -> np.ndarray:
+    """``family.sample_indices(uniforms)`` as a binary search over the
+    family's cumulative weights."""
+    return np.searchsorted(family._cum, uniforms, side="right")
+
+
+def project_magnitude(m, z):
+    """Coordinatewise projection of z onto circles of radius m (phase 1 at 0)."""
+    m = np.asarray(m, dtype=float)
+    z = np.asarray(z, dtype=np.complex128)
+    if np.any(m < 0):
+        raise ValueError("magnitudes must be nonnegative")
+    mag = np.abs(z)
+    zero = mag == 0.0
+    phase = np.where(zero, 1.0 + 0.0j, z / np.where(zero, 1.0, mag))
+    return m * phase
+
+
+def apply_out_of_place(op: Operator, pts: np.ndarray) -> np.ndarray:
+    """``op.apply(pts)`` with each library operator that finishes its result
+    in place written out of place, each nested operator evaluated the same
+    way; any other operator is its own ``apply``."""
+    if isinstance(op, AffineMap):
+        return (pts @ op.scale.T if op.scale.ndim == 2 else op.scale * pts) + op.shift
+    if isinstance(op, HyperplaneProjection):
+        return pts - ((pts @ op.normal - op.offset) / op._nrm2)[:, None] * op.normal
+    if isinstance(op, MagnitudeProjection):
+        Z = project_magnitude(op.magnitudes, np.fft.fft(pts * op.mask, axis=1, norm="ortho"))
+        return np.fft.ifft(Z, axis=1, norm="ortho") * op.mask.conj()
+    if isinstance(op, SupportRealityProjection):
+        out = pts.real.astype(np.complex128)
+        out[:, ~op.support] = 0.0
+        return out
+    if isinstance(op, RelaxedProjection):
+        return pts + op.relax * (apply_out_of_place(op.projector, pts) - pts)
+    if isinstance(op, Reflection):
+        return 2.0 * apply_out_of_place(op.op, pts) - pts
+    if isinstance(op, ForwardBackward):
+        return apply_out_of_place(op.g_resolvent, pts - op.step * op.smooth.grad(pts))
+    if isinstance(op, DouglasRachford):
+        inner = apply_out_of_place(Reflection(op.space, op.g_resolvent), pts)
+        return 0.5 * (apply_out_of_place(Reflection(op.space, op.f_resolvent), inner) + pts)
+    return op.apply(pts)
 
 
 def contraction_invariant_unblocked(r: float, n: int, seed: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 import inspect
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import grid_minimize
@@ -24,13 +26,13 @@ from rfilab.operators import (
     SpiderProx,
     SupportRealityProjection,
     UnsupportedSpaceError,
-    project_magnitude,
     quadratic_smooth_term,
 )
 from rfilab.scenarios import build_scenario
 
 R1 = EuclideanSpace(1)
 R2 = EuclideanSpace(2)
+C1 = EuclideanSpace(1, complex_coords=True)
 C4 = EuclideanSpace(4, complex_coords=True)
 SPIDER = SpiderSpace(3)
 
@@ -71,13 +73,18 @@ def test_project_hyperplane_against_constrained_least_squares(rng):
 
 
 def test_project_magnitude_examples():
-    assert project_magnitude([2.0], [1.0 + 0.0j])[0] == 2.0 + 0.0j
-    assert project_magnitude([1.0], [0.0j])[0] == 1.0 + 0.0j  # phase tie-break
-    assert project_magnitude([0.0], [3.0j])[0] == 0.0
-    out = project_magnitude([2.0, 3.0], [1.0 + 1.0j, -2.0j])
-    assert np.allclose(np.abs(out), [2.0, 3.0], rtol=1e-14)
+    # on C^1 with mask 1 the DFT is the identity: the projection onto the
+    # circle of radius m
+    def project(m, z):
+        return MagnitudeProjection(C1, [m], [1.0])([z])[0]
+
+    assert project(2.0, 1.0 + 0.0j) == 2.0 + 0.0j
+    assert project(1.0, 0.0j) == 1.0 + 0.0j  # phase tie-break
+    assert project(0.0, 3.0j) == 0.0
+    out = MagnitudeProjection(C1, [2.0], [1.0]).apply(np.array([[1.0 + 1.0j], [-2.0j]]))
+    assert np.allclose(np.abs(out), 2.0, rtol=1e-14)
     with pytest.raises(ValueError):
-        project_magnitude([-1.0], [1.0 + 0.0j])
+        MagnitudeProjection(C1, [-1.0], [1.0])
 
 
 def test_projection_idempotence_bulk(rng):
@@ -300,6 +307,33 @@ def test_family_validation():
             make_empty()
 
 
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0], [0.5, -np.inf, 0.5]])
+def test_family_rejects_non_finite_weights(weights):
+    # NaN passes both the sign test and the sum test; the draw needs a finite CDF
+    ops = tuple(Identity(R1) for _ in weights)
+    with pytest.raises(ValueError, match=r"weights must be finite, got \[(nan|inf|-inf)\]"):
+        OperatorFamily(ops, weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=8)
+       .filter(lambda raw: sum(raw) > 0.0), seed=st.integers(0, 2**32 - 1))
+@example(raw=[0.0, 0.5, 0.5], seed=0)
+@example(raw=[0.5, 0.0, 0.5], seed=0)
+@example(raw=[0.5, 0.5, 0.0], seed=0)
+@example(raw=[0.0, 1.0, 0.0, 0.0], seed=0)
+@example(raw=[1.0], seed=0)
+def test_sample_indices_is_the_binary_search(raw, seed):
+    fam = OperatorFamily(tuple(Identity(R1) for _ in raw), np.asarray(raw) / sum(raw))
+    cum = fam._cum
+    edges = np.concatenate([[0.0], cum, np.nextafter(cum, 0.0)])
+    draws = np.random.default_rng(seed).random(100_000)
+    for u in (edges[edges < 1.0], draws):
+        got = fam.sample_indices(u)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, oracles.sample_indices_searchsorted(fam, u))
+
+
 def test_family_apply_index_matches_pointwise(rng):
     fam = OperatorFamily.uniform(
         [AffineMap(R1, np.asarray(0.5), np.array([1.0])), AffineMap(R1, np.asarray(0.5), np.array([-1.0]))]
@@ -418,3 +452,63 @@ def _wrong_space_part():
 def test_composite_rejects_component_on_another_space(build):
     with pytest.raises(ValueError, match="component operator"):
         build(_wrong_space_part())
+
+
+# ---------------------------------------------------------------------------
+# ownership: apply returns a new array, and the composites finish it in place
+# ---------------------------------------------------------------------------
+
+def _operators_within(op):
+    """``op`` and every operator nested in its fields, depth first."""
+    found = [op]
+    for field in fields(op):
+        part = getattr(op, field.name)
+        if isinstance(part, Operator):
+            found += _operators_within(part)
+    return found
+
+
+def _ownership_cases():
+    """(operator, points) for every operator, nested ones included, of the 7
+    scenarios at their default parameters, plus the operators the scenarios
+    do not use; Euclidean points get a zero row, whose DFT is exactly 0."""
+    cases = []
+    for name in DISPATCH_SCENARIOS:
+        scenario = build_scenario(name, {})
+        pts = scenario.initial(64, 5).points
+        if isinstance(scenario.family.space, EuclideanSpace):
+            pts = np.concatenate([pts, np.zeros_like(pts[:1])])
+        for i, top in enumerate(scenario.family.operators):
+            for op in _operators_within(top):
+                cases.append(pytest.param(op, pts, id=f"{name}-{i}-{type(op).__name__}"))
+    spider_pts = SPIDER.pack([SpiderPoint(k % 3, 0.25 * k) for k in range(9)])
+    r2_pts = np.random.default_rng(2).normal(size=(9, 2))
+    cases += [
+        pytest.param(Identity(R2), r2_pts, id="Identity"),
+        pytest.param(PointProjection(SPIDER, SpiderPoint(1, 2.0)), spider_pts, id="PointProjection"),
+        pytest.param(AffineMap(R2, np.array([[2.0, 1.0], [0.0, 1.0]]), np.array([1.0, -1.0])), r2_pts,
+                     id="AffineMap-matrix"),
+        pytest.param(SpiderProx(SPIDER, SpiderPoint(1, 2.0), 0.5), spider_pts, id="SpiderProx"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("op, pts", _ownership_cases())
+def test_apply_returns_a_new_array_and_leaves_its_input(op, pts):
+    before = pts.copy()
+    out = op.apply(pts)
+    assert isinstance(out, np.ndarray) and out.flags.writeable
+    assert out.shape == pts.shape and out.dtype == pts.dtype
+    assert not np.shares_memory(out, pts)
+    assert pts.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("op, pts", _ownership_cases())
+def test_apply_is_the_out_of_place_formula(op, pts):
+    # the in-place arithmetic runs the same ufuncs on the same operands, so
+    # every byte is the out-of-place expression's; without the zero row every
+    # DFT coefficient is nonzero, with it MagnitudeProjection takes the
+    # phase-1 tie-break
+    for rows in (pts[:-1], pts):
+        assert op.apply(rows).tobytes() == oracles.apply_out_of_place(op, rows).tobytes()
+
