@@ -96,7 +96,6 @@ CONFIG_SCHEMA = {
     "seed": (int, True, None, ">= 0"),
     "record_every": (int, False, 1, ">= 1"),
     "workers": (int, False, 1, ">= 1; worker processes, capped at usable CPUs; changes no output byte"),
-    "common_noise": (bool, False, False, "all particles share one index draw"),
     "diagnostics": (dict, False, {}, "booleans: wasserstein, psi, regularity, rates"),
     "reference": (dict, False, REFERENCE_DEFAULTS, "mode: burn_in | ground_truth | file; factor; path"),
     "regularity_pairs": (int, False, 2000, ">= 1; pair count for violation estimates"),
@@ -491,7 +490,6 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
         iterations=cfg["iterations"],
         seed=cfg["seed"],
         record_every=cfg["record_every"],
-        common_noise=cfg["common_noise"],
     )
     diags = cfg["diagnostics"]
     series = diags["wasserstein"] or diags["psi"]

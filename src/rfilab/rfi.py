@@ -46,7 +46,6 @@ class ChainConfig:
     iterations: int
     seed: int
     record_every: int = 1
-    common_noise: bool = False
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -83,10 +82,7 @@ def run_ensemble(cfg: ChainConfig) -> Trajectory:
     ensembles = [Ensemble(cfg.initial.space, pts)]
     for k in range(cfg.iterations):
         gen = _generator(cfg.seed, STREAM_STEP, k)
-        if cfg.common_noise:
-            idx = np.full(n, family.sample_indices(gen.random(1))[0], dtype=np.intp)
-        else:
-            idx = family.sample_indices(gen.random(n))
+        idx = family.sample_indices(gen.random(n))
         pts = family.apply_index(idx, pts)
         if k + 1 in record:
             ensembles.append(Ensemble(cfg.initial.space, pts))

@@ -74,7 +74,6 @@ class GroundTruth:
 
     invariant_sampler: Optional[Callable[[int, int], Ensemble]] = None
     alpha: Optional[float] = None
-    q_rate: Optional[float] = None
     violation_bound: Optional[float] = None
     extras: dict = field(default_factory=dict)
 
@@ -138,7 +137,6 @@ def scenario_two_point() -> Scenario:
     truth = GroundTruth(
         invariant_sampler=invariant,
         alpha=0.5,
-        q_rate=0.0,
         violation_bound=0.0,
         extras={"mean": 0.0, "support": [-1.0, 1.0], "attained_at": 1},
     )
@@ -188,7 +186,6 @@ def scenario_contraction(r: float = 0.5, offset: float = 50.0) -> Scenario:
     truth = GroundTruth(
         invariant_sampler=invariant,
         alpha=(1.0 + r) / 2.0,
-        q_rate=r,
         violation_bound=0.0,
         extras={"r": r, "subregularity_constant": 1.0 / (1.0 - r)},
     )

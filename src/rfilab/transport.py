@@ -237,15 +237,16 @@ class Ensemble:
 
     @classmethod
     def from_csv(cls, path, space: Optional[Space] = None) -> "Ensemble":
-        """Read what :meth:`to_csv` writes.  The header is read by ``csv`` and
-        decides the space, or, if ``space`` is given, must be its column
-        names; the rows by ``np.loadtxt``, so each value is a plain decimal
-        number as ``float`` reads it (``nan`` and ``inf`` included, ``1_0``
-        and non-ASCII digits not), with no quoting and no comments.  A file
-        with no header or no rows, a blank line, a value that is not a
-        number, a row whose length differs from the header's, or another
-        space's header raises ValueError; one from a row names the row's
-        line in the file."""
+        """Read what :meth:`to_csv` writes.  The header is read by ``csv``;
+        it decides the space where ``space`` is not given, and must be the
+        space's column names either way.  The rows are read by
+        ``np.loadtxt``, so each value is a plain decimal number as ``float``
+        reads it (``nan`` and ``inf`` included, ``1_0`` and non-ASCII digits
+        not), with no quoting and no comments.  A file with no header or no
+        rows, a blank line, a value that is not a number, a row whose length
+        differs from the header's, or a header that is not the space's
+        raises ValueError; one from a row names the row's line in the
+        file."""
         with Path(path).open("r", encoding="utf-8") as fh:
             header = next(csv.reader(fh), [])
             # not splitlines(), which would also break a row at \f, \v or \x1c
@@ -262,7 +263,7 @@ class Ensemble:
             raise ValueError(f"expected {len(header)} values per row, as in the header, got {data.shape[1]}")
         if space is None:
             space = _space_from_header(header, data)
-        elif header != _column_names(space):
+        if header != _column_names(space):
             raise ValueError(f"expected the header {','.join(_column_names(space))}, got {','.join(header)}")
         if isinstance(space, SpiderSpace):
             return cls(space, data)
@@ -295,7 +296,7 @@ def _column_names(space: Space) -> list:
 
 def _space_from_header(header: Sequence[str], data: np.ndarray) -> Space:
     if list(header) == ["leg", "radius"]:
-        legs = int(max(2, data[:, 0].max() + 1)) if len(data) else 2
+        legs = int(max(2, data[:, 0].max() + 1))
         return SpiderSpace(legs)
     if header and header[0].endswith("_re"):
         return EuclideanSpace(len(header) // 2, complex_coords=True)

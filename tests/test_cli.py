@@ -193,6 +193,7 @@ def test_non_utf8_config_exits_2_naming_the_path(tmp_path, capsys, command):
          "config.scenario.params.b: kaczmarz takes 'A' and 'b' together, or neither"),
         ({"scenario": {"name": "spider_frechet", "params": {"anchors": []}}}, [],
          "config.scenario.params.anchors: need at least one anchor"),
+        ({"common_noise": False}, [], "config.common_noise: unknown key"),
     ],
 )
 def test_run_invalid_value_exits_2_naming_the_key(tmp_path, capsys, overrides, argv, fragment):
@@ -792,9 +793,13 @@ def test_cmd_wasserstein_reads_spiders_on_the_larger_leg_count(tmp_path, capsys)
         (["x0\n1.0\nabc\n"], "b.csv (line 3, column 1: could not convert string 'abc' to float64)\n"),
         (["x0\n1.0\n2.0,3.0\n"], "b.csv (line 3: the number of columns changed from 1 to 2)\n"),
         (["x0,x1\n1.0,2.0\n3.0,4.0\n5.0,x\n"], "b.csv (line 4, column 2: could not convert string 'x' to float64)\n"),
+        (["x0_re,foo\n0.0,0.0\n1.0,1.0\n"], "b.csv (expected the header x0_re,x0_im, got x0_re,foo)\n"),
+        (["a,b\n0.0,1.0\n1.0,0.0\n"], "b.csv (expected the header x0,x1, got a,b)\n"),
+        (["x0_re,x0_im,x1\n0.0,1.0,2.0\n1.0,0.0,3.0\n"], "b.csv (expected the header x0_re,x0_im, got x0_re,x0_im,x1)\n"),
     ],
     ids=["p_below_1", "p_nan", "p_inf", "missing_file", "sizes_differ", "r1_against_r2", "r1_against_spider",
-         "r1_against_c1", "bad_value_line", "ragged_row_line", "bad_value_line_column"],
+         "r1_against_c1", "bad_value_line", "ragged_row_line", "bad_value_line_column", "complex_header_foo",
+         "unnamed_header", "complex_header_then_real_column"],
 )
 def test_cmd_wasserstein_invalid_input_exits_2(tmp_path, capsys, argv, fragment):
     # a positional argument is ensemble_b: a file name, or the text written to b.csv

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -116,6 +117,16 @@ def test_readme_sketch_runs():
     proc = subprocess.run([sys.executable, "-c", readme_sketch()], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_config_sketch_validates():
+    # the README's JSON config sketch is a valid config that names every key
+    from rfilab.cli import CONFIG_SCHEMA, validate_config
+
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = json.loads(text.split("### Config schema (JSON)", 1)[1].split("```json\n", 1)[1].split("```", 1)[0])
+    validate_config(block)
+    assert sorted(block) == sorted(CONFIG_SCHEMA)
 
 
 def test_every_public_name_has_a_caller():

@@ -137,13 +137,6 @@ def test_index_sampler_frequencies():
         assert abs(freq - w) <= 4 * se
 
 
-def test_common_noise_collapses_two_point(rng):
-    init = Ensemble(R1, rng.normal(size=(64, 1)))
-    traj = run_ensemble(ChainConfig(two_point_family(), init, 3, seed=4, common_noise=True))
-    pts = traj.final().points[:, 0]
-    assert np.unique(pts).size == 1  # all particles share every draw
-
-
 def test_two_run_agreement_bernoulli_convolution(rng):
     # r = 1/2 contraction: invariant law is uniform on [-2, 2]; two independent
     # runs agree to within twice the calibrated Monte-Carlo floor

@@ -103,7 +103,7 @@ def test_contraction_rate_and_violation():
     traj = run_ensemble(ChainConfig(sc.family, sc.initial(n, 11), 12, seed=12))
     dists = [wasserstein(ens, ref)[0] for ens in traj.ensembles]
     ratios = np.array(dists[1:9]) / np.array(dists[:8])
-    assert np.max(ratios) <= sc.ground_truth.q_rate + 0.1
+    assert np.max(ratios) <= sc.ground_truth.extras["r"] + 0.1
     rep = estimate_violation_in_expectation(
         sc.family, sc.ground_truth.alpha, BoxPairSampler(sc.space, -5, 5, seed=13), 10_000
     ).in_expectation
