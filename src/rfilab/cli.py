@@ -15,22 +15,26 @@ with one function, ``_fit_rates``.  All CSV outputs are byte-deterministic
 for a fixed config, and reruns reproduce files exactly.  ``run`` splits its
 independent work into jobs, each one function timed to one layer, and runs
 them on a pool of ``workers`` forked processes, capped at the usable CPUs,
-each with one BLAS thread.  It submits them in a fixed order: the
-reference burn-in and one job per floor sample (a draw of the scenario's
-invariant sampler or, where it has none, a burn-in); then, once this
-process has run the chain, one job per recorded step that writes its
-ensemble file; none of these uses the reference.  Then it takes the
-reference and submits, in seed order, each floor draw (the W2 from the
-reference to one sample, once that sample is back), the regularity block,
-the reference write and, with a series diagnostic on, one W2 + Psi job per
-recorded step.  It takes the results in the same order, and writes the
-series, report and manifest.  Each job is pickled in the thread that
-submits it, as a check, so a job that cannot be sent fails the run at
-once.  The worker count changes no output byte: every job is a pure
-function of its arguments.  scipy's assignment solver is loaded only by a
-command that solves an assignment, as the compiled ``_lsap`` extension
-(the public import is the fallback), so no command imports
-scipy.optimize.
+each with one BLAS thread.  Ensembles pass between jobs only through a
+scratch directory that the run makes and removes: the job that makes an
+ensemble saves it there as ``.npy`` and returns its path, and each job
+that needs it loads it, so this process holds none.  The jobs are
+submitted in a fixed order: the chain, which saves every recorded step,
+the reference burn-in (a reference file is read here, before any job) and
+one job per floor sample (a draw of the scenario's invariant sampler or,
+where it has none, a burn-in); then, once the chain is back, one job per
+recorded step that writes its ensemble file; none of these uses the
+reference.  Then, once the reference is back, the reference write, in seed
+order each floor draw (the W2 from the reference to one sample, once that
+sample is back), the regularity block and, with a series diagnostic on,
+one W2 + Psi job per recorded step.  The results are taken in the same
+order, and then the series, report and manifest are written.  Each job is
+pickled in the thread that submits it, as a check, so a job that cannot
+be sent fails the run at once.  The worker count changes no output byte:
+every job is a pure function of its arguments and of the files they name.
+scipy's assignment solver is loaded only by a command that solves an
+assignment, as the compiled ``_lsap`` extension (the public import is the
+fallback), so no command imports scipy.optimize.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import pickle
 import resource
 import statistics
 import sys
+import tempfile
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
@@ -65,7 +70,7 @@ from .regularity import (  # noqa: F401
     estimate_violation,
     estimate_violation_in_expectation,
 )
-from .rfi import ChainConfig, derive_seed, run_ensemble
+from .rfi import ChainConfig, derive_seed, recorded_steps, run_ensemble
 # monte_carlo_floor is not called here, but perfbench/spans.py wraps cli.monte_carlo_floor
 from .scenarios import (  # noqa: F401
     SCENARIO_BUILDERS,
@@ -223,14 +228,15 @@ def _default_sampler(scenario, reference: Ensemble, seed: int):
     return BoxPairSampler(space, low=lo - pad, high=hi + pad, seed=pair_seed)
 
 
-def _regularity_block(spec: tuple, reference: Ensemble, seed: int, n_pairs: int) -> dict:
+def _regularity_block(spec: tuple, reference: Path, seed: int, n_pairs: int) -> dict:
     """The report's ``regularity`` block: the violation estimates of each
     operator and of the family, at the scenario's alpha (0.5 when it states
     none), from one draw of ``n_pairs`` pairs in the region
-    :func:`_default_sampler` derives from the reference."""
+    :func:`_default_sampler` derives from the reference saved at
+    ``reference``, which is let go before the pairs are drawn."""
     scenario = build_scenario(*spec)
     alpha = scenario.ground_truth.alpha if scenario.ground_truth.alpha is not None else 0.5
-    sampler = _default_sampler(scenario, reference, seed)
+    sampler = _default_sampler(scenario, _load(scenario.space, reference), seed)
     return asdict(estimate_violation_in_expectation(scenario.family, alpha, sampler, n_pairs))
 
 
@@ -294,26 +300,27 @@ def _burn_in_steps(cfg: dict) -> int:
     return cfg["reference"]["factor"] * max(cfg["iterations"], 1)
 
 
-def _reference_ensemble(scenario, cfg: dict, pool: "_Pool"):
-    """Job making the reference of the W2-to-invariant series, with its
-    provenance.  A burn-in runs on the pool; a file or a ground-truth sample
-    is made here and now, so a config error stops the run before any job."""
+def _reference_ensemble(scenario, cfg: dict, path: Path) -> tuple:
+    """The job that saves the reference of the W2-to-invariant series at
+    ``path``, as ``(layer, fn, *args)``, and the reference's provenance.  A
+    ground-truth reference of a scenario with no invariant sampler is a
+    ConfigError here, before any job."""
     ref_cfg = cfg["reference"]
-    n = cfg["ensemble_size"]
+    spec, n = _scenario_spec(cfg), cfg["ensemble_size"]
     if ref_cfg["mode"] == "file":
-        reference = pool.here("reference", _read_reference, ref_cfg["path"], n, scenario.space)
-        return reference, {"mode": "file", "path": ref_cfg["path"]}
+        job = ("reference", _file_reference, ref_cfg["path"], n, scenario.space, path)
+        return job, {"mode": "file", "path": ref_cfg["path"]}
     if ref_cfg["mode"] == "ground_truth":
-        sampler = scenario.ground_truth.invariant_sampler
-        if sampler is None:
+        if scenario.ground_truth.invariant_sampler is None:
             raise ConfigError(
                 f"config.reference.mode: scenario '{scenario.name}' has no ground-truth invariant sampler"
             )
         ref_seed = derive_seed(cfg["seed"], 0x6D)
-        return pool.here("reference", sampler, n, ref_seed), {"mode": "ground_truth", "seed": ref_seed}
+        job = ("reference", _sample, spec, n, _burn_in_steps(cfg), ref_seed, path)
+        return job, {"mode": "ground_truth", "seed": ref_seed}
     steps = _burn_in_steps(cfg)
     ref_seed = derive_seed(cfg["seed"], 0x6E)
-    job = pool.submit("reference", _burn_in, _scenario_spec(cfg), n, steps, ref_seed)
+    job = ("reference", _burn_in, spec, n, steps, ref_seed, path)
     return job, {"mode": "burn_in", "steps": steps, "seed": ref_seed}
 
 
@@ -338,13 +345,49 @@ def _one_blas_thread() -> None:
         set_threads(1)
 
 
-def _burn_in(spec: tuple, n: int, steps: int, seed: int) -> Ensemble:
-    return long_run_reference(build_scenario(*spec), n, steps, seed)
+def _save(ens: Ensemble, path: Path) -> Path:
+    """Save ``ens`` at ``path`` for the jobs that :func:`_load` it, and
+    return the path."""
+    np.save(path, ens.points, allow_pickle=False)
+    return path
 
 
-def _series_point(spec: tuple, ens: Ensemble, reference: Ensemble, want_w2: bool, want_psi: bool) -> tuple:
+def _load(space, path: Path) -> Ensemble:
+    return Ensemble(space, np.load(path, allow_pickle=False))
+
+
+def _chain(spec: tuple, n: int, iterations: int, seed: int, record_every: int, paths: list) -> list:
+    """The job that runs the chain from the scenario's initial ensemble and
+    saves its recorded steps, in order, at ``paths``."""
+    scenario = build_scenario(*spec)
+    chain = ChainConfig(
+        family=scenario.family,
+        initial=scenario.initial(n, derive_seed(seed, 0x11)),
+        iterations=iterations,
+        seed=seed,
+        record_every=record_every,
+    )
+    return [_save(ens, path) for ens, path in zip(run_ensemble(chain).ensembles, paths)]
+
+
+def _burn_in(spec: tuple, n: int, steps: int, seed: int, path: Path) -> Path:
+    return _save(long_run_reference(build_scenario(*spec), n, steps, seed), path)
+
+
+def _sample(spec: tuple, n: int, steps: int, seed: int, path: Path) -> Path:
+    """The job that saves :func:`floor_sample`: a floor sample, or a
+    ground-truth reference."""
+    return _save(floor_sample(build_scenario(*spec), n, steps, seed), path)
+
+
+def _file_reference(source: str, n: int, space, path: Path) -> Path:
+    return _save(_read_reference(source, n, space), path)
+
+
+def _series_point(spec: tuple, space, ens: Path, reference: Path, want_w2: bool, want_psi: bool) -> tuple:
     """(W2, Psi) of one recorded ensemble against the reference; Psi reuses
     the W2 coupling: one optimal assignment per step."""
+    ens, reference = _load(space, ens), _load(space, reference)
     w2 = psi = coupling = None
     if want_w2:
         w2, coupling = wasserstein(ens, reference, p=2.0)
@@ -353,21 +396,17 @@ def _series_point(spec: tuple, ens: Ensemble, reference: Ensemble, want_w2: bool
     return w2, psi
 
 
-def _floor_sample(spec: tuple, n: int, steps: int, seed: int) -> Ensemble:
-    return floor_sample(build_scenario(*spec), n, steps, seed)
-
-
-def _floor_solve(reference: Ensemble, sample: Ensemble) -> float:
+def _floor_solve(space, reference: Path, sample: Path) -> float:
     """The W2 of :func:`floor_draw`, which a run splits in two jobs: the
     sample does not need the reference, and is drawn while it burns in."""
-    return wasserstein(reference, sample, p=2.0)[0]
+    return wasserstein(_load(space, reference), _load(space, sample), p=2.0)[0]
 
 
-def _write_ensemble(ens: Ensemble, path: Path) -> None:
+def _write_ensemble(space, ens: Path, path: Path) -> None:
     """The job that writes a step's ensemble file or the reference; a job
     names a module-level function, which pickles by name, and this one finds
     ``to_csv`` in the worker."""
-    ens.to_csv(path)
+    _load(space, ens).to_csv(path)
 
 
 def _job(layer: str, fn, *args) -> tuple:
@@ -417,12 +456,10 @@ class _Pool:
 
     def submit(self, layer: str, fn, *args) -> Future:
         """Queue the job ``fn(*args)``, timed to ``layer``.  The pickling
-        check keeps no bytes: arrays go out of band, so it copies no
-        ensemble, and the executor gets the job itself (bytes handed to it
-        would stay in this process until the job ends)."""
+        check keeps no bytes: the executor gets the job itself."""
         if self._executor is None:
             return self.here(layer, fn, *args)
-        pickle.dumps((fn, args), protocol=5, buffer_callback=[].append)
+        pickle.dumps((fn, args))
         return self._executor.submit(_job, layer, fn, *args)
 
     @staticmethod
@@ -483,45 +520,46 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
 
     spec = _scenario_spec(cfg)
     scenario = _configured_scenario(spec)
-    n = cfg["ensemble_size"]
-    chain = ChainConfig(
-        family=scenario.family,
-        initial=scenario.initial(n, derive_seed(cfg["seed"], 0x11)),
-        iterations=cfg["iterations"],
-        seed=cfg["seed"],
-        record_every=cfg["record_every"],
-    )
+    space, n = scenario.space, cfg["ensemble_size"]
+    steps = recorded_steps(cfg["iterations"], cfg["record_every"])
     diags = cfg["diagnostics"]
     series = diags["wasserstein"] or diags["psi"]
     seeds = floor_seeds(cfg["seed"]) if diags["rates"] else []
-    if series and not transport.sorted_path(scenario.space):
+    if series and not transport.sorted_path(space):
         transport.assignment_solver()  # once here, before the pool forks, not in every worker
-    # one job each: the reference burn-in, a floor sample (a sampler draw or
-    # a burn-in) and its W2 to the reference, a step's file, the regularity
-    # block, the reference write and, with a series, a step's W2 + Psi
-    recorded = len(chain.recorded_steps())
-    jobs = ((cfg["reference"]["mode"] == "burn_in") + 2 * len(seeds) + (1 + series) * recorded
-            + diags["regularity"] + 1)
-    with _Pool(max(1, min(cfg["workers"], usable_cpus(), jobs))) as pool:
-        reference_job, ref_provenance = _reference_ensemble(scenario, cfg, pool)
+    from_file = cfg["reference"]["mode"] == "file"
+    # one job each: the chain, the reference unless it is read from a file,
+    # a floor sample (a sampler draw or a burn-in) and its W2 to the
+    # reference, a step's file, the reference write, the regularity block
+    # and, with a series, a step's W2 + Psi
+    jobs = 2 - from_file + 2 * len(seeds) + (1 + series) * len(steps) + 1 + diags["regularity"]
+    with tempfile.TemporaryDirectory(prefix="rfilab-") as tmp, \
+            _Pool(max(1, min(cfg["workers"], usable_cpus(), jobs))) as pool:
+        scratch = Path(tmp)
+        make_reference, ref_provenance = _reference_ensemble(scenario, cfg, scratch / "reference.npy")
+        # a file is read here and now, so that a bad one stops the run before any job
+        reference_job = pool.here(*make_reference) if from_file else None
         out.mkdir(parents=True, exist_ok=True)  # only now: a bad scenario or reference leaves none behind
-        samples = [pool.submit("floor", _floor_sample, spec, n, _burn_in_steps(cfg), seed) for seed in seeds]
+        chain_job = pool.submit("chain", _chain, spec, n, cfg["iterations"], cfg["seed"], cfg["record_every"],
+                                [scratch / f"step_{step:06d}.npy" for step in steps])
+        reference_job = reference_job or pool.submit(*make_reference)
+        samples = [pool.submit("floor", _sample, spec, n, _burn_in_steps(cfg), seed, scratch / f"sample_{i}.npy")
+                   for i, seed in enumerate(seeds)]
         # the chain, the floor samples and the step files do not use the
         # reference: they run while it burns in
-        with pool.timed("chain"):
-            trajectory = run_ensemble(chain)
+        step_files = pool.take(chain_job)
         ens_dir = out / "ensembles"
         ens_dir.mkdir(exist_ok=True)
-        writes = [pool.submit("io", _write_ensemble, ens, ens_dir / f"step_{step:06d}.csv")
-                  for step, ens in zip(trajectory.steps, trajectory.ensembles)]
+        writes = [pool.submit("io", _write_ensemble, space, ens, ens_dir / f"step_{step:06d}.csv")
+                  for step, ens in zip(steps, step_files)]
         reference = pool.take(reference_job)
-        solves = [pool.submit("floor", _floor_solve, reference, pool.take(job)) for job in samples]
+        writes.append(pool.submit("io", _write_ensemble, space, reference, out / "reference.csv"))
+        solves = [pool.submit("floor", _floor_solve, space, reference, pool.take(job)) for job in samples]
         if diags["regularity"]:
             regularity_job = pool.submit(
                 "regularity", _regularity_block, spec, reference, cfg["seed"], cfg["regularity_pairs"])
-        reference_write = pool.submit("io", _write_ensemble, reference, out / "reference.csv")
-        points = [pool.submit("w2_psi", _series_point, spec, ens, reference, diags["wasserstein"], diags["psi"])
-                  for ens in trajectory.ensembles if series]
+        points = [pool.submit("w2_psi", _series_point, spec, space, ens, reference, diags["wasserstein"],
+                              diags["psi"]) for ens in step_files if series]
         # the results are taken in the order of submission
         for job in writes:
             pool.take(job)
@@ -529,12 +567,11 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
         report = _empty_report(scenario)
         if diags["regularity"]:
             report["regularity"] = pool.take(regularity_job)
-        pool.take(reference_write)
-        values = [pool.take(job) for job in points] or [(None, None)] * recorded
+        values = [pool.take(job) for job in points] or [(None, None)] * len(steps)
         with pool.timed("io"):
             with (out / "series.csv").open("w", newline="", encoding="utf-8") as fh:
                 fh.write("k,W2_to_reference,psi_hat\n")
-                for step, (w2, psi) in zip(trajectory.steps, values):
+                for step, (w2, psi) in zip(steps, values):
                     fh.write(f"{step},{_float_repr(w2)},{_float_repr(psi)}\n")
         floor = None
         if diags["rates"]:
@@ -544,7 +581,7 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
                 floor["steps"] = _burn_in_steps(cfg)
 
     if diags["rates"]:
-        _fit_rates(report, trajectory.steps, *zip(*values))
+        _fit_rates(report, steps, *zip(*values))
     with pool.timed("io"):
         _write_report(out, report)
 
@@ -554,7 +591,7 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
         "scenario_params": scenario.params,
         "reference": ref_provenance,
         "floor": floor,
-        "recorded_steps": trajectory.steps,
+        "recorded_steps": steps,
         "versions": {"rfilab": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
         "seed": cfg["seed"],
         "wall_time_s": time.perf_counter() - started,
@@ -607,11 +644,12 @@ def cmd_regularity(config_path, out_dir, seed: Optional[int] = None) -> int:
     out = Path(out_dir or cfg.get("output_dir") or "results")
     spec = _scenario_spec(cfg)
     scenario = _configured_scenario(spec)
-    with _Pool(1) as pool:
-        reference = pool.take(_reference_ensemble(scenario, cfg, pool)[0])
-    out.mkdir(parents=True, exist_ok=True)
-    report = _empty_report(scenario)
-    report["regularity"] = _regularity_block(spec, reference, cfg["seed"], cfg["regularity_pairs"])
+    with tempfile.TemporaryDirectory(prefix="rfilab-") as tmp, _Pool(1) as pool:
+        make_reference, _ = _reference_ensemble(scenario, cfg, Path(tmp) / "reference.npy")
+        reference = pool.take(pool.submit(*make_reference))
+        out.mkdir(parents=True, exist_ok=True)
+        report = _empty_report(scenario)
+        report["regularity"] = _regularity_block(spec, reference, cfg["seed"], cfg["regularity_pairs"])
     _write_report(out, report)
     print(
         f"scenario={scenario.name} alpha={report['regularity']['alpha']} "

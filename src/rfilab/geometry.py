@@ -32,6 +32,17 @@ __all__ = [
 CROSS_DIST_ROWS = 64
 
 
+def row_blocks(n: int, rows: int):
+    """``(lo, hi)`` bounds of consecutive blocks of ``rows`` rows covering
+    ``range(n)``.  A last block of one row joins the block before it: numpy
+    takes a one-row matrix-vector product as a dot product, whose rounding
+    can differ from the matrix kernel's."""
+    bounds = list(range(0, n, rows)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 @dataclass(frozen=True)
 class SpiderPoint:
     """A point on a K-leg spider: a leg index and a radius from the origin.

@@ -16,8 +16,10 @@ violation eps when
 The estimator below computes, over a sampled pair region, the smallest
 violation making that inequality hold pair by pair, and reports the max:
 for each operator of a family, and in expectation over the family's index.
-It draws the pairs once and applies each operator once to each array, so
-the family's terms are sums of the operators' own.  This is a sampled lower
+It draws the pairs once and applies each operator once to each pair, so
+the family's terms are sums of the operators' own.  Every term is a
+function of its own pair's rows, so the operators run on fixed blocks of
+rows, and only one block's images and temporaries exist at a time.  This is a sampled lower
 bound on the true violation, never a certificate; the sampling region
 travels with the report.
 """
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EuclideanSpace, Space, SpiderSpace
+from .geometry import EuclideanSpace, Space, SpiderSpace, row_blocks
 from .operators import Operator, OperatorFamily
 
 __all__ = [
@@ -47,6 +49,8 @@ __all__ = [
 
 # pairs closer than this are skipped: the defining inequalities degenerate
 MIN_PAIR_DISTANCE = 1e-12
+# pairs whose images and per-pair terms are computed at once
+VIOLATION_ROWS = 256
 
 
 def psi_array(space: Space, X: np.ndarray, X0: np.ndarray, FX: np.ndarray, FX0: np.ndarray) -> np.ndarray:
@@ -110,9 +114,9 @@ class BoxPairSampler(PairSampler):
         gen = _rng(self.seed)
         shape = (2, n, self.space.dim)
         if self.space.complex_coords:
-            re = gen.uniform(self.low, self.high, size=shape)
-            im = gen.uniform(self.low, self.high, size=shape)
-            pts = re + 1j * im
+            pts = np.empty(shape, dtype=complex)
+            pts.real = gen.uniform(self.low, self.high, size=shape)
+            pts.imag = gen.uniform(self.low, self.high, size=shape)
         else:
             pts = gen.uniform(self.low, self.high, size=shape)
         return pts[0], pts[1]
@@ -184,15 +188,17 @@ def estimate_violation_in_expectation(
     """Smallest sampled violation of the alpha-firm inequality for each
     operator of the family, and in expectation over its index, with exact
     weights, from one draw of ``n_pairs`` pairs.  Each operator is applied
-    once to each side of the pairs; its report comes from its own terms,
-    and the family's from their weighted sums, which skip zero weights."""
+    once to each side of the pairs, VIOLATION_ROWS pairs at a time; its
+    report comes from its own terms, and the family's from their weighted
+    sums, which skip zero weights."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if n_pairs < 1:
         raise ValueError("need at least one pair")
     A, B = sampler.pairs(n_pairs)
     space = family.space
-    d2 = space.pair_dist(A, B) ** 2
+    blocks = row_blocks(len(A), VIOLATION_ROWS)
+    d2 = np.concatenate([space.pair_dist(A[lo:hi], B[lo:hi]) ** 2 for lo, hi in blocks])
     keep = d2 >= MIN_PAIR_DISTANCE**2
     if not np.any(keep):
         raise ValueError("all sampled pairs are degenerate (coincident points)")
@@ -218,10 +224,13 @@ def estimate_violation_in_expectation(
     psi = np.zeros(len(A))
     per_operator = []
     for w, op in zip(family.weights, family.operators):
-        FA = op.apply(A)
-        FB = op.apply(B)
-        d2F_op = space.pair_dist(FA, FB) ** 2
-        psi_op = psi_estimation_array(space, A, B, FA, FB)
+        d2F_op = np.empty(len(A))
+        psi_op = np.empty(len(A))
+        for lo, hi in blocks:
+            a, b = A[lo:hi], B[lo:hi]
+            Fa, Fb = op.apply(a), op.apply(b)
+            d2F_op[lo:hi] = space.pair_dist(Fa, Fb) ** 2
+            psi_op[lo:hi] = psi_estimation_array(space, a, b, Fa, Fb)
         per_operator.append(report(d2F_op, psi_op))
         if w != 0.0:
             d2F += w * d2F_op

@@ -18,7 +18,7 @@ import numpy as np
 from .operators import OperatorFamily
 from .transport import Ensemble
 
-__all__ = ["ChainConfig", "Trajectory", "run_ensemble", "derive_seed"]
+__all__ = ["ChainConfig", "Trajectory", "run_ensemble", "derive_seed", "recorded_steps"]
 
 # stream namespaces keeping independent uses of one seed from colliding; the
 # numbers key every draw, so they stay fixed (stream 1 is no longer used)
@@ -35,6 +35,11 @@ def _generator(seed: int, stream: int, step: int = 0) -> np.random.Generator:
 def derive_seed(seed: int, tag: int) -> int:
     """Deterministic 63-bit child seed for auxiliary runs (burn-in, floors)."""
     return int(np.random.SeedSequence((int(seed), int(tag))).generate_state(1, np.uint64)[0] >> 1)
+
+
+def recorded_steps(iterations: int, record_every: int) -> List[int]:
+    """Step 0, every ``record_every``-th step and the last step."""
+    return sorted({0, iterations, *range(record_every, iterations + 1, record_every)})
 
 
 @dataclass(frozen=True)
@@ -55,10 +60,6 @@ class ChainConfig:
         if self.family.space != self.initial.space:
             raise ValueError("family and initial ensemble live in different spaces")
 
-    def recorded_steps(self) -> List[int]:
-        """Step 0, every ``record_every``-th step and the last step."""
-        return sorted({0, self.iterations, *range(self.record_every, self.iterations + 1, self.record_every)})
-
 
 @dataclass
 class Trajectory:
@@ -77,8 +78,8 @@ def run_ensemble(cfg: ChainConfig) -> Trajectory:
     family = cfg.family
     pts = cfg.initial.points.copy()
     n = len(pts)
-    recorded_steps = cfg.recorded_steps()
-    record = set(recorded_steps)
+    steps = recorded_steps(cfg.iterations, cfg.record_every)
+    record = set(steps)
     ensembles = [Ensemble(cfg.initial.space, pts)]
     for k in range(cfg.iterations):
         gen = _generator(cfg.seed, STREAM_STEP, k)
@@ -86,4 +87,4 @@ def run_ensemble(cfg: ChainConfig) -> Trajectory:
         pts = family.apply_index(idx, pts)
         if k + 1 in record:
             ensembles.append(Ensemble(cfg.initial.space, pts))
-    return Trajectory(steps=recorded_steps, ensembles=ensembles)
+    return Trajectory(steps=steps, ensembles=ensembles)

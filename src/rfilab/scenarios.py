@@ -18,7 +18,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import EuclideanSpace, SpiderPoint, SpiderSpace, Space
+from .geometry import EuclideanSpace, SpiderPoint, SpiderSpace, Space, row_blocks
 from .operators import (
     AffineMap,
     DouglasRachford,
@@ -60,6 +60,9 @@ __all__ = [
     "SCENARIO_BUILDERS",
 ]
 
+# rows an invariant sampler draws at once, so that its temporaries stay small
+SAMPLER_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -91,17 +94,6 @@ class Scenario:
 
 def _init_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), STREAM_INIT)))
-
-
-def _row_blocks(n: int, rows: int = 1024):
-    """``(lo, hi)`` bounds of consecutive blocks of ``rows`` rows covering
-    ``range(n)``.  A last block of one row joins the block before it: numpy
-    takes a one-row matrix-vector product as a dot product, whose rounding
-    can differ from the matrix kernel's."""
-    bounds = list(range(0, n, rows)) + [n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _require_sizes(**sizes: int) -> None:
@@ -179,7 +171,7 @@ def scenario_contraction(r: float = 0.5, offset: float = 50.0) -> Scenario:
     def invariant(n: int, seed: int) -> Ensemble:
         gen = _init_rng(seed)
         pts = np.empty((n, 1))
-        for lo, hi in _row_blocks(n):
+        for lo, hi in row_blocks(n, SAMPLER_ROWS):
             pts[lo:hi, 0] = gen.choice([-1.0, 1.0], size=(hi - lo, depth)) @ powers
         return Ensemble(space, pts)
 
@@ -316,7 +308,7 @@ def scenario_sgd_linear_noise(Q=None, dim: int = 1, q=None, atoms=None, t: float
         def invariant(n: int, seed: int) -> Ensemble:
             gen = _init_rng(seed)
             pts = np.zeros((n, dim))
-            for lo, hi in _row_blocks(n):
+            for lo, hi in row_blocks(n, SAMPLER_ROWS):
                 idx = gen.integers(0, len(atoms), size=(hi - lo, depth))
                 power = np.eye(dim)
                 for j in range(depth):

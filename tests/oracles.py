@@ -2,7 +2,9 @@
 operators (with their one-row cases for ``test_call_is_apply_on_a_one_row_ensemble``),
 a Gaussian pair sampler, ``check_submonotone``, the inner-product oracle of
 the a(1/2)-firm violation that ``regularity.estimate_violation`` computes,
-the regularity block estimated operator by operator, the two-point
+the regularity block estimated operator by operator and with every
+operator applied to all pairs at once, the box sampler's complex pairs
+formed as a sum, the two-point
 scenario's balanced invariant ensemble, the contraction and sgd
 scenarios' invariant samplers as one unblocked draw, the family
 dispatch by boolean masks and its index draw by binary search, the
@@ -36,7 +38,15 @@ from rfilab.operators import (
     SupportRealityProjection,
     _require_euclidean,
 )
-from rfilab.regularity import MIN_PAIR_DISTANCE, PairSampler, RegularityReport, _rng, psi_estimation_array
+from rfilab.regularity import (
+    MIN_PAIR_DISTANCE,
+    BoxPairSampler,
+    PairSampler,
+    RegularityBlock,
+    RegularityReport,
+    _rng,
+    psi_estimation_array,
+)
 from rfilab.rfi import STREAM_INIT
 from rfilab.transport import Ensemble, _space_from_header
 
@@ -294,6 +304,58 @@ def _violation_separately(family: OperatorFamily, alpha: float, sampler: PairSam
         pair = tuple(np.stack([row.real, row.imag], axis=1) for row in pair)
     return RegularityReport(alpha, max(0.0, float(ratio[k])), tuple(row.tolist() for row in pair), n_pairs,
                             int(keep.sum()), sampler.describe())
+
+
+def box_pairs_summed(sampler: BoxPairSampler, n: int):
+    """``BoxPairSampler.pairs`` with the complex pairs formed as
+    ``re + 1j * im``, which holds both parts and two complex temporaries."""
+    gen = _rng(sampler.seed)
+    shape = (2, n, sampler.space.dim)
+    if sampler.space.complex_coords:
+        re = gen.uniform(sampler.low, sampler.high, size=shape)
+        im = gen.uniform(sampler.low, sampler.high, size=shape)
+        pts = re + 1j * im
+    else:
+        pts = gen.uniform(sampler.low, sampler.high, size=shape)
+    return pts[0], pts[1]
+
+
+def violation_block_whole(family: OperatorFamily, alpha: float, sampler: PairSampler, n_pairs: int) -> RegularityBlock:
+    """``regularity.estimate_violation_in_expectation`` with each operator
+    applied to all pairs at once, and a box sampler's pairs drawn by
+    :func:`box_pairs_summed`."""
+    if isinstance(sampler, BoxPairSampler):
+        A, B = box_pairs_summed(sampler, n_pairs)
+    else:
+        A, B = sampler.pairs(n_pairs)
+    space = family.space
+    d2 = space.pair_dist(A, B) ** 2
+    keep = d2 >= MIN_PAIR_DISTANCE**2
+    region = sampler.describe()
+
+    def report(d2F: np.ndarray, psi: np.ndarray) -> RegularityReport:
+        ratio = (d2F[keep] + ((1.0 - alpha) / alpha) * psi[keep] - d2[keep]) / d2[keep]
+        k = int(np.argmax(ratio))
+        idx = np.flatnonzero(keep)[k]
+        pair = (A[idx], B[idx])
+        if np.iscomplexobj(A):
+            pair = tuple(space.real_view(row[None]).reshape(-1, 2) for row in pair)
+        return RegularityReport(alpha, max(0.0, float(ratio[k])), tuple(row.tolist() for row in pair), n_pairs,
+                                int(keep.sum()), region)
+
+    d2F = np.zeros(len(A))
+    psi = np.zeros(len(A))
+    per_operator = []
+    for w, op in zip(family.weights, family.operators):
+        FA = op.apply(A)
+        FB = op.apply(B)
+        d2F_op = space.pair_dist(FA, FB) ** 2
+        psi_op = psi_estimation_array(space, A, B, FA, FB)
+        per_operator.append(report(d2F_op, psi_op))
+        if w != 0.0:
+            d2F += w * d2F_op
+            psi += w * psi_op
+    return RegularityBlock(alpha, per_operator, report(d2F, psi))
 
 
 def regularity_block_separately(family: OperatorFamily, alpha: float, sampler: PairSampler, n_pairs: int) -> dict:

@@ -2,11 +2,14 @@ import functools
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -264,12 +267,14 @@ def test_run_determinism_across_reruns_and_workers(tmp_path, monkeypatch):
     # every result file, the floor and the regularity block in report.json
     # included, is the same whether the jobs run in this process or on 2 or
     # 4 worker processes; contraction takes the sorted W2 path, kaczmarz the
-    # assignment path, and phase_retrieval sends the regularity job a
-    # complex reference, from which the worker builds a complex box sampler
+    # assignment path, phase_retrieval hands the regularity job a complex
+    # reference, from which the worker builds a complex box sampler, and
+    # spider_frechet hands every job packed (leg, radius) rows
     monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 4)
     for scenario, size in (({"name": "contraction", "params": {"r": 0.5, "offset": 5.0}}, 200),
                            ({"name": "kaczmarz", "params": {"m": 3, "n": 2, "instance_seed": 0}}, 200),
-                           ({"name": "phase_retrieval", "params": {"n": 8, "n_masks": 2}}, 40)):
+                           ({"name": "phase_retrieval", "params": {"n": 8, "n_masks": 2}}, 40),
+                           ({"name": "spider_frechet"}, 200)):
         cfg = write_config(tmp_path, scenario=scenario, ensemble_size=size)
         outs = {}
         for name, workers in (("a", None), ("b", None), ("c", 2), ("d", 4)):
@@ -366,9 +371,9 @@ def test_run_io_seconds_count_every_step_write(tmp_path, monkeypatch):
 def test_run_submits_the_step_writes_then_the_floor_solves_then_the_series(tmp_path, monkeypatch):
     # floor samples that take 0.3 s each are still being drawn when the
     # step files are queued.  The jobs are submitted in one order at 1 and 2
-    # workers: every step write before the first floor solve, and every
-    # floor solve before the first W2 + Psi job; the slow samples change no
-    # output byte.
+    # workers: the chain first, every step write and then the reference
+    # write before the first floor solve, and every floor solve before the
+    # first W2 + Psi job; the slow samples change no output byte.
     original_submit, original_sample = rfilab.cli._Pool.submit, rfilab.cli.floor_sample
     submitted = []
 
@@ -394,7 +399,8 @@ def test_run_submits_the_step_writes_then_the_floor_solves_then_the_series(tmp_p
               for fn in (rfilab.cli._write_ensemble, rfilab.cli._floor_solve, rfilab.cli._series_point)}
         writes, solves, points = at.values()
         assert (len(writes), len(solves), len(points)) == (12, 3, 11)  # 11 step files and reference.csv
-        assert max(writes[:11]) < min(solves) and max(solves) < min(points), at
+        assert submitted[0] is rfilab.cli._chain
+        assert max(writes) < min(solves) and max(solves) < min(points), at
     assert outs[0] == outs[1]
 
 
@@ -412,18 +418,21 @@ def test_run_pool_is_capped_at_usable_cpus(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "module, name, reference",
     [
+        ("cli", "run_ensemble", "burn_in"),
         ("cli", "long_run_reference", "burn_in"),
         ("cli", "floor_sample", "ground_truth"),
         ("cli", "markov_transport_discrepancy", "burn_in"),
         ("transport.Ensemble", "to_csv", "burn_in"),
     ],
-    ids=["reference_burn_in", "floor_sample", "w2_psi_step", "step_write"],
+    ids=["chain", "reference_burn_in", "floor_sample", "w2_psi_step", "step_write"],
 )
 def test_run_worker_failure_exits_like_in_process(tmp_path, monkeypatch, capsys, module, name, reference):
-    # each job kind in turn fails (a floor sample at its draw, which this
-    # process takes before it takes a step, a step job at writing its file,
-    # while the reference write's own job writes reference.csv); the patch
-    # is made before the pool forks
+    # each job kind in turn fails (the chain, which this process takes
+    # first; a ground-truth reference and the floor samples at their draw; a
+    # step job at writing its file, while the reference write's own job
+    # writes reference.csv); the patch is made before the pool forks.
+    # Neither a failed run nor a run that succeeds leaves a child alive or
+    # its scratch directory behind
     owner = functools.reduce(getattr, module.split("."), rfilab)
     original = getattr(owner, name)
 
@@ -432,6 +441,13 @@ def test_run_worker_failure_exits_like_in_process(tmp_path, monkeypatch, capsys,
             return original(*args, **kwargs)
         raise RuntimeError(f"{name} failed")
 
+    def assert_nothing_left():
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.glob("rfilab-*")) == []
+
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+    assert tempfile.gettempdir() == str(tmp_path)
     monkeypatch.setattr(owner, name, failing)
     monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
     cfg = write_config(tmp_path, reference={"mode": reference})
@@ -439,8 +455,58 @@ def test_run_worker_failure_exits_like_in_process(tmp_path, monkeypatch, capsys,
     for workers in ("1", "2"):
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / workers), "--workers", workers])
         errors.append((code, capsys.readouterr().err))
-        assert multiprocessing.active_children() == []
+        assert_nothing_left()
     assert errors[0] == errors[1] == (EXIT_RUNTIME, f"failure: RuntimeError: {name} failed\n")
+    monkeypatch.setattr(owner, name, original)
+    for workers in ("1", "2"):
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / f"ok{workers}"), "--workers", workers])
+        assert code == EXIT_OK
+        assert_nothing_left()
+
+
+@pytest.mark.parametrize("scenario, size", [
+    ({"name": "kaczmarz", "params": {"m": 80, "n": 64, "instance_seed": 0}}, 1024),
+    ({"name": "phase_retrieval", "params": {"n": 64, "instance_seed": 0}}, 600),
+], ids=["kaczmarz_R64", "phase_retrieval_C64"])
+def test_run_jobs_pickle_no_ensemble(tmp_path, monkeypatch, scenario, size):
+    # each ensemble here is at least 0.5 MiB, and at 2 workers every job
+    # cmd_run submits pickles in band to at most 64 KiB: the chain, the
+    # reference, the floor samples and solves, the step and reference
+    # writes, the regularity block and the W2 + Psi jobs name their
+    # ensembles by path
+    original_submit = rfilab.cli._Pool.submit
+    sizes = {}
+
+    def measured(pool, layer, fn, *args):
+        sizes.setdefault(fn.__name__, []).append(len(pickle.dumps((rfilab.cli._job, layer, fn, args))))
+        return original_submit(pool, layer, fn, *args)
+
+    monkeypatch.setattr(rfilab.cli._Pool, "submit", measured)
+    monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path, scenario=scenario, ensemble_size=size, iterations=2)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--workers", "2"]) == EXIT_OK
+    assert max(max(found) for found in sizes.values()) <= 64 * 1024, sizes
+    counts = {fn: len(found) for fn, found in sizes.items()}
+    assert counts == {"_chain": 1, "_burn_in": 1, "_sample": 3, "_write_ensemble": 4, "_floor_solve": 3,
+                      "_regularity_block": 1, "_series_point": 3}
+
+
+def test_regularity_block_holds_the_pairs_and_one_row_block(tmp_path):
+    # on the mixed_phase benchmark config (phase retrieval in C^64, 2000
+    # pairs) the block's traced peak is at most 1.6 times the bytes of its
+    # two pair arrays: the pairs are filled in place, the reference is let
+    # go before they are drawn, and the operators run on blocks of rows
+    spec = ("phase_retrieval", {"n": 64, "instance_seed": 0})
+    reference = rfilab.cli._burn_in(spec, 500, 100, 950, tmp_path / "reference.npy")
+    pair_bytes = 2 * 2000 * 64 * 16
+    tracemalloc.start()
+    try:
+        block = rfilab.cli._regularity_block(spec, reference, 950, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block["in_expectation"]["n_pairs"] == 2000
+    assert peak <= 1.6 * pair_bytes, peak / pair_bytes
 
 
 def test_run_unpicklable_job_exits_1_at_once(tmp_path):

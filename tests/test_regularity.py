@@ -4,7 +4,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import pytest
 
-from oracles import SoftThreshold, SphereProjection, check_submonotone, regularity_block_separately
+from oracles import (
+    SoftThreshold,
+    SphereProjection,
+    box_pairs_summed,
+    check_submonotone,
+    regularity_block_separately,
+    violation_block_whole,
+)
 
 from rfilab.geometry import EuclideanSpace, Space, SpiderPoint, SpiderSpace
 from rfilab.operators import (
@@ -28,7 +35,7 @@ from rfilab.regularity import (
     fb_violation_bound,
     psi_array,
 )
-from rfilab.scenarios import build_scenario
+from rfilab.scenarios import SCENARIO_BUILDERS, build_scenario
 
 R1 = EuclideanSpace(1)
 R2 = EuclideanSpace(2)
@@ -164,6 +171,34 @@ def test_one_pass_block_is_the_separate_estimates_to_the_byte(case):
     assert json.dumps(asdict(block), sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_row_blocks_give_the_whole_block_to_the_byte(name):
+    # every per-pair term is a function of its own pair's rows, so applying
+    # the operators block by block gives the block of one whole-array pass,
+    # every value to the last bit: below one block, at its edges, with a
+    # last block of one row, and at the default pair count; each scenario
+    # in the region a run derives from its initial ensemble
+    from rfilab.cli import _default_sampler
+    from rfilab.regularity import VIOLATION_ROWS
+
+    scenario = build_scenario(name)
+    sampler = _default_sampler(scenario, scenario.initial(200, 3), 7)
+    alpha = scenario.ground_truth.alpha or 0.5
+    for n_pairs in (1, 2, VIOLATION_ROWS - 1, VIOLATION_ROWS, VIOLATION_ROWS + 1, 2 * VIOLATION_ROWS + 1, 2000):
+        block = estimate_violation_in_expectation(scenario.family, alpha, sampler, n_pairs)
+        whole = violation_block_whole(scenario.family, alpha, sampler, n_pairs)
+        assert json.dumps(asdict(block), sort_keys=True) == json.dumps(asdict(whole), sort_keys=True), n_pairs
+
+
+@pytest.mark.parametrize("space", [R2, C2, EuclideanSpace(64, complex_coords=True)], ids=["R2", "C2", "C64"])
+def test_box_pairs_fill_one_array_in_place(space):
+    # the real parts, then the imaginary parts, drawn in that order into one
+    # complex array: the pairs of re + 1j * im, byte for byte
+    sampler = BoxPairSampler(space, -1.5, 2.5, seed=31)
+    for got, want in zip(sampler.pairs(300), box_pairs_summed(sampler, 300)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @dataclass(frozen=True)
 class _CountedPairs(PairSampler):
     sampler: PairSampler
@@ -191,18 +226,26 @@ class _CountedOperator(Operator):
         return self.op.space
 
     def apply(self, pts):
-        self.calls.append("apply")
+        self.calls.append(("apply", self.op, len(pts)))
         return self.op.apply(pts)
 
 
 def test_block_draws_the_pairs_once_and_applies_each_operator_twice():
+    # each operator is applied once to each side of every pair, in blocks
+    # of at most VIOLATION_ROWS rows: 2 of them for 500 pairs
+    from rfilab.regularity import VIOLATION_ROWS
+
     family, sampler = _zero_weight_family()
     calls = []
     counted = OperatorFamily(tuple(_CountedOperator(op, calls) for op in family.operators), family.weights)
     block = estimate_violation_in_expectation(counted, 0.5, _CountedPairs(sampler, calls), 500)
     # the zero-weight member is applied too: it has its own report
     assert len(block.per_operator) == 3
-    assert sorted(calls) == ["apply"] * 6 + ["pairs"]
+    assert calls.count("pairs") == 1
+    applied = [call for call in calls if call != "pairs"]
+    assert len(applied) == 3 * 2 * 2 and max(rows for _, _, rows in applied) <= VIOLATION_ROWS
+    for op in family.operators:
+        assert sum(rows for _, applied_op, rows in applied if applied_op is op) == 2 * 500
 
 
 def test_lifting_bound(rng):

@@ -6,7 +6,7 @@ from conftest import chain_path
 
 from rfilab.geometry import EuclideanSpace
 from rfilab.operators import AffineMap, Identity, OperatorFamily, PointProjection
-from rfilab.rfi import ChainConfig, derive_seed, run_ensemble
+from rfilab.rfi import ChainConfig, derive_seed, recorded_steps, run_ensemble
 from rfilab.scenarios import build_scenario
 from rfilab.transport import Ensemble, wasserstein
 
@@ -62,7 +62,7 @@ def test_run_chain_identity_family():
 def test_recorded_steps_are_the_steps_run_ensemble_records(rng, iterations, every, want):
     init = Ensemble(R1, rng.normal(size=(5, 1)))
     cfg = ChainConfig(two_point_family(), init, iterations, seed=2, record_every=every)
-    assert cfg.recorded_steps() == want
+    assert recorded_steps(iterations, every) == want
     traj = run_ensemble(cfg)
     assert traj.steps == want and len(traj.ensembles) == len(want)
 
