@@ -7,34 +7,36 @@ Subcommands:
 * ``rate``         -- fit rates / subregularity on an existing results directory
 * ``wasserstein``  -- standalone W_p between two ensemble CSV files
 
-Configs are JSON documents validated against :data:`CONFIG_SCHEMA` (which
-states each integer key's lower bound) before any computation; the scenario
-parameters' keys and values are checked once, by ``build_scenario``, and a
-parameter it rejects is a config error too.  ``run`` and ``rate`` fit rates
-with one function, ``_fit_rates``.  All CSV outputs are byte-deterministic
-for a fixed config, and reruns reproduce files exactly.  ``run`` splits its
-independent work into jobs, each one function timed to one layer, and runs
-them on a pool of ``workers`` forked processes, capped at the usable CPUs,
-each with one BLAS thread.  Ensembles pass between jobs only through a
-scratch directory that the run makes and removes: the job that makes an
-ensemble saves it there as ``.npy`` and returns its path, and each job
-that needs it loads it, so this process holds none.  The jobs are
-submitted in a fixed order: the chain, which saves every recorded step,
-the reference burn-in (a reference file is read here, before any job) and
-one job per floor sample (a draw of the scenario's invariant sampler or,
-where it has none, a burn-in); then, once the chain is back, one job per
-recorded step that writes its ensemble file; none of these uses the
-reference.  Then, once the reference is back, the reference write, in seed
-order each floor draw (the W2 from the reference to one sample, once that
-sample is back), the regularity block and, with a series diagnostic on,
-one W2 + Psi job per recorded step.  The results are taken in the same
-order, and then the series, report and manifest are written.  Each job is
-pickled in the thread that submits it, as a check, so a job that cannot
-be sent fails the run at once.  The worker count changes no output byte:
-every job is a pure function of its arguments and of the files they name.
-scipy's assignment solver is loaded only by a command that solves an
-assignment, as the compiled ``_lsap`` extension (the public import is the
-fallback), so no command imports scipy.optimize.
+Configs are JSON documents checked before any computation against
+:data:`CONFIG_SCHEMA`, which states every key at every level once, with its
+type, its default and, for an integer or a string, its lower bound; only
+the rules that tie keys together are written out in ``validate_config``.
+The scenario parameters' keys and values are checked once, by
+``build_scenario``, and a parameter it rejects is a config error too.
+``run`` and ``rate`` fit rates with one function, ``_fit_rates``.  All CSV
+outputs are byte-deterministic for a fixed config, and reruns reproduce
+files exactly.  ``run`` splits its independent work into jobs, each one
+function timed to one layer, and runs them on a pool of ``workers`` forked
+processes, capped at the usable CPUs, each with one BLAS thread.  Ensembles
+pass between jobs only through a scratch directory that the run makes and
+removes: the job that makes an ensemble saves it there as ``.npy`` and
+returns its path, and each job that needs it loads it, so this process
+holds none.  The jobs are submitted in a fixed order: the chain, which
+saves every recorded step, the reference burn-in (a reference file is read
+here, before any job) and one job per floor sample (a draw of the
+scenario's invariant sampler or, where it has none, a burn-in); then, once
+the chain is back, one job per recorded step that writes its ensemble file;
+none of these uses the reference.  Then, once the reference is back, the
+reference write, in seed order each floor draw (the W2 from the reference
+to one sample, once that sample is back), the regularity block and, with a
+series diagnostic on, one W2 + Psi job per recorded step.  The results are
+taken in the same order, and then the series, report and manifest are
+written.  Each job is pickled in the thread that submits it, as a check, so
+a job that cannot be sent fails the run at once.  The worker count changes
+no output byte: every job is a pure function of its arguments and of the
+files they name.  scipy's assignment solver is loaded only by a command
+that solves an assignment, as the compiled ``_lsap`` extension (the public
+import is the fallback), so no command imports scipy.optimize.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy
@@ -90,26 +92,36 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
-REFERENCE_DEFAULTS = {"mode": "burn_in", "factor": 10}
+REQUIRED, ABSENT = object(), object()
 
-# Published config schema: key -> (type, required, default, constraint note);
-# an integer key's note opens with its lower bound, ">= n", which is checked.
+
+class Key(NamedTuple):
+    """A config key: its JSON type (a block's: the schema of its keys), its
+    default (REQUIRED, or ABSENT: left out unless given), the least value of
+    an integer or length of a string, and what it means."""
+
+    type: object
+    default: object = REQUIRED
+    low: Optional[int] = None
+    note: str = ""
+
+
+# Published config schema: every key at every level
 CONFIG_SCHEMA = {
-    "scenario": (dict, True, None, "object with 'name' (str) and optional 'params' (object)"),
-    "ensemble_size": (int, True, None, ">= 1"),
-    "iterations": (int, True, None, ">= 0"),
-    "seed": (int, True, None, ">= 0"),
-    "record_every": (int, False, 1, ">= 1"),
-    "workers": (int, False, 1, ">= 1; worker processes, capped at usable CPUs; changes no output byte"),
-    "diagnostics": (dict, False, {}, "booleans: wasserstein, psi, regularity, rates"),
-    "reference": (dict, False, REFERENCE_DEFAULTS, "mode: burn_in | ground_truth | file; factor; path"),
-    "regularity_pairs": (int, False, 2000, ">= 1; pair count for violation estimates"),
-    "output_dir": (str, False, None, "results directory (--out overrides)"),
+    "scenario": Key({"name": Key(str, note="a scenario name"), "params": Key(dict, ABSENT)},
+                    note="object with 'name' (str) and optional 'params' (object)"),
+    "ensemble_size": Key(int, low=1, note="particles per ensemble"),
+    "iterations": Key(int, low=0, note="steps of the chain"),
+    "seed": Key(int, low=0, note="the seed every random stream derives from"),
+    "record_every": Key(int, 1, 1, "steps between recorded ensembles"),
+    "workers": Key(int, 1, 1, "worker processes, capped at usable CPUs; changes no output byte"),
+    "diagnostics": Key({"wasserstein": Key(bool, True), "psi": Key(bool, True),
+                        "regularity": Key(bool, False), "rates": Key(bool, False)}, {}),
+    "reference": Key({"mode": Key(str, "burn_in"), "factor": Key(int, 10, 1, "burn-in steps per iteration"),
+                      "path": Key(str, ABSENT)}, {}),
+    "regularity_pairs": Key(int, 2000, 1, "pairs drawn for the violation estimates"),
+    "output_dir": Key(str, None, 1, "length of the results directory path; --out overrides it"),
 }
-
-DIAGNOSTIC_DEFAULTS = {"wasserstein": True, "psi": True, "regularity": False, "rates": False}
-REFERENCE_KEYS = ("mode", "factor", "path")
-SCENARIO_KEYS = ("name", "params")
 
 REPORT_SCHEMA_ID = "rfilab.report.v1"
 REPORT_KEYS = {"schema", "scenario", "alpha", "regularity", "bound", "rates", "subregularity", "predicted_rate", "floor"}
@@ -119,62 +131,45 @@ class ConfigError(ValueError):
     """Invalid configuration; reported with the offending key path."""
 
 
-def validate_config(raw: dict) -> dict:
-    """Normalize & validate a config mapping; raises ConfigError with a path."""
+def _checked(raw, schema: dict, path: str) -> dict:
+    """The block ``raw`` at key path ``path`` checked against ``schema``, with
+    the defaults of the keys it leaves out; a key that is given is checked,
+    a default is not."""
     if not isinstance(raw, dict):
-        raise ConfigError("config: top level must be a JSON object")
-    cfg = {}
-    for key, (typ, required, default, note) in CONFIG_SCHEMA.items():
-        if key not in raw:
-            if required:
-                raise ConfigError(f"config.{key}: missing required key ({note})")
-            cfg[key] = json.loads(json.dumps(default)) if isinstance(default, dict) else default
-            continue
-        val = raw[key]
-        if typ is int and isinstance(val, bool):
-            raise ConfigError(f"config.{key}: expected integer, got boolean")
-        if not isinstance(val, typ):
-            raise ConfigError(f"config.{key}: expected {typ.__name__} ({note})")
-        if typ is int and val < (low := int(note.split(";")[0].removeprefix(">= "))):
-            raise ConfigError(f"config.{key}: must be >= {low}")
-        cfg[key] = val
+        raise ConfigError(f"{path}: expected an object, got {type(raw).__name__}")
     for key in raw:
-        if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"config.{key}: unknown key")
-    scenario = cfg["scenario"]
-    for key in scenario:
-        if key not in SCENARIO_KEYS:
-            raise ConfigError(f"config.scenario.{key}: unknown key (known: {', '.join(SCENARIO_KEYS)})")
-    name = scenario.get("name")
-    if not isinstance(name, str) or name not in SCENARIO_BUILDERS:
-        known = ", ".join(sorted(SCENARIO_BUILDERS))
-        raise ConfigError(f"config.scenario.name: must be one of {known}")
-    if not isinstance(scenario.get("params", {}), dict):
-        raise ConfigError("config.scenario.params: must be an object")
-    diags = dict(DIAGNOSTIC_DEFAULTS)
-    for key, val in cfg["diagnostics"].items():
-        if key not in DIAGNOSTIC_DEFAULTS:
-            raise ConfigError(f"config.diagnostics.{key}: unknown diagnostic")
-        if not isinstance(val, bool):
-            raise ConfigError(f"config.diagnostics.{key}: must be a boolean")
-        diags[key] = val
-    if diags["rates"] and not diags["wasserstein"]:
-        raise ConfigError("config.diagnostics.rates: needs diagnostics.wasserstein (rates are fitted to the W2 series)")
-    cfg["diagnostics"] = diags
-    for key in cfg["reference"]:
-        if key not in REFERENCE_KEYS:
-            raise ConfigError(f"config.reference.{key}: unknown key (known: {', '.join(REFERENCE_KEYS)})")
-    ref = cfg["reference"] = {**REFERENCE_DEFAULTS, **cfg["reference"]}
-    mode = ref["mode"]
-    if mode not in ("burn_in", "ground_truth", "file"):
+        if key not in schema:
+            raise ConfigError(f"{path}.{key}: unknown key (known: {', '.join(schema)})")
+    cfg = {}
+    for key, (typ, default, low, note) in schema.items():
+        where, val = f"{path}.{key}", raw.get(key, default)
+        if val is REQUIRED:
+            raise ConfigError(f"{where}: missing required key ({note})")
+        if val is ABSENT:
+            continue
+        if isinstance(typ, dict):
+            val = _checked(val, typ, where)
+        elif key in raw and type(val) is not typ:
+            raise ConfigError(f"{where}: expected {typ.__name__}, got {type(val).__name__}")
+        elif key in raw and low is not None and (len(val) if typ is str else val) < low:
+            raise ConfigError(f"{where}: must be >= {low} ({note}), got {val!r}")
+        cfg[key] = val
+    return cfg
+
+
+def validate_config(raw: dict) -> dict:
+    """Normalize & validate a config mapping against :data:`CONFIG_SCHEMA` and
+    the rules that tie keys together; raises ConfigError with a path."""
+    cfg = _checked(raw, CONFIG_SCHEMA, "config")
+    if cfg["scenario"]["name"] not in SCENARIO_BUILDERS:
+        raise ConfigError(f"config.scenario.name: must be one of {', '.join(sorted(SCENARIO_BUILDERS))}")
+    ref = cfg["reference"]
+    if ref["mode"] not in ("burn_in", "ground_truth", "file"):
         raise ConfigError("config.reference.mode: must be burn_in, ground_truth or file")
-    if mode == "file" and not isinstance(ref.get("path"), str):
-        raise ConfigError("config.reference.path: required for mode 'file'")
-    if mode != "file" and "path" in ref:
-        raise ConfigError(f"config.reference.path: only read with mode 'file' (mode is '{mode}')")
-    factor = ref["factor"]
-    if isinstance(factor, bool) or not isinstance(factor, int) or factor < 1:
-        raise ConfigError("config.reference.factor: must be an integer >= 1")
+    if (ref["mode"] == "file") != ("path" in ref):
+        raise ConfigError(f"config.reference.path: given if and only if mode is 'file' (mode is '{ref['mode']}')")
+    if cfg["diagnostics"]["rates"] and not cfg["diagnostics"]["wasserstein"]:
+        raise ConfigError("config.diagnostics.rates: needs diagnostics.wasserstein (rates are fitted to the W2 series)")
     return cfg
 
 
@@ -209,6 +204,13 @@ def validate_report(report: dict) -> None:
 # ---------------------------------------------------------------------------
 # shared pieces
 # ---------------------------------------------------------------------------
+
+def _results_dir(out_dir: Optional[str], cfg: dict) -> Path:
+    """``--out`` (not empty), else the config's ``output_dir``, else ``results``."""
+    if out_dir == "":
+        raise ConfigError("--out: must name a directory, got an empty string")
+    return Path(out_dir or cfg["output_dir"] or "results")
+
 
 def _float_repr(x: Optional[float]) -> str:
     return "" if x is None else repr(float(x))
@@ -516,7 +518,7 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
             record_every: Optional[int] = None) -> int:
     started = time.perf_counter()
     cfg = load_config(config_path, {"workers": workers, "seed": seed, "record_every": record_every})
-    out = Path(out_dir or cfg.get("output_dir") or "results")
+    out = _results_dir(out_dir, cfg)
 
     spec = _scenario_spec(cfg)
     scenario = _configured_scenario(spec)
@@ -641,7 +643,7 @@ def _predicted_rate(report: dict) -> Optional[float]:
 
 def cmd_regularity(config_path, out_dir, seed: Optional[int] = None) -> int:
     cfg = load_config(config_path, {"seed": seed})
-    out = Path(out_dir or cfg.get("output_dir") or "results")
+    out = _results_dir(out_dir, cfg)
     spec = _scenario_spec(cfg)
     scenario = _configured_scenario(spec)
     with tempfile.TemporaryDirectory(prefix="rfilab-") as tmp, _Pool(1) as pool:
@@ -762,8 +764,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True)
     run.add_argument("--out", default=None)
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--workers", type=int, default=None,
-                     help="worker processes (>= 1), capped at usable CPUs; changes no output byte")
+    run.add_argument("--workers", type=int, default=None, help=CONFIG_SCHEMA["workers"].note)
     run.add_argument("--record-every", type=int, default=None)
 
     reg = sub.add_parser("regularity", help="estimate violation constants")

@@ -129,9 +129,8 @@ class EuclideanSpace:
         bb = np.sum(Br * Br, axis=1)[None, :]
         sq = Ar @ Br.T
         sq *= 2.0
-        for lo in range(0, len(sq), CROSS_DIST_ROWS):
-            blk = slice(lo, lo + CROSS_DIST_ROWS)
-            np.subtract(aa[blk] + bb, sq[blk], out=sq[blk])
+        for lo, hi in row_blocks(len(sq), CROSS_DIST_ROWS):
+            np.subtract(aa[lo:hi] + bb, sq[lo:hi], out=sq[lo:hi])
         np.maximum(sq, 0.0, out=sq)
         np.sqrt(sq, out=sq)
         return sq

@@ -57,7 +57,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CROSS_DIST_ROWS, EuclideanSpace, Space, SpiderSpace
+from .geometry import CROSS_DIST_ROWS, EuclideanSpace, Space, SpiderSpace, row_blocks
 from .operators import OperatorFamily
 from .regularity import psi_estimation_array
 
@@ -122,16 +122,12 @@ def linear_sum_assignment(cost: np.ndarray):
     return assignment_solver()(cost)
 
 
-def _row_slices(n: int):
-    return (slice(lo, lo + CROSS_DIST_ROWS) for lo in range(0, n, CROSS_DIST_ROWS))
-
-
 def _column_min(cost: np.ndarray, u: np.ndarray) -> np.ndarray:
     """min over i of cost[i, j] - u[i], for each column j, formed
     CROSS_DIST_ROWS rows at a time: the c-transform of the row potentials."""
     v = np.full(cost.shape[1], np.inf)
-    for blk in _row_slices(len(cost)):
-        np.minimum(v, (cost[blk] - u[blk, None]).min(axis=0), out=v)
+    for lo, hi in row_blocks(len(cost), CROSS_DIST_ROWS):
+        np.minimum(v, (cost[lo:hi] - u[lo:hi, None]).min(axis=0), out=v)
     return v
 
 
@@ -180,15 +176,15 @@ def _warm_start(cost: np.ndarray) -> None:
     if coarse_v is None:
         return
     u = np.empty(n)
-    for blk in _row_slices(n):
-        u[blk] = (cost[blk, idx] - coarse_v).min(axis=1)
+    for lo, hi in row_blocks(n, CROSS_DIST_ROWS):
+        u[lo:hi] = (cost[lo:hi, idx] - coarse_v).min(axis=1)
     v = _column_min(cost, u)
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         return
-    for blk in _row_slices(n):
+    for lo, hi in row_blocks(n, CROSS_DIST_ROWS):
         # (c - u_i) - v_j, as _column_min forms c - u_i: at least 0 exactly
-        cost[blk] -= u[blk, None]
-        cost[blk] -= v
+        cost[lo:hi] -= u[lo:hi, None]
+        cost[lo:hi] -= v
 
 
 def sorted_path(space: Space) -> bool:

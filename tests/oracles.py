@@ -11,12 +11,14 @@ dispatch by boolean masks and its index draw by binary search, the
 library operators as out-of-place expressions (with the coordinatewise
 magnitude projection), the rate fits and linear gauge as separate
 functions, each fit windowing the series itself, the ensemble CSV
-reader as the ``csv`` module and one ``float`` per value, and each space's
-cost matrix as whole-matrix expressions with their temporaries."""
+reader as the ``csv`` module and one ``float`` per value, each space's
+cost matrix as whole-matrix expressions with their temporaries, and the
+config checker as one hand-written loop or rule per block and key."""
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -24,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from rfilab.analysis import QLinearFit, RateReport, RLinearFit
+from rfilab.cli import ConfigError
 from rfilab.geometry import EuclideanSpace, Space, SpiderSpace
 from rfilab.operators import (
     AffineMap,
@@ -48,6 +51,7 @@ from rfilab.regularity import (
     psi_estimation_array,
 )
 from rfilab.rfi import STREAM_INIT
+from rfilab.scenarios import SCENARIO_BUILDERS
 from rfilab.transport import Ensemble, _space_from_header
 
 
@@ -482,3 +486,87 @@ def cross_dist(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     sq = aa + bb - 2.0 * (Ar @ Br.T)
     np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq)
+
+
+REFERENCE_DEFAULTS = {"mode": "burn_in", "factor": 10}
+
+# key -> (type, required, default, constraint note); an integer key's note
+# opens with its lower bound, ">= n", which is checked
+CONFIG_SCHEMA = {
+    "scenario": (dict, True, None, "object with 'name' (str) and optional 'params' (object)"),
+    "ensemble_size": (int, True, None, ">= 1"),
+    "iterations": (int, True, None, ">= 0"),
+    "seed": (int, True, None, ">= 0"),
+    "record_every": (int, False, 1, ">= 1"),
+    "workers": (int, False, 1, ">= 1; worker processes, capped at usable CPUs; changes no output byte"),
+    "diagnostics": (dict, False, {}, "booleans: wasserstein, psi, regularity, rates"),
+    "reference": (dict, False, REFERENCE_DEFAULTS, "mode: burn_in | ground_truth | file; factor; path"),
+    "regularity_pairs": (int, False, 2000, ">= 1; pair count for violation estimates"),
+    "output_dir": (str, False, None, "results directory (--out overrides)"),
+}
+
+DIAGNOSTIC_DEFAULTS = {"wasserstein": True, "psi": True, "regularity": False, "rates": False}
+REFERENCE_KEYS = ("mode", "factor", "path")
+SCENARIO_KEYS = ("name", "params")
+
+
+def validate_config(raw: dict) -> dict:
+    """``cli.validate_config`` as one loop over the top-level keys, one
+    hand-written loop or rule per block and key, and defaults kept beside
+    the schema; it accepts an empty ``output_dir``, which the program
+    rejects."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config: top level must be a JSON object")
+    cfg = {}
+    for key, (typ, required, default, note) in CONFIG_SCHEMA.items():
+        if key not in raw:
+            if required:
+                raise ConfigError(f"config.{key}: missing required key ({note})")
+            cfg[key] = json.loads(json.dumps(default)) if isinstance(default, dict) else default
+            continue
+        val = raw[key]
+        if typ is int and isinstance(val, bool):
+            raise ConfigError(f"config.{key}: expected integer, got boolean")
+        if not isinstance(val, typ):
+            raise ConfigError(f"config.{key}: expected {typ.__name__} ({note})")
+        if typ is int and val < (low := int(note.split(";")[0].removeprefix(">= "))):
+            raise ConfigError(f"config.{key}: must be >= {low}")
+        cfg[key] = val
+    for key in raw:
+        if key not in CONFIG_SCHEMA:
+            raise ConfigError(f"config.{key}: unknown key")
+    scenario = cfg["scenario"]
+    for key in scenario:
+        if key not in SCENARIO_KEYS:
+            raise ConfigError(f"config.scenario.{key}: unknown key (known: {', '.join(SCENARIO_KEYS)})")
+    name = scenario.get("name")
+    if not isinstance(name, str) or name not in SCENARIO_BUILDERS:
+        known = ", ".join(sorted(SCENARIO_BUILDERS))
+        raise ConfigError(f"config.scenario.name: must be one of {known}")
+    if not isinstance(scenario.get("params", {}), dict):
+        raise ConfigError("config.scenario.params: must be an object")
+    diags = dict(DIAGNOSTIC_DEFAULTS)
+    for key, val in cfg["diagnostics"].items():
+        if key not in DIAGNOSTIC_DEFAULTS:
+            raise ConfigError(f"config.diagnostics.{key}: unknown diagnostic")
+        if not isinstance(val, bool):
+            raise ConfigError(f"config.diagnostics.{key}: must be a boolean")
+        diags[key] = val
+    if diags["rates"] and not diags["wasserstein"]:
+        raise ConfigError("config.diagnostics.rates: needs diagnostics.wasserstein (rates are fitted to the W2 series)")
+    cfg["diagnostics"] = diags
+    for key in cfg["reference"]:
+        if key not in REFERENCE_KEYS:
+            raise ConfigError(f"config.reference.{key}: unknown key (known: {', '.join(REFERENCE_KEYS)})")
+    ref = cfg["reference"] = {**REFERENCE_DEFAULTS, **cfg["reference"]}
+    mode = ref["mode"]
+    if mode not in ("burn_in", "ground_truth", "file"):
+        raise ConfigError("config.reference.mode: must be burn_in, ground_truth or file")
+    if mode == "file" and not isinstance(ref.get("path"), str):
+        raise ConfigError("config.reference.path: required for mode 'file'")
+    if mode != "file" and "path" in ref:
+        raise ConfigError(f"config.reference.path: only read with mode 'file' (mode is '{mode}')")
+    factor = ref["factor"]
+    if isinstance(factor, bool) or not isinstance(factor, int) or factor < 1:
+        raise ConfigError("config.reference.factor: must be an integer >= 1")
+    return cfg

@@ -1,3 +1,4 @@
+import copy
 import functools
 import json
 import multiprocessing
@@ -13,7 +14,10 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import rfilab.cli
 import rfilab.scenarios
 from rfilab.cli import (
@@ -73,6 +77,7 @@ def test_validate_config_defaults():
         ({"reference": {"mode": "burn_in", "path": "ref.csv"}}, "reference.path"),
         ({"scenario": {"name": "two_point", "parms": {}}}, "scenario.parms"),
         ({"diagnostics": {"wasserstein": False, "rates": True}}, "diagnostics.rates"),
+        ({"reference": {"mode": "file", "path": 3}}, "reference.path: expected str, got int"),
     ],
 )
 def test_validate_config_rejects(patch, fragment):
@@ -80,6 +85,130 @@ def test_validate_config_rejects(patch, fragment):
     base.update(patch)
     with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
         validate_config(base)
+
+
+INTEGER_KEYS = {("ensemble_size",): 1, ("iterations",): 0, ("seed",): 0, ("record_every",): 1, ("workers",): 1,
+                ("regularity_pairs",): 1, ("reference", "factor"): 1}
+NOT_AN_OBJECT = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+                 | st.lists(st.integers(), max_size=2))
+KEY_NAMES = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
+
+
+def _some(draw, block: dict, key: str, values) -> None:
+    """Give ``block[key]`` a drawn value, or leave the key out."""
+    if draw(st.booleans()):
+        block[key] = draw(values)
+
+
+@st.composite
+def valid_configs(draw):
+    """Configs that the checker accepts, each optional key given or left out;
+    ``output_dir`` is never empty, which the oracle would accept."""
+    scenario = {"name": draw(st.sampled_from(sorted(rfilab.scenarios.SCENARIO_BUILDERS)))}
+    _some(draw, scenario, "params", st.dictionaries(KEY_NAMES, st.integers() | st.text(max_size=3), max_size=2))
+    cfg = {"scenario": scenario}
+    for (key, *sub), low in INTEGER_KEYS.items():
+        if key in ("ensemble_size", "iterations", "seed"):
+            cfg[key] = draw(st.integers(low, 2**40))
+        elif not sub:
+            _some(draw, cfg, key, st.integers(low, 2**40))
+    _some(draw, cfg, "output_dir", st.text(min_size=1, max_size=8))
+    if draw(st.booleans()):
+        diags = cfg["diagnostics"] = {}
+        for key in ("wasserstein", "psi", "regularity", "rates"):
+            _some(draw, diags, key, st.booleans())
+        if diags.get("rates") and diags.get("wasserstein") is False:
+            diags["rates"] = False
+    if draw(st.booleans()):
+        ref = cfg["reference"] = {}
+        _some(draw, ref, "mode", st.sampled_from(["burn_in", "ground_truth", "file"]))
+        _some(draw, ref, "factor", st.integers(1, 2**40))
+        if ref.get("mode") == "file":
+            ref["path"] = draw(st.text(max_size=8))
+    return cfg
+
+
+def _block(cfg: dict, path: tuple) -> dict:
+    """The block at ``path``, made an empty object where it is left out."""
+    for key in path:
+        cfg = cfg.setdefault(key, {})
+    return cfg
+
+
+@st.composite
+def one_fault_configs(draw):
+    """``(config, key path)``: a valid config with one fault planted at the
+    key path."""
+    cfg = draw(valid_configs())
+    fault = draw(st.sampled_from(["missing", "unknown", "non-integer", "below", "non-object", "non-string",
+                                  "non-boolean", "rule"]))
+    if fault == "missing":
+        *block, key = path = draw(st.sampled_from([("scenario",), ("ensemble_size",), ("iterations",), ("seed",),
+                                                   ("scenario", "name"), ("reference", "path")]))
+        if path == ("reference", "path"):
+            _block(cfg, ("reference",))["mode"] = "file"
+        _block(cfg, block).pop(key, None)
+    elif fault == "unknown":
+        block = draw(st.sampled_from([(), ("scenario",), ("diagnostics",), ("reference",)]))
+        known = {(): oracles.CONFIG_SCHEMA, ("scenario",): oracles.SCENARIO_KEYS,
+                 ("diagnostics",): oracles.DIAGNOSTIC_DEFAULTS, ("reference",): oracles.REFERENCE_KEYS}[block]
+        key = draw(KEY_NAMES.filter(lambda k: k not in known))
+        _block(cfg, block)[key] = 1
+        path = (*block, key)
+    elif fault in ("non-integer", "below"):
+        path = draw(st.sampled_from(sorted(INTEGER_KEYS)))
+        low = INTEGER_KEYS[path]
+        values = st.booleans() | st.floats() if fault == "non-integer" else st.integers(max_value=low - 1)
+        _block(cfg, path[:-1])[path[-1]] = draw(values)
+    elif fault == "non-object":
+        path = draw(st.sampled_from([(), ("scenario",), ("scenario", "params"), ("diagnostics",), ("reference",)]))
+        if not path:
+            return draw(NOT_AN_OBJECT), ()
+        _block(cfg, path[:-1])[path[-1]] = draw(NOT_AN_OBJECT)
+    elif fault == "non-string":
+        path = draw(st.sampled_from([("scenario", "name"), ("reference", "mode"), ("reference", "path"),
+                                     ("output_dir",)]))
+        if path == ("reference", "path"):
+            _block(cfg, ("reference",))["mode"] = "file"
+        _block(cfg, path[:-1])[path[-1]] = draw(NOT_AN_OBJECT.filter(lambda v: not isinstance(v, str)))
+    elif fault == "non-boolean":
+        path = ("diagnostics", draw(st.sampled_from(["wasserstein", "psi", "regularity", "rates"])))
+        _block(cfg, path[:1])[path[1]] = draw(NOT_AN_OBJECT.filter(lambda v: not isinstance(v, bool)))
+    else:
+        path = draw(st.sampled_from([("scenario", "name"), ("reference", "mode"), ("reference", "path"),
+                                     ("diagnostics", "rates")]))
+        if path == ("scenario", "name"):
+            cfg["scenario"]["name"] = draw(st.text(max_size=8).filter(
+                lambda name: name not in rfilab.scenarios.SCENARIO_BUILDERS))
+        elif path == ("reference", "mode"):
+            _block(cfg, ("reference",)).update(mode=draw(st.sampled_from(["", "File", "burn-in", "psychic"])))
+            cfg["reference"].pop("path", None)
+        elif path == ("reference", "path"):
+            ref = _block(cfg, ("reference",))
+            ref.update(mode=draw(st.sampled_from(["burn_in", "ground_truth"])), path="ref.csv")
+        else:
+            _block(cfg, ("diagnostics",)).update(wasserstein=False, rates=True)
+    return cfg, path
+
+
+def _key_path(check, cfg):
+    """The key path that ``check`` names on rejecting ``cfg``."""
+    with pytest.raises(ConfigError) as caught:
+        check(copy.deepcopy(cfg))
+    return str(caught.value).split(":", 1)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=valid_configs())
+def test_validate_config_accepts_and_normalizes_like_the_oracle(cfg):
+    assert validate_config(copy.deepcopy(cfg)) == oracles.validate_config(copy.deepcopy(cfg))
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=one_fault_configs())
+def test_validate_config_names_the_oracles_key_path_for_one_fault(case):
+    cfg, path = case
+    assert _key_path(validate_config, cfg) == _key_path(oracles.validate_config, cfg) == ".".join(("config", *path))
 
 
 def test_load_config_json_error_is_line_anchored(tmp_path):
@@ -197,14 +326,17 @@ def test_non_utf8_config_exits_2_naming_the_path(tmp_path, capsys, command):
         ({"scenario": {"name": "spider_frechet", "params": {"anchors": []}}}, [],
          "config.scenario.params.anchors: need at least one anchor"),
         ({"common_noise": False}, [], "config.common_noise: unknown key"),
+        ({"output_dir": ""}, [], "config.output_dir: must be >= 1"),
+        ({}, ["--out", ""], "--out: must name a directory"),
     ],
 )
-def test_run_invalid_value_exits_2_naming_the_key(tmp_path, capsys, overrides, argv, fragment):
+def test_run_invalid_value_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, overrides, argv, fragment):
+    monkeypatch.chdir(tmp_path)  # the default results directory would be made here
     cfg = write_config(tmp_path, diagnostics={}, **overrides)
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out), *argv]) == EXIT_CONFIG
     assert fragment in capsys.readouterr().err
-    assert not out.exists()
+    assert not out.exists() and not (tmp_path / "results").exists()
 
 
 SCENARIOS = ("two_point", "contraction", "kaczmarz", "sgd_linear_noise", "phase_retrieval", "spider_frechet",
