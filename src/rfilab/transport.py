@@ -12,29 +12,36 @@ Markov transport discrepancy of an ensemble reuses such a coupling to the
 reference ensemble.
 
 From N = WARM_START_MIN particles on, the solver is warm-started: an exact
-solve on every WARM_START_RATIO-th particle (m = N // 4 rows and columns)
-gives dual potentials, which c-transforms extend to all N rows and
-columns, and the cost has u_i + v_j subtracted in place.  That shifts the
-total of every permutation by the same constant, so the optimal assignment
-is the same, and W_p is priced on the points as before; but scipy's
-solver, which starts from zero duals, starts near the optimum.  On a
-Kaczmarz run in R^2 at N = 1000 the solve from step 0 to step 5 took
-0.15 s instead of 0.49 s, the warm start itself 0.03 s (2 vCPUs).  This is
-the coarse-to-fine idea of multiscale OT (Schmitzer, JMIV 2016; Merigot,
-CGF 2011), used only to warm-start the dense exact solver.  The cost is
-left as it is where the coarse optimum costs at least 99.9% of the
-identity pairing (a flat problem, such as a cloud against a near point
-mass, where duals carry nothing), where the Bellman-Ford relaxation that
-gives the coarse duals reaches no fixed point in m passes or stalls at
-rounding level (cycles on degenerate costs), and where an entry or a
-potential is not finite (the solver's own checks then apply).  The warm
-start holds one m x m float64 buffer, 8 N^2 / 16 bytes, next to the cost,
-and forms its other temporaries CROSS_DIST_ROWS rows at a time.  Below
-N = 1000 it does not pay: at N = 500 the solves of a 6-step run (each
-step against the reference, and 3 floor draws) took 9% longer in total
-for phase retrieval in C^64 and 3% longer for inconsistent Kaczmarz in
-R^2, whose step solves took 7% less but whose floor solves, two samples
-of one law, took 46% more.
+solve on m = N // 4 rows and columns gives dual potentials, which
+c-transforms extend to all N rows and columns, and the cost has u_i + v_j
+subtracted in place.  That shifts the total of every permutation by the
+same constant, so the optimal assignment is the same, and W_p is priced on
+the points as before; but scipy's solver, which starts from zero duals,
+starts near the optimum.  The coarse rows are every WARM_START_RATIO-th
+point in a spatial order of the source ensemble, a recursive median split
+along each cell's widest coordinate down to cells of at most 4 points; the
+coarse columns come from the target ensemble's order alike.  So they
+cover each cloud evenly, where every 4th particle index would clump, as
+the coarse level of multiscale OT does (Schmitzer, JMIV 2016; Merigot,
+CGF 2011); here it only warm-starts the dense exact solver.  On a
+Kaczmarz run in R^2 at N = 1000 (seed 950) the solver took 0.03-0.06 s
+per step solve after the warm start, against 0.13-0.18 s with every 4th
+particle index as the coarse set and 0.11-0.36 s on the cost as built;
+the warm start itself took 0.02 s, 5-7 ms of it the two spatial orders
+(2 vCPUs).  The cost is left as it is where the coarse optimum costs at
+least 99.9% of the identity pairing (a flat problem, such as a cloud
+against a near point mass, where duals carry nothing), where the
+Bellman-Ford relaxation that gives the coarse duals reaches no fixed point
+in m passes or stalls at rounding level (cycles on degenerate costs), and
+where an entry or a potential is not finite (the solver's own checks then
+apply).  The warm start holds one m x m float64 buffer, 8 N^2 / 16 bytes,
+next to the cost, and forms its other temporaries CROSS_DIST_ROWS rows at
+a time.  Below N = 1000 it did not pay with every 4th particle index as
+the coarse set: at N = 500 the solves of a 6-step run (each step against
+the reference, and 3 floor draws) took 9% longer in total for phase
+retrieval in C^64 and 3% longer for inconsistent Kaczmarz in R^2, whose
+step solves took 7% less but whose floor solves, two samples of one law,
+took 46% more.
 
 Ensembles are stored as CSV: a header row, read by the ``csv`` module,
 that names the columns and so the space, then one row of plain decimal
@@ -76,7 +83,8 @@ SOLVES = {"assignment": 0, "sorted": 0}
 CSV_BLOCK_VALUES = 1 << 14
 
 # an assignment solve of at least WARM_START_MIN particles starts from the
-# potentials of an exact solve on every WARM_START_RATIO-th particle
+# potentials of an exact solve on every WARM_START_RATIO-th particle of a
+# spatial order of each ensemble
 WARM_START_MIN = 1000
 WARM_START_RATIO = 4
 
@@ -154,19 +162,43 @@ def _coarse_column_duals(W: np.ndarray, sigma: np.ndarray) -> Optional[np.ndarra
     return None
 
 
-def _warm_start(cost: np.ndarray) -> None:
+def _spatial_order(rows: np.ndarray) -> np.ndarray:
+    """Indices of ``rows`` in the order of a recursive median split: each
+    cell of more than WARM_START_RATIO rows is sorted, stably, along its
+    widest coordinate and cut at its middle position.  So consecutive
+    positions are close in space, and every WARM_START_RATIO-th position
+    samples each region of the cloud in proportion to its points."""
+    order = np.arange(len(rows))
+    cells = [(0, len(rows))]
+    while cells:
+        lo, hi = cells.pop()
+        if hi - lo <= WARM_START_RATIO:
+            continue
+        cell = rows[order[lo:hi]]
+        axis = np.argmax(cell.max(axis=0) - cell.min(axis=0))
+        order[lo:hi] = order[lo:hi][np.argsort(cell[:, axis], kind="stable")]
+        mid = (lo + hi) // 2
+        cells += [(lo, mid), (mid, hi)]
+    return order
+
+
+def _warm_start(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
     """Subtract from the square ``cost``, in place, row and column potentials
     u_i + v_j taken from an exact solve on every WARM_START_RATIO-th row and
-    column, extended to all rows and columns by c-transforms; every entry
-    stays at least 0, and every permutation's total drops by the same
-    sum(u) + sum(v).  The cost is left as it is where the coarse problem is
-    flat (its optimum costs at least 99.9% of the identity pairing), where
-    its duals reach no fixed point, or where an entry or a potential is not
-    finite."""
+    column in a spatial order (:func:`_spatial_order`) of the points
+    ``rows`` and ``cols``, extended to all rows and columns by
+    c-transforms; every entry stays at least 0, and every permutation's
+    total drops by the same sum(u) + sum(v).  The cost is left as it is
+    where the coarse problem is flat (its optimum costs at least 99.9% of
+    the identity pairing), where its duals reach no fixed point, or where an
+    entry or a potential is not finite."""
     n = len(cost)
-    m = n // WARM_START_RATIO
-    idx = np.linspace(0, n - 1, m).round().astype(np.intp)
-    W = cost[np.ix_(idx, idx)]
+    # each coarse set in particle-index order: in spatial order the k-th
+    # coarse row and column lie close, and the flat check's identity pairing
+    # would look near-optimal on a problem that is not flat
+    ia, ib = (np.sort(_spatial_order(x)[WARM_START_RATIO - 1 :: WARM_START_RATIO], kind="stable") for x in (rows, cols))
+    m = len(ia)
+    W = cost[np.ix_(ia, ib)]
     if not np.isfinite(W).all():
         return
     _, sigma = assignment_solver()(W)
@@ -177,7 +209,7 @@ def _warm_start(cost: np.ndarray) -> None:
         return
     u = np.empty(n)
     for lo, hi in row_blocks(n, CROSS_DIST_ROWS):
-        u[lo:hi] = (cost[lo:hi, idx] - coarse_v).min(axis=1)
+        u[lo:hi] = (cost[lo:hi, ib] - coarse_v).min(axis=1)
     v = _column_min(cost, u)
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         return
@@ -326,9 +358,10 @@ def wasserstein(A: Ensemble, B: Ensemble, p: float = 2.0):
     Returns ``(value, Coupling)`` where value = (mean of d^p over the
     optimal pairing)^(1/p).  Off the real line the pairing is an exact
     assignment solve of the N x N cost d^p; from N = WARM_START_MIN on, the
-    cost first has potentials u_i + v_j from a quarter-size exact solve
-    subtracted in place (:func:`_warm_start`), which leaves the optimal
-    assignment as it is and lets the solver start near it.
+    cost first has potentials u_i + v_j from a quarter-size exact solve on
+    points spread evenly over each ensemble subtracted in place
+    (:func:`_warm_start`), which leaves the optimal assignment as it is and
+    lets the solver start near it.
     """
     _check_pair(A, B)
     if p < 1.0:
@@ -347,7 +380,7 @@ def wasserstein(A: Ensemble, B: Ensemble, p: float = 2.0):
         cost = space.cross_dist(A.points, B.points)
         cost **= p
         if len(cost) >= WARM_START_MIN:
-            _warm_start(cost)
+            _warm_start(cost, A.rows(), B.rows())
         rows, cols = linear_sum_assignment(cost)
         sigma = np.empty(len(A), dtype=np.intp)
         sigma[rows] = cols

@@ -151,10 +151,12 @@ def test_assignment_solve_holds_one_cost_matrix(space, n):
     # a solve holds one n x n float64 cost, 8 n^2 bytes, and no second buffer
     # of that size; numpy reports its buffers to tracemalloc, so the peak
     # repeats exactly (whole-matrix expressions peak at 2 to 3.13 costs).
-    # B is A in reverse order: the coarse solve of the warm start finds a
-    # matching of cost 0, its m x m buffer (n^2 / 16 entries) sits next to
-    # the cost, and the solver then matches in O(n^2); the cost is the same
-    # n x n float64 buffer as for any other pair
+    # B is A in reverse order: the spatial orders of A and B pick the same
+    # points as coarse rows and columns (on the spider, tied points at the
+    # origin may swap), so the coarse solve of the warm start finds a
+    # matching of cost 0 up to rounding, its m x m buffer (n^2 / 16 entries)
+    # sits next to the cost, and the solver then matches in O(n^2); the
+    # cost is the same n x n float64 buffer as for any other pair
     A = Ensemble(space, cloud(space, n, 7))
     B = Ensemble(space, A.points[::-1])
     transport.assignment_solver()  # loaded before the trace starts
@@ -312,6 +314,25 @@ def test_warm_start_leaves_a_flat_cost(p):
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
+def test_warm_start_reduces_a_cost_on_a_segment(p):
+    # two samples of one law on a thin segment: each spatial order runs
+    # along the segment, so the k-th coarse row and column of those orders
+    # pair up monotonically, at 99.97-100% of the coarse optimum.  Taken in
+    # particle-index order instead, they pair at random (the optimum costs
+    # 0.2-5% of that), so the flat check lets the warm start run, and the
+    # solver receives a reduced cost and returns the plain solve's answer
+    rng = np.random.default_rng(5)
+    space = EuclideanSpace(2)
+    A, B = (Ensemble(space, np.column_stack([rng.random(1000), 1e-3 * rng.random(1000)])) for _ in range(2))
+    with _solver_inputs() as received:
+        value, coupling = wasserstein(A, B, p)
+    cost, sigma, want = _plain_solve(A, B, p)
+    assert [r.tobytes() for r in received] != [cost.tobytes()]
+    assert np.array_equal(coupling.permutation, sigma)
+    assert value == want
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
 def test_warm_start_on_a_degenerate_cost(p):
     # A and B within 1e-7 of one point: every cost is a small multiple of
     # the rounding unit of |a|^2 + |b|^2, so many assignments tie at the
@@ -350,22 +371,57 @@ def test_warm_start_begins_at_warm_start_min():
     assert [r.tobytes() for r in received] == [(A.space.cross_dist(A.points, B.points) ** 2.0).tobytes()]
 
 
-@pytest.mark.parametrize("at", [0, 1], ids=["coarse_row", "other_row"])
-def test_warm_start_leaves_non_finite_costs(at):
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["coarse_row", "other_row"])
+def test_warm_start_leaves_non_finite_costs(sign):
     # a point so far out that its squared norm overflows makes its row of
     # the cost inf: the solver receives the cost as built and raises as on a
-    # plain solve (row 0 is in the coarse solve, row 1 not)
+    # plain solve.  At +1e200 the point ends the spatial order, so its row is
+    # in the coarse solve, whose guard returns before solving; at -1e200 it
+    # starts the order, outside the coarse rows, and the guard on the
+    # potentials returns after the coarse solve
     A, B = _pair(EuclideanSpace(2), 1000, "shifted")
     points = A.points.copy()
-    points[at] = 1e200
+    points[0] = sign * 1e200
     A = Ensemble(A.space, points)
-    with _solver_inputs() as received, pytest.raises(ValueError) as raised:
+    ratio = transport.WARM_START_RATIO
+    assert (0 in transport._spatial_order(A.rows())[ratio - 1 :: ratio]) == (sign > 0)
+    shapes, solve = [], transport.assignment_solver()
+
+    def solver(cost):
+        shapes.append(cost.shape)
+        return solve(cost)
+
+    with (_solver_inputs() as received, mock.patch.object(transport, "assignment_solver", lambda: solver),
+          pytest.raises(ValueError) as raised):
         wasserstein(A, B)
+    assert shapes == ([] if sign > 0 else [(250, 250)]) + [(1000, 1000)]
     cost = A.space.cross_dist(A.points, B.points) ** 2.0
     assert [r.tobytes() for r in received] == [cost.tobytes()]
     with pytest.raises(ValueError) as plain:
-        transport.assignment_solver()(cost)
+        solve(cost)
     assert str(raised.value) == str(plain.value)
+
+
+@pytest.mark.parametrize("n", [1000, 1001])
+@pytest.mark.parametrize("space", WARM_SPACES)
+def test_spatial_order(space, n):
+    # a permutation of the particles, the same on a rerun
+    rows = _pair(WARM_SPACES[space], n, "same")[0].rows()
+    order = transport._spatial_order(rows)
+    assert np.array_equal(np.sort(order), np.arange(n))
+    assert np.array_equal(transport._spatial_order(rows.copy()), order)
+    # points 10 apart along the last coordinate and within 1 (or 3 legs) of
+    # each other along the rest: every cell's widest coordinate is the last,
+    # so the order sorts the points along it
+    rng = np.random.default_rng(n)
+    rows = rng.random((n, rows.shape[1]))
+    rows[:, -1] = 10.0 * rng.permutation(n)
+    if space == "spider4":
+        rows[:, 0] = rng.integers(0, 4, size=n)
+    elif WARM_SPACES[space].complex_coords:
+        rows = rows[:, 0::2] + 1j * rows[:, 1::2]
+    rows = Ensemble(WARM_SPACES[space], rows).rows()
+    assert np.array_equal(transport._spatial_order(rows), np.argsort(rows[:, -1]))
 
 
 # ---------------------------------------------------------------------------
