@@ -120,7 +120,6 @@ CONFIG_SCHEMA = {
     "reference": Key({"mode": Key(str, "burn_in"), "factor": Key(int, 10, 1, "burn-in steps per iteration"),
                       "path": Key(str, ABSENT)}, {}),
     "regularity_pairs": Key(int, 2000, 1, "pairs drawn for the violation estimates"),
-    "output_dir": Key(str, None, 1, "length of the results directory path; --out overrides it"),
 }
 
 REPORT_SCHEMA_ID = "rfilab.report.v1"
@@ -173,13 +172,9 @@ def validate_config(raw: dict) -> dict:
     return cfg
 
 
-def load_config(path, overrides: Optional[dict] = None) -> dict:
-    """Read and validate a config file; non-None ``overrides`` (command-line
-    values) replace top-level keys before validation."""
-    raw = _read_json(Path(path), "config")
-    if isinstance(raw, dict) and overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-    return validate_config(raw)
+def load_config(path) -> dict:
+    """Read and validate a config file."""
+    return validate_config(_read_json(Path(path), "config"))
 
 
 def _read_json(path: Path, what: str):
@@ -193,23 +188,38 @@ def _read_json(path: Path, what: str):
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_report(report: dict) -> None:
+    """Check a report's schema id, its keys and the values that ``rate``
+    reads from it; raises ValueError naming the key."""
     if not isinstance(report, dict) or report.get("schema") != REPORT_SCHEMA_ID:
         raise ValueError(f"report schema must be {REPORT_SCHEMA_ID}")
     missing = REPORT_KEYS - set(report)
     if missing:
         raise ValueError(f"report missing keys: {sorted(missing)}")
+    for key in ("alpha", "bound", "floor"):
+        if report[key] is not None and not _is_number(report[key]):
+            raise ValueError(f"{key}: expected a number or null, got {report[key]!r}")
+    for key, path in (("regularity", ("in_expectation", "epsilon_hat")), ("subregularity", ("r_hat",))):
+        value = report[key]
+        for step in path:
+            value = value.get(step) if isinstance(value, dict) else None
+        if report[key] is not None and not _is_number(value):
+            raise ValueError(f"{key}: expected null or an object with a number at {'.'.join(path)}")
 
 
 # ---------------------------------------------------------------------------
 # shared pieces
 # ---------------------------------------------------------------------------
 
-def _results_dir(out_dir: Optional[str], cfg: dict) -> Path:
-    """``--out`` (not empty), else the config's ``output_dir``, else ``results``."""
+def _results_dir(out_dir: Optional[str]) -> Path:
+    """``--out`` (not empty), else ``results``."""
     if out_dir == "":
         raise ConfigError("--out: must name a directory, got an empty string")
-    return Path(out_dir or cfg["output_dir"] or "results")
+    return Path(out_dir or "results")
 
 
 def _float_repr(x: Optional[float]) -> str:
@@ -514,11 +524,10 @@ class _Pool:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[int] = None,
-            record_every: Optional[int] = None) -> int:
+def cmd_run(config_path, out_dir) -> int:
     started = time.perf_counter()
-    cfg = load_config(config_path, {"workers": workers, "seed": seed, "record_every": record_every})
-    out = _results_dir(out_dir, cfg)
+    cfg = load_config(config_path)
+    out = _results_dir(out_dir)
 
     spec = _scenario_spec(cfg)
     scenario = _configured_scenario(spec)
@@ -529,18 +538,11 @@ def cmd_run(config_path, out_dir, workers: Optional[int] = None, seed: Optional[
     seeds = floor_seeds(cfg["seed"]) if diags["rates"] else []
     if series and not transport.sorted_path(space):
         transport.assignment_solver()  # once here, before the pool forks, not in every worker
-    from_file = cfg["reference"]["mode"] == "file"
-    # one job each: the chain, the reference unless it is read from a file,
-    # a floor sample (a sampler draw or a burn-in) and its W2 to the
-    # reference, a step's file, the reference write, the regularity block
-    # and, with a series, a step's W2 + Psi
-    jobs = 2 - from_file + 2 * len(seeds) + (1 + series) * len(steps) + 1 + diags["regularity"]
-    with tempfile.TemporaryDirectory(prefix="rfilab-") as tmp, \
-            _Pool(max(1, min(cfg["workers"], usable_cpus(), jobs))) as pool:
+    with tempfile.TemporaryDirectory(prefix="rfilab-") as tmp, _Pool(min(cfg["workers"], usable_cpus())) as pool:
         scratch = Path(tmp)
         make_reference, ref_provenance = _reference_ensemble(scenario, cfg, scratch / "reference.npy")
         # a file is read here and now, so that a bad one stops the run before any job
-        reference_job = pool.here(*make_reference) if from_file else None
+        reference_job = pool.here(*make_reference) if cfg["reference"]["mode"] == "file" else None
         out.mkdir(parents=True, exist_ok=True)  # only now: a bad scenario or reference leaves none behind
         chain_job = pool.submit("chain", _chain, spec, n, cfg["iterations"], cfg["seed"], cfg["record_every"],
                                 [scratch / f"step_{step:06d}.npy" for step in steps])
@@ -641,14 +643,14 @@ def _predicted_rate(report: dict) -> Optional[float]:
         return None
 
 
-def cmd_regularity(config_path, out_dir, seed: Optional[int] = None) -> int:
-    cfg = load_config(config_path, {"seed": seed})
-    out = _results_dir(out_dir, cfg)
+def cmd_regularity(config_path, out_dir) -> int:
+    cfg = load_config(config_path)
+    out = _results_dir(out_dir)
     spec = _scenario_spec(cfg)
     scenario = _configured_scenario(spec)
-    with tempfile.TemporaryDirectory(prefix="rfilab-") as tmp, _Pool(1) as pool:
-        make_reference, _ = _reference_ensemble(scenario, cfg, Path(tmp) / "reference.npy")
-        reference = pool.take(pool.submit(*make_reference))
+    with tempfile.TemporaryDirectory(prefix="rfilab-") as tmp:
+        (_, make, *args), _ = _reference_ensemble(scenario, cfg, Path(tmp) / "reference.npy")
+        reference = make(*args)
         out.mkdir(parents=True, exist_ok=True)
         report = _empty_report(scenario)
         report["regularity"] = _regularity_block(spec, reference, cfg["seed"], cfg["regularity_pairs"])
@@ -763,14 +765,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate a configured scenario")
     run.add_argument("--config", required=True)
     run.add_argument("--out", default=None)
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--workers", type=int, default=None, help=CONFIG_SCHEMA["workers"].note)
-    run.add_argument("--record-every", type=int, default=None)
 
     reg = sub.add_parser("regularity", help="estimate violation constants")
     reg.add_argument("--config", required=True)
     reg.add_argument("--out", default=None)
-    reg.add_argument("--seed", type=int, default=None)
 
     rate = sub.add_parser("rate", help="fit rates on an existing results directory")
     rate.add_argument("results_dir")
@@ -787,10 +785,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args.config, args.out, workers=args.workers, seed=args.seed,
-                           record_every=args.record_every)
+            return cmd_run(args.config, args.out)
         if args.command == "regularity":
-            return cmd_regularity(args.config, args.out, seed=args.seed)
+            return cmd_regularity(args.config, args.out)
         if args.command == "rate":
             return cmd_rate(args.results_dir)
         if args.command == "wasserstein":

@@ -36,12 +36,12 @@ in m passes or stalls at rounding level (cycles on degenerate costs), and
 where an entry or a potential is not finite (the solver's own checks then
 apply).  The warm start holds one m x m float64 buffer, 8 N^2 / 16 bytes,
 next to the cost, and forms its other temporaries CROSS_DIST_ROWS rows at
-a time.  Below N = 1000 it did not pay with every 4th particle index as
-the coarse set: at N = 500 the solves of a 6-step run (each step against
-the reference, and 3 floor draws) took 9% longer in total for phase
-retrieval in C^64 and 3% longer for inconsistent Kaczmarz in R^2, whose
-step solves took 7% less but whose floor solves, two samples of one law,
-took 46% more.
+a time.  Below N = 1000 every solve takes the cost as built.  The solves
+of a run (its steps and 3 floor draws; seed 950, 2 vCPUs) took 0.16-0.17 s
+plain and 0.21-0.22 s warm for phase retrieval in C^64 at N = 500 (the
+mixed_phase benchmark), but 0.24-0.37 s plain and 0.16-0.21 s warm for
+inconsistent Kaczmarz in R^2 at N = 500, and 1.6-2.0 s plain and 0.6 s
+warm on ot_kaczmarz at N = 1000.
 
 Ensembles are stored as CSV: a header row, read by the ``csv`` module,
 that names the columns and so the space, then one row of plain decimal

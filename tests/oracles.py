@@ -502,7 +502,6 @@ CONFIG_SCHEMA = {
     "diagnostics": (dict, False, {}, "booleans: wasserstein, psi, regularity, rates"),
     "reference": (dict, False, REFERENCE_DEFAULTS, "mode: burn_in | ground_truth | file; factor; path"),
     "regularity_pairs": (int, False, 2000, ">= 1; pair count for violation estimates"),
-    "output_dir": (str, False, None, "results directory (--out overrides)"),
 }
 
 DIAGNOSTIC_DEFAULTS = {"wasserstein": True, "psi": True, "regularity": False, "rates": False}
@@ -513,8 +512,7 @@ SCENARIO_KEYS = ("name", "params")
 def validate_config(raw: dict) -> dict:
     """``cli.validate_config`` as one loop over the top-level keys, one
     hand-written loop or rule per block and key, and defaults kept beside
-    the schema; it accepts an empty ``output_dir``, which the program
-    rejects."""
+    the schema."""
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
     cfg = {}

@@ -95,10 +95,9 @@ def _cell(src: Path, work: Path, config: dict, cell: str, workers: int):
     """Yield ``(digest, name)`` for `run`, its files, `rate` and `wasserstein`
     of ``config`` at ``workers``, with results in ``work / cell``."""
     config_path = work / f"{cell.replace('/', '-')}.json"
-    config_path.write_text(json.dumps(config))
+    config_path.write_text(json.dumps({**config, "workers": workers}))
     out = work / cell
-    yield _command(src, work, ["run", "--config", str(config_path), "--out", str(out),
-                               "--workers", str(workers)]), f"{cell}/run"
+    yield _command(src, work, ["run", "--config", str(config_path), "--out", str(out)]), f"{cell}/run"
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         yield _file_digest(path), f"{cell}/{path.relative_to(out).as_posix()}"
     yield _command(src, work, ["rate", str(out)]), f"{cell}/rate"

@@ -496,13 +496,10 @@ def test_c10_determinism(tmp_path):
         "diagnostics": {"wasserstein": True, "psi": True},
     }
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
     outs = []
     for name, workers in (("a", None), ("b", None), ("c", 3), ("d", 7)):
-        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / name)]
-        if workers:
-            argv += ["--workers", str(workers)]
-        assert cli_main(argv) == 0
+        cfg_path.write_text(json.dumps({**cfg, "workers": workers} if workers else cfg))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
         outs.append(tmp_path / name)
     csvs = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*.csv"))
     identical = True

@@ -102,8 +102,7 @@ def _some(draw, block: dict, key: str, values) -> None:
 
 @st.composite
 def valid_configs(draw):
-    """Configs that the checker accepts, each optional key given or left out;
-    ``output_dir`` is never empty, which the oracle would accept."""
+    """Configs that the checker accepts, each optional key given or left out."""
     scenario = {"name": draw(st.sampled_from(sorted(rfilab.scenarios.SCENARIO_BUILDERS)))}
     _some(draw, scenario, "params", st.dictionaries(KEY_NAMES, st.integers() | st.text(max_size=3), max_size=2))
     cfg = {"scenario": scenario}
@@ -112,7 +111,6 @@ def valid_configs(draw):
             cfg[key] = draw(st.integers(low, 2**40))
         elif not sub:
             _some(draw, cfg, key, st.integers(low, 2**40))
-    _some(draw, cfg, "output_dir", st.text(min_size=1, max_size=8))
     if draw(st.booleans()):
         diags = cfg["diagnostics"] = {}
         for key in ("wasserstein", "psi", "regularity", "rates"):
@@ -166,8 +164,7 @@ def one_fault_configs(draw):
             return draw(NOT_AN_OBJECT), ()
         _block(cfg, path[:-1])[path[-1]] = draw(NOT_AN_OBJECT)
     elif fault == "non-string":
-        path = draw(st.sampled_from([("scenario", "name"), ("reference", "mode"), ("reference", "path"),
-                                     ("output_dir",)]))
+        path = draw(st.sampled_from([("scenario", "name"), ("reference", "mode"), ("reference", "path")]))
         if path == ("reference", "path"):
             _block(cfg, ("reference",))["mode"] = "file"
         _block(cfg, path[:-1])[path[-1]] = draw(NOT_AN_OBJECT.filter(lambda v: not isinstance(v, str)))
@@ -234,15 +231,22 @@ def test_non_utf8_config_exits_2_naming_the_path(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize(
     "overrides, argv, fragment",
     [
         ({"seed": -1}, [], "config.seed"),
         ({"reference": {"factor": True}}, [], "config.reference.factor"),
         ({"reference": {"foo": 3}}, [], "config.reference.foo"),
-        ({}, ["--seed", "-1"], "config.seed"),
-        ({}, ["--workers", "0"], "config.workers"),
-        ({}, ["--record-every", "0"], "config.record_every"),
+        ({}, ["--seed", "1"], "unrecognized arguments: --seed 1"),
+        ({}, ["--workers", "2"], "unrecognized arguments: --workers 2"),
+        ({}, ["--record-every", "1"], "unrecognized arguments: --record-every 1"),
         ({"reference": {"mode": "ground_truth", "path": "ref.csv"}}, [], "config.reference.path"),
         ({"scenario": {"name": "contraction", "params": {"R": 0.9}}}, [], "config.scenario.params.R"),
         ({"scenario": {"name": "kaczmarz", "params": {"b": [1.0]}}}, [],
@@ -326,17 +330,26 @@ def test_non_utf8_config_exits_2_naming_the_path(tmp_path, capsys, command):
         ({"scenario": {"name": "spider_frechet", "params": {"anchors": []}}}, [],
          "config.scenario.params.anchors: need at least one anchor"),
         ({"common_noise": False}, [], "config.common_noise: unknown key"),
-        ({"output_dir": ""}, [], "config.output_dir: must be >= 1"),
+        ({"output_dir": "r"}, [], "config.output_dir: unknown key"),
         ({}, ["--out", ""], "--out: must name a directory"),
     ],
 )
 def test_run_invalid_value_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, overrides, argv, fragment):
+    # a flag that argparse refuses exits 2 by SystemExit, before main's handler
     monkeypatch.chdir(tmp_path)  # the default results directory would be made here
     cfg = write_config(tmp_path, diagnostics={}, **overrides)
     out = tmp_path / "o"
-    assert main(["run", "--config", str(cfg), "--out", str(out), *argv]) == EXIT_CONFIG
+    assert _exit_code(["run", "--config", str(cfg), "--out", str(out), *argv]) == EXIT_CONFIG
     assert fragment in capsys.readouterr().err
-    assert not out.exists() and not (tmp_path / "results").exists()
+    assert not out.exists() and not (tmp_path / "results").exists() and not (tmp_path / "r").exists()
+
+
+def test_regularity_refuses_the_seed_flag(tmp_path, capsys):
+    cfg = write_config(tmp_path, diagnostics={})
+    out = tmp_path / "o"
+    assert _exit_code(["regularity", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == EXIT_CONFIG
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 SCENARIOS = ("two_point", "contraction", "kaczmarz", "sgd_linear_noise", "phase_retrieval", "spider_frechet",
@@ -407,14 +420,12 @@ def test_run_determinism_across_reruns_and_workers(tmp_path, monkeypatch):
                            ({"name": "kaczmarz", "params": {"m": 3, "n": 2, "instance_seed": 0}}, 200),
                            ({"name": "phase_retrieval", "params": {"n": 8, "n_masks": 2}}, 40),
                            ({"name": "spider_frechet"}, 200)):
-        cfg = write_config(tmp_path, scenario=scenario, ensemble_size=size)
         outs = {}
         for name, workers in (("a", None), ("b", None), ("c", 2), ("d", 4)):
             out = tmp_path / f"{scenario['name']}-{name}"
-            argv = ["run", "--config", str(cfg), "--out", str(out)]
-            if workers:
-                argv += ["--workers", str(workers)]
-            assert main(argv) == EXIT_OK
+            extra = {"workers": workers} if workers else {}
+            cfg = write_config(tmp_path, scenario=scenario, ensemble_size=size, **extra)
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
             used = json.loads((out / "manifest.json").read_text())["timings"]["workers_used"]
             assert used == (workers or 1)
             outs[name] = _result_files(out)
@@ -439,15 +450,16 @@ def test_run_solves_one_assignment_per_recorded_step(tmp_path, monkeypatch):
 
     monkeypatch.setattr(rfilab.transport, "linear_sum_assignment", counted)
     monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
-    cfg = write_config(
-        tmp_path,
-        scenario={"name": "kaczmarz", "params": {"m": 3, "n": 2, "consistent": False, "instance_seed": 0}},
-        ensemble_size=30,
-        iterations=4,
-    )
     for workers in (1, 2):
+        cfg = write_config(
+            tmp_path,
+            scenario={"name": "kaczmarz", "params": {"m": 3, "n": 2, "consistent": False, "instance_seed": 0}},
+            ensemble_size=30,
+            iterations=4,
+            workers=workers,
+        )
         out = tmp_path / f"kz{workers}"
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", str(workers)]) == EXIT_OK
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         recorded = len(manifest["recorded_steps"])
         assert recorded == 5
@@ -463,10 +475,10 @@ def test_run_manifest_timings(tmp_path, monkeypatch):
     # at 2 workers the step jobs write the ensemble files, and their write
     # seconds still count to io
     monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
-    cfg = write_config(tmp_path)
     for workers in (1, 2):
+        cfg = write_config(tmp_path, workers=workers)
         out = tmp_path / f"t{workers}"
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", str(workers)]) == EXIT_OK
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         timings = json.loads((out / "manifest.json").read_text())["timings"]
         assert set(timings["seconds"]) == {"reference", "chain", "w2_psi", "floor", "regularity", "io"}
         assert all(seconds >= 0.0 for seconds in timings["seconds"].values())
@@ -491,10 +503,10 @@ def test_run_io_seconds_count_every_step_write(tmp_path, monkeypatch):
 
     monkeypatch.setattr(rfilab.transport.Ensemble, "to_csv", slow)
     monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
-    cfg = write_config(tmp_path, diagnostics={"wasserstein": True, "psi": False})
     for workers in (1, 2):
+        cfg = write_config(tmp_path, diagnostics={"wasserstein": True, "psi": False}, workers=workers)
         out = tmp_path / f"io{workers}"
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", str(workers)]) == EXIT_OK
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         seconds = json.loads((out / "manifest.json").read_text())["timings"]["seconds"]
         assert seconds["io"] >= 11 * 0.05, workers
         assert seconds["w2_psi"] < 11 * 0.05, workers
@@ -520,12 +532,12 @@ def test_run_submits_the_step_writes_then_the_floor_solves_then_the_series(tmp_p
     monkeypatch.setattr(rfilab.cli._Pool, "submit", logged)
     monkeypatch.setattr(rfilab.cli, "floor_sample", slow)
     monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
-    cfg = write_config(tmp_path)
     outs = []
-    for workers in ("1", "2"):
+    for workers in (1, 2):
         submitted.clear()
-        out = tmp_path / workers
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", workers]) == EXIT_OK
+        cfg = write_config(tmp_path, workers=workers)
+        out = tmp_path / str(workers)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         outs.append((_result_files(out), json.loads((out / "manifest.json").read_text())["floor"]))
         at = {fn: [i for i, f in enumerate(submitted) if f is fn]
               for fn in (rfilab.cli._write_ensemble, rfilab.cli._floor_solve, rfilab.cli._series_point)}
@@ -538,9 +550,9 @@ def test_run_submits_the_step_writes_then_the_floor_solves_then_the_series(tmp_p
 
 def test_run_pool_is_capped_at_usable_cpus(tmp_path, monkeypatch):
     monkeypatch.setattr(rfilab.cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    cfg = write_config(tmp_path, diagnostics={"wasserstein": True, "psi": True})
+    cfg = write_config(tmp_path, diagnostics={"wasserstein": True, "psi": True}, workers=64)
     out = tmp_path / "w64"
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", "64"]) == EXIT_OK
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["workers"] == 64
     assert 1 <= manifest["timings"]["workers_used"] <= 2
@@ -582,16 +594,17 @@ def test_run_worker_failure_exits_like_in_process(tmp_path, monkeypatch, capsys,
     assert tempfile.gettempdir() == str(tmp_path)
     monkeypatch.setattr(owner, name, failing)
     monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
-    cfg = write_config(tmp_path, reference={"mode": reference})
     errors = []
-    for workers in ("1", "2"):
-        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / workers), "--workers", workers])
+    for workers in (1, 2):
+        cfg = write_config(tmp_path, reference={"mode": reference}, workers=workers)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / str(workers))])
         errors.append((code, capsys.readouterr().err))
         assert_nothing_left()
     assert errors[0] == errors[1] == (EXIT_RUNTIME, f"failure: RuntimeError: {name} failed\n")
     monkeypatch.setattr(owner, name, original)
-    for workers in ("1", "2"):
-        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / f"ok{workers}"), "--workers", workers])
+    for workers in (1, 2):
+        cfg = write_config(tmp_path, reference={"mode": reference}, workers=workers)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / f"ok{workers}")])
         assert code == EXIT_OK
         assert_nothing_left()
 
@@ -615,8 +628,8 @@ def test_run_jobs_pickle_no_ensemble(tmp_path, monkeypatch, scenario, size):
 
     monkeypatch.setattr(rfilab.cli._Pool, "submit", measured)
     monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
-    cfg = write_config(tmp_path, scenario=scenario, ensemble_size=size, iterations=2)
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--workers", "2"]) == EXIT_OK
+    cfg = write_config(tmp_path, scenario=scenario, ensemble_size=size, iterations=2, workers=2)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
     assert max(max(found) for found in sizes.values()) <= 64 * 1024, sizes
     counts = {fn: len(found) for fn, found in sizes.items()}
     assert counts == {"_chain": 1, "_burn_in": 1, "_sample": 3, "_write_ensemble": 4, "_floor_solve": 3,
@@ -647,7 +660,7 @@ def test_run_unpicklable_job_exits_1_at_once(tmp_path):
     # the executor's feeder thread pickled jobs, about 4 in 10 such runs
     # waited in the shutdown for ever, so six runs show that hang with
     # probability >= 0.95
-    cfg = write_config(tmp_path, diagnostics={"wasserstein": True, "psi": False})
+    cfg = write_config(tmp_path, diagnostics={"wasserstein": True, "psi": False}, workers=2)
     src = Path(rfilab.cli.__file__).resolve().parents[1]
     for rep in range(6):
         script = f"""
@@ -660,7 +673,7 @@ def local_writer():
 
 rfilab.cli._write_ensemble = local_writer()
 rfilab.cli.usable_cpus = lambda: 2
-code = rfilab.cli.main(["run", "--config", {str(cfg)!r}, "--out", {str(tmp_path / str(rep))!r}, "--workers", "2"])
+code = rfilab.cli.main(["run", "--config", {str(cfg)!r}, "--out", {str(tmp_path / str(rep))!r}])
 print(json.dumps([code, len(multiprocessing.active_children())]))
 """
         proc = subprocess.Popen([sys.executable, "-B", "-c", script], env={"PYTHONPATH": str(src)},
@@ -801,13 +814,13 @@ def test_manifest_records_where_the_floor_came_from(tmp_path, monkeypatch, scena
     from rfilab.transport import Ensemble
 
     monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
-    cfg = write_config(tmp_path, scenario=scenario, reference={"mode": reference},
-                       diagnostics={"wasserstein": True, "psi": False, "rates": True})
     built = rfilab.scenarios.build_scenario(scenario["name"], scenario.get("params", {}))
     manifests = []
-    for workers in ("1", "2"):
-        out = tmp_path / workers
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", workers]) == EXIT_OK
+    for workers in (1, 2):
+        cfg = write_config(tmp_path, scenario=scenario, reference={"mode": reference},
+                           diagnostics={"wasserstein": True, "psi": False, "rates": True}, workers=workers)
+        out = tmp_path / str(workers)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         floor = manifest["floor"]
         assert manifest["reference"]["mode"] == reference
@@ -819,9 +832,34 @@ def test_manifest_records_where_the_floor_came_from(tmp_path, monkeypatch, scena
         run_reference = Ensemble.from_csv(out / "reference.csv", built.space)
         assert floor["draws"] == [rfilab.scenarios.floor_draw(built, 200, 10 * 10, run_reference, seed)
                                   for seed in floor["seeds"]]
-        assert manifest["config"].pop("workers") == int(workers)
+        assert manifest["config"].pop("workers") == workers
         manifests.append({k: v for k, v in manifest.items() if k not in ("timings", "config_path", "wall_time_s")})
     assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("scenario", [
+    {"name": "contraction", "params": {"r": 0.5, "offset": 5.0}},
+    {"name": "kaczmarz", "params": {"m": 3, "n": 2, "consistent": False, "instance_seed": 0}},
+], ids=["contraction", "kaczmarz"])
+def test_manifest_config_alone_reproduces_the_run(tmp_path, scenario):
+    # the config that the manifest echoes states the whole experiment: run
+    # from it alone into another directory, every output is the same.
+    # contraction takes the sorted W2 path, kaczmarz the assignment path
+    cfg = write_config(tmp_path, scenario=scenario, ensemble_size=100, iterations=4)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", "--config", str(cfg), "--out", str(first)]) == EXIT_OK
+    echoed = tmp_path / "echoed.json"
+    echoed.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["config"]))
+    assert main(["run", "--config", str(echoed), "--out", str(second)]) == EXIT_OK
+    files = sorted(path.relative_to(first) for path in first.rglob("*") if path.is_file())
+    assert files == sorted(path.relative_to(second) for path in second.rglob("*") if path.is_file())
+    for name in files:
+        if name.name == "manifest.json":
+            a, b = ({k: v for k, v in json.loads((out / name).read_text()).items()
+                     if k not in ("timings", "wall_time_s", "config_path")} for out in (first, second))
+            assert a == b
+        else:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_run_file_reference(tmp_path):
@@ -851,11 +889,11 @@ def test_run_file_reference(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
 
 
-def test_run_seed_override_changes_results(tmp_path):
-    cfg = write_config(tmp_path, diagnostics={})
+def test_run_seed_changes_results(tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
-    assert main(["run", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
-    assert main(["run", "--config", str(cfg), "--out", str(out2), "--seed", "99"]) == EXIT_OK
+    for seed, out in ((7, out1), (99, out2)):
+        cfg = write_config(tmp_path, diagnostics={}, seed=seed)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     a = (out1 / "ensembles" / "step_000010.csv").read_bytes()
     b = (out2 / "ensembles" / "step_000010.csv").read_bytes()
     assert a != b
@@ -882,10 +920,10 @@ def test_cmd_regularity_writes_the_block_of_run(tmp_path, monkeypatch):
     # regularity in this process, from the same reference and seed
     monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
     cfg = write_config(tmp_path, scenario={"name": "kaczmarz", "params": {"m": 4, "n": 2}}, ensemble_size=50,
-                       iterations=3, diagnostics={"regularity": True})
+                       iterations=3, diagnostics={"regularity": True}, seed=5, workers=2)
     run, reg = tmp_path / "run", tmp_path / "reg"
-    assert main(["run", "--config", str(cfg), "--out", str(run), "--workers", "2", "--seed", "5"]) == EXIT_OK
-    assert main(["regularity", "--config", str(cfg), "--out", str(reg), "--seed", "5"]) == EXIT_OK
+    assert main(["run", "--config", str(cfg), "--out", str(run)]) == EXIT_OK
+    assert main(["regularity", "--config", str(cfg), "--out", str(reg)]) == EXIT_OK
     blocks = [json.loads((out / "report.json").read_text())["regularity"] for out in (run, reg)]
     assert len(blocks[0]["per_operator"]) == 4
     assert blocks[0] == blocks[1]
@@ -926,6 +964,14 @@ def test_cmd_rate_missing_series(tmp_path):
     assert main(["rate", str(tmp_path)]) == EXIT_CONFIG
 
 
+def _report_with(**values) -> str:
+    """A report.json of every key, with ``values`` over the scenario's
+    alpha and bound and a null floor."""
+    report = {**dict.fromkeys(rfilab.cli.REPORT_KEYS), "schema": rfilab.cli.REPORT_SCHEMA_ID, "scenario": "kaczmarz",
+              "alpha": 0.5, "bound": 0.0}
+    return json.dumps({**report, **values})
+
+
 @pytest.mark.parametrize(
     "name, content, fragment",
     [
@@ -936,9 +982,18 @@ def test_cmd_rate_missing_series(tmp_path):
         ("series.csv", b"k,W2_to_reference,psi_hat\n0,1.0,\n1,0.\xff5,\n", "series.csv:3: "),
         ("series.csv", b"k,W2_to_\xffreference,psi_hat\n0,1.0,\n", "series.csv: unexpected header"),
         ("report.json", b'{"schema": "\xff"}', "report.json: cannot read report ("),
+        ("report.json", _report_with(floor="x"), "report.json: floor: expected a number or null, got 'x'"),
+        ("report.json", _report_with(bound=[1]), "report.json: bound: expected a number or null, got [1]"),
+        ("report.json", _report_with(regularity={"oops": 1}),
+         "report.json: regularity: expected null or an object with a number at in_expectation.epsilon_hat"),
+        ("report.json", _report_with(alpha="x"), "report.json: alpha: expected a number or null, got 'x'"),
+        ("report.json", _report_with(subregularity={"oops": 1}),
+         "report.json: subregularity: expected null or an object with a number at r_hat"),
     ],
     ids=["series_short_row", "series_non_numeric", "report_invalid_json", "report_not_a_report",
-         "series_non_utf8_row", "series_non_utf8_header", "report_non_utf8"],
+         "series_non_utf8_row", "series_non_utf8_header", "report_non_utf8", "report_floor_string",
+         "report_bound_list", "report_regularity_without_epsilon", "report_alpha_string",
+         "report_subregularity_without_r_hat"],
 )
 def test_cmd_rate_malformed_input_exits_2(tmp_path, capsys, name, content, fragment):
     (tmp_path / "series.csv").write_text("k,W2_to_reference,psi_hat\n0,1.0,\n1,0.5,\n")
