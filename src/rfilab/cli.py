@@ -34,9 +34,12 @@ taken in the same order, and then the series, report and manifest are
 written.  Each job is pickled in the thread that submits it, as a check, so
 a job that cannot be sent fails the run at once.  The worker count changes
 no output byte: every job is a pure function of its arguments and of the
-files they name.  scipy's assignment solver is loaded only by a command
-that solves an assignment, as the compiled ``_lsap`` extension (the public
-import is the fallback), so no command imports scipy.optimize.
+files they name.  No command imports the scipy package: its assignment
+solver is loaded only by a command that solves an assignment, as the
+compiled ``_lsap`` extension read from its file, and the manifest's scipy
+version is read from scipy/version.py alike (each falls back to the public
+import).  Only a run on more than one worker process loads the pool
+machinery, multiprocessing and concurrent.futures.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ import argparse
 import csv
 import ctypes
 import json
-import multiprocessing
 import os
 import pickle
 import resource
@@ -53,14 +55,12 @@ import statistics
 import sys
 import tempfile
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
-import scipy
 
 from . import __version__, transport
 from .analysis import build_rate_report, estimate_subregularity, rate_bound_from_theorem
@@ -85,6 +85,9 @@ from .scenarios import (  # noqa: F401
     monte_carlo_floor,
 )
 from .transport import Ensemble, markov_transport_discrepancy, wasserstein
+
+if TYPE_CHECKING:  # imported by a pool that starts processes, and only there
+    from concurrent.futures import Future
 
 __all__ = ["main", "CONFIG_SCHEMA", "validate_config", "validate_report", "cmd_run", "cmd_regularity", "cmd_rate"]
 
@@ -441,6 +444,15 @@ def _peak_rss_mib(who) -> float:
     return resource.getrusage(who).ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
 
 
+class _Done(NamedTuple):
+    """A job run in this process, read as a finished future is."""
+
+    value: tuple
+
+    def result(self) -> tuple:
+        return self.value
+
+
 class _Pool:
     """Runs jobs on ``size`` processes and tallies where the time went.
 
@@ -455,18 +467,23 @@ class _Pool:
     job is pickled in the thread that submits it, as a check, so a job that
     cannot be pickled raises there; when the executor's feeder thread is the
     first to fail on a job, the shutdown can wait for ever.  At size 1 the
-    jobs run in this process and no child starts.
+    jobs run in this process, no child starts, and neither multiprocessing
+    nor concurrent.futures is imported.
     """
 
     def __init__(self, size: int):
         self.size = size
         self.seconds = dict.fromkeys(LAYERS, 0.0)
         self.solves = dict.fromkeys(transport.SOLVES, 0)
-        fork = multiprocessing.get_context("fork")
-        self._executor = (None if size == 1
-                          else ProcessPoolExecutor(size, mp_context=fork, initializer=_one_blas_thread))
+        self._executor = None
+        if size > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-    def submit(self, layer: str, fn, *args) -> Future:
+            fork = multiprocessing.get_context("fork")
+            self._executor = ProcessPoolExecutor(size, mp_context=fork, initializer=_one_blas_thread)
+
+    def submit(self, layer: str, fn, *args) -> Future | _Done:
         """Queue the job ``fn(*args)``, timed to ``layer``.  The pickling
         check keeps no bytes: the executor gets the job itself."""
         if self._executor is None:
@@ -475,13 +492,11 @@ class _Pool:
         return self._executor.submit(_job, layer, fn, *args)
 
     @staticmethod
-    def here(layer: str, fn, *args) -> Future:
+    def here(layer: str, fn, *args) -> _Done:
         """Run the job ``fn(*args)`` now, in this process."""
-        future = Future()
-        future.set_result(_job(layer, fn, *args))
-        return future
+        return _Done(_job(layer, fn, *args))
 
-    def take(self, job: Future):
+    def take(self, job: Future | _Done):
         """The value of ``job``; its seconds and solves count to the tally."""
         value, layer, seconds, solves = job.result()
         self.seconds[layer] += seconds
@@ -596,7 +611,7 @@ def cmd_run(config_path, out_dir) -> int:
         "reference": ref_provenance,
         "floor": floor,
         "recorded_steps": steps,
-        "versions": {"rfilab": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+        "versions": {"rfilab": __version__, "numpy": np.__version__, "scipy": transport.scipy_version()},
         "seed": cfg["seed"],
         "wall_time_s": time.perf_counter() - started,
         "timings": pool.timings(),

@@ -74,7 +74,9 @@ class Trajectory:
 
 def run_ensemble(cfg: ChainConfig) -> Trajectory:
     """Evolve the particle ensemble; particle p's draw at step k depends only
-    on (seed, p, k), never on the ensemble size."""
+    on (seed, p, k), never on the ensemble size.  Only recorded steps are
+    checked, so a recorded step with a non-finite coordinate raises a
+    ValueError saying the chain diverged at or before that step."""
     family = cfg.family
     pts = cfg.initial.points.copy()
     n = len(pts)
@@ -86,5 +88,8 @@ def run_ensemble(cfg: ChainConfig) -> Trajectory:
         idx = family.sample_indices(gen.random(n))
         pts = family.apply_index(idx, pts)
         if k + 1 in record:
-            ensembles.append(Ensemble(cfg.initial.space, pts))
+            try:
+                ensembles.append(Ensemble(cfg.initial.space, pts))
+            except ValueError as exc:
+                raise ValueError(f"the chain diverged at or before step {k + 1}: {exc}") from exc
     return Trajectory(steps=steps, ensembles=ensembles)

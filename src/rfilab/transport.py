@@ -58,7 +58,7 @@ import importlib.util
 import re
 import sys
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.machinery import EXTENSION_SUFFIXES, SOURCE_SUFFIXES, ExtensionFileLoader, SourceFileLoader
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -89,23 +89,34 @@ WARM_START_MIN = 1000
 WARM_START_RATIO = 4
 
 
-def _load_compiled_solver():
-    """``linear_sum_assignment`` of scipy's compiled module
-    ``scipy.optimize._lsap``, loaded from its file under its own name, so
-    that scipy/optimize/__init__.py (scipy.linalg, _optimize, ...) never
-    runs.  Raises if the module is missing or has no such function."""
-    name = "scipy.optimize._lsap"
+def _load_scipy_module(name: str, suffixes: Sequence[str], loader_class):
+    """The scipy module ``name`` loaded by ``loader_class`` from the first
+    file that its path plus one of ``suffixes`` names, or taken from
+    sys.modules if it is there.  scipy's install directory is found by
+    ``importlib.util.find_spec("scipy")``, which imports nothing, so no
+    package's __init__.py runs.  Raises ImportError if there is no such
+    file."""
     module = sys.modules.get(name)
     if module is None:
-        directory = Path(importlib.util.find_spec("scipy.optimize").submodule_search_locations[0])
-        found = [directory / f"_lsap{suffix}" for suffix in EXTENSION_SUFFIXES]
+        _, *packages, stem = name.split(".")
+        directory = Path(importlib.util.find_spec("scipy").submodule_search_locations[0], *packages)
+        found = [directory / f"{stem}{suffix}" for suffix in suffixes]
         path = next((f for f in found if f.is_file()), None)
         if path is None:
-            raise ImportError(f"no compiled {name} in {directory}")
-        loader = ExtensionFileLoader(name, str(path))
+            raise ImportError(f"no {name} in {directory}")
+        loader = loader_class(name, str(path))
         module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path, loader=loader))
         loader.exec_module(module)
-    return module.linear_sum_assignment
+    return module
+
+
+def _load_compiled_solver():
+    """``linear_sum_assignment`` of scipy's compiled module
+    ``scipy.optimize._lsap``, loaded from its file, so that neither
+    scipy/__init__.py nor scipy/optimize/__init__.py (scipy.linalg,
+    _optimize, ...) runs.  Raises if the module is missing or has no such
+    function."""
+    return _load_scipy_module("scipy.optimize._lsap", EXTENSION_SUFFIXES, ExtensionFileLoader).linear_sum_assignment
 
 
 @functools.cache
@@ -122,11 +133,24 @@ def assignment_solver():
         return linear_sum_assignment
 
 
+def scipy_version() -> str:
+    """scipy's version string, the ``version`` of scipy/version.py loaded
+    from its file, which is where ``scipy.__version__`` comes from; if that
+    load fails (no such file, an import error, no such name), the public
+    import's ``scipy.__version__``."""
+    try:
+        return _load_scipy_module("scipy.version", SOURCE_SUFFIXES, SourceFileLoader).version
+    except (ImportError, OSError, AttributeError):
+        import scipy
+
+        return scipy.__version__
+
+
 def linear_sum_assignment(cost: np.ndarray):
     """Exact assignment of ``cost`` by scipy's solver, loaded on the first
     call as the compiled ``_lsap`` extension (the public import is the
-    fallback): no command imports scipy.optimize, and commands that solve no
-    assignment load no solver at all."""
+    fallback): no command imports the scipy package, and commands that
+    solve no assignment load no solver at all."""
     return assignment_solver()(cost)
 
 

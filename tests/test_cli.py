@@ -609,6 +609,24 @@ def test_run_worker_failure_exits_like_in_process(tmp_path, monkeypatch, capsys,
         assert_nothing_left()
 
 
+# the step leaves the nonexpansiveness window on purpose, and numpy warns as
+# the chain overflows
+@pytest.mark.filterwarnings("ignore")
+def test_a_diverging_chain_names_its_step(tmp_path, capsys, monkeypatch):
+    # sgd with step t = 100 overflows within 200 steps; recorded step 200 is
+    # the first one checked, so the message names it, in this process and in
+    # a worker alike.  The run exits 1 and writes no file
+    monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
+    for workers in (1, 2):
+        cfg = write_config(tmp_path, scenario={"name": "sgd_linear_noise", "params": {"t": 100.0}},
+                           ensemble_size=50, iterations=400, record_every=100, workers=workers)
+        out = tmp_path / str(workers)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == ("failure: ValueError: the chain diverged at or before step 200: "
+                                           "non-finite coordinates in euclidean points\n")
+        assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("scenario, size", [
     ({"name": "kaczmarz", "params": {"m": 80, "n": 64, "instance_seed": 0}}, 1024),
     ({"name": "phase_retrieval", "params": {"n": 64, "instance_seed": 0}}, 600),
@@ -1148,7 +1166,9 @@ def test_predicted_rate(report, epsilon):
 # what a command loads
 # ---------------------------------------------------------------------------
 
-_LOADED = "import sys; print('=>', json.dumps([m in sys.modules for m in ('scipy.optimize', 'scipy.linalg')]))"
+# the packages a command should load only where it needs them
+_WATCHED = ("scipy", "scipy.optimize", "scipy.linalg", "multiprocessing", "concurrent.futures")
+_LOADED = f"import sys; print('=>', json.dumps([m for m in {_WATCHED!r} if m in sys.modules]))"
 
 
 def _fresh_python(script: str) -> list:
@@ -1162,9 +1182,9 @@ def _fresh_python(script: str) -> list:
 
 
 def test_scipy_solver_loads_only_for_assignment(tmp_path):
-    # importing the CLI, a contraction run (sorted W2) and a rate fit load
-    # neither scipy.optimize nor scipy.linalg; the solver's name is there to
-    # patch before any solve
+    # importing the CLI, a contraction run on one worker (sorted W2), a rate
+    # fit and a regularity estimate load neither the scipy package nor the
+    # pool machinery; the solver's name is there to patch before any solve
     cfg = write_config(tmp_path, workers=1)
     out = tmp_path / "o"
     script = f"""
@@ -1175,9 +1195,26 @@ assert rfilab.cli.main(["run", "--config", {str(cfg)!r}, "--out", {str(out)!r}])
 {_LOADED}
 assert rfilab.cli.main(["rate", {str(out)!r}]) == 0
 {_LOADED}
+assert rfilab.cli.main(["regularity", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "r")!r}]) == 0
+{_LOADED}
 """
     lines = _fresh_python(script)
-    assert lines == [[False, False], True, [False, False], [False, False]]
+    assert lines == [[], True, [], [], []]
+
+
+def test_only_a_pooled_run_loads_the_pool_machinery(tmp_path):
+    # on two workers the run forks a pool, and only then are multiprocessing
+    # and concurrent.futures imported; still no scipy
+    cfg = write_config(tmp_path, workers=2)
+    out = tmp_path / "o"
+    script = f"""
+import json, rfilab.cli
+rfilab.cli.usable_cpus = lambda: 2
+assert rfilab.cli.main(["run", "--config", {str(cfg)!r}, "--out", {str(out)!r}]) == 0
+{_LOADED}
+"""
+    assert _fresh_python(script) == [["multiprocessing", "concurrent.futures"]]
+    assert json.loads((out / "manifest.json").read_text())["timings"]["workers_used"] == 2
 
 
 def test_run_with_rates_loads_no_numpy_ma(tmp_path):
@@ -1199,7 +1236,9 @@ print("=>", json.dumps("numpy.ma" in sys.modules))
 
 def test_assignment_run_imports_no_scipy_optimize(tmp_path):
     # kaczmarz in R^2 solves assignments; the solver is the compiled _lsap
-    # module, loaded without scipy/optimize/__init__.py
+    # module and the version is scipy/version.py, each loaded from its file
+    # without scipy/__init__.py or scipy/optimize/__init__.py; the version
+    # is the one a later `import scipy` gives
     cfg = write_config(tmp_path, workers=1, scenario={"name": "kaczmarz", "params": {"m": 3, "n": 2}},
                        ensemble_size=30, iterations=4)
     out = tmp_path / "o"
@@ -1207,14 +1246,20 @@ def test_assignment_run_imports_no_scipy_optimize(tmp_path):
 import json, rfilab.cli
 assert rfilab.cli.main(["run", "--config", {str(cfg)!r}, "--out", {str(out)!r}]) == 0
 {_LOADED}
+import scipy
+print("=>", json.dumps(scipy.__version__))
 """
-    assert _fresh_python(script) == [[False, False]]
-    assert json.loads((out / "manifest.json").read_text())["timings"]["assignment_solves"] > 0
+    loaded, version = _fresh_python(script)
+    assert loaded == []
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["timings"]["assignment_solves"] > 0
+    assert manifest["versions"]["scipy"] == version
 
 
 def test_wasserstein_imports_no_scipy_optimize_and_a_later_import_agrees(tmp_path):
-    # `rfilab wasserstein` on two R^2 files loads neither package; importing
-    # scipy.optimize afterwards still works and solves to the same permutation
+    # `rfilab wasserstein` on two R^2 files loads neither scipy nor the pool
+    # machinery; importing scipy.optimize afterwards still works and solves
+    # to the same permutation
     import numpy as np
 
     from rfilab.geometry import EuclideanSpace
@@ -1229,12 +1274,12 @@ import json, numpy as np, rfilab.cli, rfilab.transport
 assert rfilab.cli.main(["wasserstein", {str(a)!r}, {str(b)!r}]) == 0
 {_LOADED}
 import scipy.optimize
-{_LOADED}
+print("=>", json.dumps([m in sys.modules for m in ("scipy", "scipy.optimize", "scipy.linalg")]))
 cost = np.random.default_rng(6).random((50, 50))
 ours, public = rfilab.transport.linear_sum_assignment(cost), scipy.optimize.linear_sum_assignment(cost)
 print("=>", json.dumps([np.array_equal(x, y) for x, y in zip(ours, public)]))
 """
-    assert _fresh_python(script) == [[False, False], [True, True], [True, True]]
+    assert _fresh_python(script) == [[], [True, True, True], [True, True]]
 
 
 def test_worker_blas_runs_one_thread():

@@ -195,17 +195,28 @@ class _RefusingLoader:
 
 @pytest.mark.parametrize("failure", ["loader_raises", "no_file"])
 def test_assignment_solver_falls_back_to_the_public_import(monkeypatch, failure):
-    # the compiled module is read from its file, not taken from sys.modules
-    monkeypatch.delitem(sys.modules, "scipy.optimize._lsap", raising=False)
+    import scipy
+
+    # the compiled module and the version file are read from their files,
+    # not taken from sys.modules
+    for name in ("scipy.optimize._lsap", "scipy.version"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
     direct = transport._load_compiled_solver()
-    monkeypatch.delitem(sys.modules, "scipy.optimize._lsap", raising=False)
+    assert transport.scipy_version() == scipy.__version__
+    for name in ("scipy.optimize._lsap", "scipy.version"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
     if failure == "loader_raises":
         monkeypatch.setattr(transport, "ExtensionFileLoader", _RefusingLoader)
+        monkeypatch.setattr(transport, "SourceFileLoader", _RefusingLoader)
     else:
         monkeypatch.setattr(transport, "EXTENSION_SUFFIXES", [".no-such-suffix.so"])
+        monkeypatch.setattr(transport, "SOURCE_SUFFIXES", [".no-such-suffix.py"])
     with pytest.raises(ImportError):
         transport._load_compiled_solver()
     fallback = transport.assignment_solver.__wrapped__()  # uncached: this process keeps its solver
+    # the version is the public import's, marked here to tell the two apart
+    monkeypatch.setattr(scipy, "__version__", "public")
+    assert transport.scipy_version() == "public"
 
     import scipy.optimize
 
