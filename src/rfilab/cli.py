@@ -12,7 +12,8 @@ Configs are JSON documents checked before any computation against
 type, its default and, for an integer or a string, its lower bound; only
 the rules that tie keys together are written out in ``validate_config``.
 The scenario parameters' keys and values are checked once, by
-``build_scenario``, and a parameter it rejects is a config error too.
+``build_scenario``, against the signature of the scenario's builder, and a
+parameter it rejects is a config error too.
 ``run`` and ``rate`` fit rates with one function, ``_fit_rates``.  All CSV
 outputs are byte-deterministic for a fixed config, and reruns reproduce
 files exactly.  ``run`` splits its independent work into jobs, each one
@@ -698,6 +699,8 @@ def cmd_rate(results_dir) -> int:
                 psi.append(float(p) if p else np.nan)
             except ValueError as exc:
                 raise ConfigError(f"{series_path}:{lineno}: expected an integer step and two numbers ({exc})") from exc
+            if len(steps) > 1 and steps[-1] <= steps[-2]:
+                raise ConfigError(f"{series_path}:{lineno}: step {steps[-1]} does not follow step {steps[-2]}")
     if all(np.isnan(w2)):
         raise ConfigError(f"{series_path}: no Wasserstein series recorded (enable diagnostics.wasserstein)")
 
@@ -712,16 +715,17 @@ def cmd_rate(results_dir) -> int:
 
     with (out / "rates_series.csv").open("w", newline="", encoding="utf-8") as fh:
         fh.write("k,W2_to_pi,psi_hat,ratio\n")
-        prev = None
+        prev_k = prev_w = None
         for k, w, p in zip(steps, w2, psi):
+            # the ratio per step: a ratio of entries g steps apart is taken to the power 1/g
             ratio = None
-            if prev is not None and np.isfinite(prev) and prev > 0 and np.isfinite(w):
-                ratio = w / prev
+            if prev_w is not None and np.isfinite(prev_w) and prev_w > 0 and np.isfinite(w):
+                ratio = (w / prev_w) ** (1.0 / (k - prev_k))
             fh.write(
                 f"{k},{_float_repr(None if np.isnan(w) else w)},"
                 f"{_float_repr(None if np.isnan(p) else p)},{_float_repr(ratio)}\n"
             )
-            prev = w
+            prev_k, prev_w = k, w
 
     if rate_report.converged_within_floor:
         print("series converged within the Monte-Carlo floor; no rate fitted")

@@ -40,7 +40,6 @@ __all__ = [
     "RegularityReport",
     "RegularityBlock",
     "psi_array",
-    "psi_estimation_array",
     "estimate_violation",
     "estimate_violation_in_expectation",
     "fb_violation_bound",
@@ -54,7 +53,17 @@ VIOLATION_ROWS = 256
 
 
 def psi_array(space: Space, X: np.ndarray, X0: np.ndarray, FX: np.ndarray, FX0: np.ndarray) -> np.ndarray:
-    """Vectorized transport discrepancy over rows of packed point arrays."""
+    """Vectorized transport discrepancy over rows of packed point arrays.
+
+    In inner-product spaces the six-distance combination equals the squared
+    displacement difference ||(x - Fx) - (x0 - Fx0)||^2 identically; that
+    representation is free of the cancellation noise the six distance
+    squares accumulate, so it is used there.  Elsewhere the definition
+    applies directly.
+    """
+    if isinstance(space, EuclideanSpace):
+        d = (X - FX) - (X0 - FX0)
+        return np.sum((d * d.conj()).real, axis=1)
     d = space.pair_dist
     return (
         d(FX, X) ** 2
@@ -64,21 +73,6 @@ def psi_array(space: Space, X: np.ndarray, X0: np.ndarray, FX: np.ndarray, FX0: 
         - d(FX, X0) ** 2
         - d(X, FX0) ** 2
     )
-
-
-def psi_estimation_array(space: Space, X: np.ndarray, X0: np.ndarray, FX: np.ndarray, FX0: np.ndarray) -> np.ndarray:
-    """psi for the sampled estimators.
-
-    In inner-product spaces the six-term combination equals the squared
-    displacement difference ||(x - Fx) - (x0 - Fx0)||^2 identically; that
-    representation is free of the cancellation noise the six distance
-    squares accumulate, so the estimators use it there.  Elsewhere the
-    definition applies directly.
-    """
-    if isinstance(space, EuclideanSpace):
-        d = (X - FX) - (X0 - FX0)
-        return np.sum((d * d.conj()).real, axis=1)
-    return psi_array(space, X, X0, FX, FX0)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +224,7 @@ def estimate_violation_in_expectation(
             a, b = A[lo:hi], B[lo:hi]
             Fa, Fb = op.apply(a), op.apply(b)
             d2F_op[lo:hi] = space.pair_dist(Fa, Fb) ** 2
-            psi_op[lo:hi] = psi_estimation_array(space, a, b, Fa, Fb)
+            psi_op[lo:hi] = psi_array(space, a, b, Fa, Fb)
         per_operator.append(report(d2F_op, psi_op))
         if w != 0.0:
             d2F += w * d2F_op

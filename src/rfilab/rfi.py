@@ -76,20 +76,23 @@ def run_ensemble(cfg: ChainConfig) -> Trajectory:
     """Evolve the particle ensemble; particle p's draw at step k depends only
     on (seed, p, k), never on the ensemble size.  Only recorded steps are
     checked, so a recorded step with a non-finite coordinate raises a
-    ValueError saying the chain diverged at or before that step."""
+    ValueError saying the chain diverged at or before that step; numpy's
+    overflow and invalid-value warnings are off while the chain steps (the
+    last step is always recorded, so the error still comes)."""
     family = cfg.family
     pts = cfg.initial.points.copy()
     n = len(pts)
     steps = recorded_steps(cfg.iterations, cfg.record_every)
     record = set(steps)
     ensembles = [Ensemble(cfg.initial.space, pts)]
-    for k in range(cfg.iterations):
-        gen = _generator(cfg.seed, STREAM_STEP, k)
-        idx = family.sample_indices(gen.random(n))
-        pts = family.apply_index(idx, pts)
-        if k + 1 in record:
-            try:
-                ensembles.append(Ensemble(cfg.initial.space, pts))
-            except ValueError as exc:
-                raise ValueError(f"the chain diverged at or before step {k + 1}: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(cfg.iterations):
+            gen = _generator(cfg.seed, STREAM_STEP, k)
+            idx = family.sample_indices(gen.random(n))
+            pts = family.apply_index(idx, pts)
+            if k + 1 in record:
+                try:
+                    ensembles.append(Ensemble(cfg.initial.space, pts))
+                except ValueError as exc:
+                    raise ValueError(f"the chain diverged at or before step {k + 1}: {exc}") from exc
     return Trajectory(steps=steps, ensembles=ensembles)

@@ -14,7 +14,7 @@ import math
 import statistics
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -188,8 +188,9 @@ def scenario_contraction(r: float = 0.5, offset: float = 50.0) -> Scenario:
 # randomized Kaczmarz
 # ---------------------------------------------------------------------------
 
-def scenario_kaczmarz(A=None, b=None, consistent: bool = False, m: int = 3, n: int = 2, instance_seed: int = 0,
-                      perturbation: float = 1.0, init_scale: float = 5.0) -> Scenario:
+def scenario_kaczmarz(A: Optional[np.ndarray] = None, b: Optional[np.ndarray] = None, consistent: bool = False,
+                      m: int = 3, n: int = 2, instance_seed: int = 0, perturbation: float = 1.0,
+                      init_scale: float = 5.0) -> Scenario:
     """Random hyperplane projections for the system <a_j, x> = b_j.
 
     The system is (A, b), or, when neither is given, the random m x n
@@ -246,7 +247,8 @@ def random_kaczmarz_instance(m: int, n: int, consistent: bool, seed: int, pertur
 # stochastic gradient descent with linear noise
 # ---------------------------------------------------------------------------
 
-def scenario_sgd_linear_noise(Q=None, dim: int = 1, q=None, atoms=None, t: float = 0.5) -> Scenario:
+def scenario_sgd_linear_noise(Q: Optional[np.ndarray] = None, dim: int = 1, q: Optional[np.ndarray] = None,
+                              atoms: Optional[Sequence[np.ndarray]] = None, t: float = 0.5) -> Scenario:
     """Gradient steps on f_i(x) = x'Qx/2 + <q, x> + <zeta_i, x> over uniform
     noise atoms zeta_i: forward-backward splitting with g = 0, whose
     resolvent is the identity.
@@ -572,50 +574,30 @@ def _floats(value) -> np.ndarray:
 
 class ParamError(ValueError):
     """A scenario parameter that the scenario does not take, or whose value
-    its converter or its builder rejects; ``args`` is ``(key, message)``.  A
-    builder checks a range (contraction ``r``, phase_retrieval ``n`` and
-    ``relax``, spider ``lam`` and ``legs``, dr_parallel_lines ``gap``, sgd
-    ``t``), a size of at least 1 (kaczmarz ``m`` and ``n``, phase_retrieval
-    ``n`` and ``n_masks``, sgd ``dim``), a length (kaczmarz ``b``, sgd ``q``
-    and ``atoms``, spider ``anchors``), a matrix (kaczmarz ``A``, sgd ``Q``)
-    or a pair of keys given together (kaczmarz ``A`` and ``b``: the one
-    missing is named)."""
+    its converter or its builder rejects; ``args`` is ``(key, message)``."""
 
     def __str__(self) -> str:
         return f"parameter '{self.args[0]}': {self.args[1]}"
 
 
-class ScenarioBuilder(NamedTuple):
-    """Registry entry: ``build(**params)`` and the converter of each key's
-    JSON value; the defaults are those of ``build``'s signature."""
+# the JSON converter of a builder parameter, by its annotation
+CONVERTERS = {
+    bool: _boolean,
+    int: _integer,
+    Optional[int]: _integer,
+    float: _number,
+    Optional[np.ndarray]: _floats,
+    Optional[Sequence[np.ndarray]]: lambda atoms: [_floats(a) for a in atoms],
+    Sequence[SpiderPoint]: lambda anchors: [SpiderPoint(_integer(leg), _number(radius)) for leg, radius in anchors],
+}
 
-    build: Callable[..., Scenario]
-    params: Dict[str, Callable]
-
-
+# scenario <name> is built by scenario_<name>, whose signature declares the
+# scenario's JSON keys, in order, their converters (by annotation, through
+# CONVERTERS) and their defaults
 SCENARIO_BUILDERS = {
-    "two_point": ScenarioBuilder(scenario_two_point, {}),
-    "contraction": ScenarioBuilder(scenario_contraction, {"r": _number, "offset": _number}),
-    "kaczmarz": ScenarioBuilder(
-        scenario_kaczmarz,
-        {"A": _floats, "b": _floats, "consistent": _boolean, "m": _integer, "n": _integer, "instance_seed": _integer,
-         "perturbation": _number, "init_scale": _number},
-    ),
-    "sgd_linear_noise": ScenarioBuilder(
-        scenario_sgd_linear_noise,
-        {"Q": _floats, "dim": _integer, "q": _floats, "atoms": lambda atoms: [_floats(a) for a in atoms],
-         "t": _number},
-    ),
-    "phase_retrieval": ScenarioBuilder(
-        scenario_phase_retrieval,
-        {"n": _integer, "n_masks": _integer, "instance_seed": _integer, "relax": _number, "init_noise": _number},
-    ),
-    "spider_frechet": ScenarioBuilder(
-        scenario_spider_frechet,
-        {"anchors": lambda anchors: [SpiderPoint(_integer(leg), _number(radius)) for leg, radius in anchors],
-         "lam": _number, "legs": _integer},
-    ),
-    "dr_parallel_lines": ScenarioBuilder(scenario_dr_parallel_lines, {"gap": _number, "init_scale": _number}),
+    build.__name__.removeprefix("scenario_"): build
+    for build in (scenario_two_point, scenario_contraction, scenario_kaczmarz, scenario_sgd_linear_noise,
+                  scenario_phase_retrieval, scenario_spider_frechet, scenario_dr_parallel_lines)
 }
 
 
@@ -628,15 +610,16 @@ def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
         known = ", ".join(sorted(SCENARIO_BUILDERS))
         raise ValueError(f"unknown scenario '{name}' (known: {known})")
     params = dict(params or {})
-    builder = SCENARIO_BUILDERS[name]
-    unknown = sorted(set(params) - set(builder.params))
+    build = SCENARIO_BUILDERS[name]
+    converters = {key: CONVERTERS[kind] for key, kind in get_type_hints(build).items() if key != "return"}
+    unknown = sorted(set(params) - set(converters))
     if unknown:
-        known = ", ".join(builder.params) or "none"
+        known = ", ".join(converters) or "none"
         raise ParamError(unknown[0], f"not a parameter of '{name}' (known: {known})")
     converted = {}
     for key, value in params.items():
         try:
-            converted[key] = builder.params[key](value)
+            converted[key] = converters[key](value)
         except (TypeError, ValueError, LookupError, OverflowError) as exc:
             raise ParamError(key, str(exc)) from exc
-    return builder.build(**converted)
+    return build(**converted)

@@ -66,7 +66,7 @@ import numpy as np
 
 from .geometry import CROSS_DIST_ROWS, EuclideanSpace, Space, SpiderSpace, row_blocks
 from .operators import OperatorFamily
-from .regularity import psi_estimation_array
+from .regularity import psi_array
 
 __all__ = [
     "Ensemble",
@@ -438,5 +438,5 @@ def markov_transport_discrepancy(
     for w, op in zip(family.weights, family.operators):
         if w == 0.0:
             continue
-        total += w * float(np.mean(psi_estimation_array(family.space, X, Y, op.apply(X), op.apply(Y))))
+        total += w * float(np.mean(psi_array(family.space, X, Y, op.apply(X), op.apply(Y))))
     return float(np.sqrt(max(total, 0.0)))

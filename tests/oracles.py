@@ -1,4 +1,5 @@
-"""Reference helpers that only the tests use: single-point geometry, extra
+"""Reference helpers that only the tests use: single-point geometry, the
+transport discrepancy by its six-distance definition on any space, extra
 operators (with their one-row cases for ``test_call_is_apply_on_a_one_row_ensemble``),
 a Gaussian pair sampler, ``check_submonotone``, the inner-product oracle of
 the a(1/2)-firm violation that ``regularity.estimate_violation`` computes,
@@ -48,7 +49,7 @@ from rfilab.regularity import (
     RegularityBlock,
     RegularityReport,
     _rng,
-    psi_estimation_array,
+    psi_array,
 )
 from rfilab.rfi import STREAM_INIT
 from rfilab.scenarios import SCENARIO_BUILDERS
@@ -62,6 +63,13 @@ def _packed(space: Space, x) -> np.ndarray:
 def distance(space: Space, a, b) -> float:
     """Metric distance between two points of ``space``."""
     return float(space.pair_dist(_packed(space, a), _packed(space, b))[0])
+
+
+def psi_six_distance(space: Space, X: np.ndarray, X0: np.ndarray, FX: np.ndarray, FX0: np.ndarray) -> np.ndarray:
+    """The transport discrepancy by its definition, on every space:
+    d^2(Fx, x) + d^2(Fx0, x0) + d^2(Fx, Fx0) + d^2(x, x0) - d^2(Fx, x0) - d^2(x, Fx0)."""
+    d = space.pair_dist
+    return d(FX, X) ** 2 + d(FX0, X0) ** 2 + d(FX, FX0) ** 2 + d(X, X0) ** 2 - d(FX, X0) ** 2 - d(X, FX0) ** 2
 
 
 def geodesic_point(space: Space, a, b, t: float):
@@ -297,7 +305,7 @@ def _violation_separately(family: OperatorFamily, alpha: float, sampler: PairSam
         FA = op.apply(A)
         FB = op.apply(B)
         d2F += w * space.pair_dist(FA, FB) ** 2
-        psi += w * psi_estimation_array(space, A, B, FA, FB)
+        psi += w * psi_array(space, A, B, FA, FB)
     d2 = space.pair_dist(A, B) ** 2
     keep = d2 >= MIN_PAIR_DISTANCE**2
     ratio = (d2F[keep] + ((1.0 - alpha) / alpha) * psi[keep] - d2[keep]) / d2[keep]
@@ -354,7 +362,7 @@ def violation_block_whole(family: OperatorFamily, alpha: float, sampler: PairSam
         FA = op.apply(A)
         FB = op.apply(B)
         d2F_op = space.pair_dist(FA, FB) ** 2
-        psi_op = psi_estimation_array(space, A, B, FA, FB)
+        psi_op = psi_array(space, A, B, FA, FB)
         per_operator.append(report(d2F_op, psi_op))
         if w != 0.0:
             d2F += w * d2F_op

@@ -25,6 +25,7 @@ from oracles import (
     balanced_two_point,
     check_submonotone,
     distance,
+    psi_six_distance,
     theta_linear,
 )
 
@@ -234,8 +235,8 @@ def test_c03_psi_identity_and_nonnegativity():
     n = 100_000
     e3 = EuclideanSpace(3)
     X, X0, FX, FX0 = (gen.normal(size=(n, 3)) * 3 for _ in range(4))
-    six = psi_array(e3, X, X0, FX, FX0)
-    disp = np.sum(((X - FX) - (X0 - FX0)) ** 2, axis=1)
+    six = psi_six_distance(e3, X, X0, FX, FX0)
+    disp = psi_array(e3, X, X0, FX, FX0)
     rel = np.abs(six - disp) / np.maximum(np.maximum(np.abs(six), np.abs(disp)), 1.0)
     identity_ok = float(rel.max()) <= 1e-10
 

@@ -1,4 +1,5 @@
 import copy
+import csv
 import functools
 import json
 import multiprocessing
@@ -609,21 +610,26 @@ def test_run_worker_failure_exits_like_in_process(tmp_path, monkeypatch, capsys,
         assert_nothing_left()
 
 
-# the step leaves the nonexpansiveness window on purpose, and numpy warns as
-# the chain overflows
-@pytest.mark.filterwarnings("ignore")
-def test_a_diverging_chain_names_its_step(tmp_path, capsys, monkeypatch):
+def test_a_diverging_chain_names_its_step(tmp_path):
     # sgd with step t = 100 overflows within 200 steps; recorded step 200 is
     # the first one checked, so the message names it, in this process and in
-    # a worker alike.  The run exits 1 and writes no file
-    monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
+    # a worker alike.  The run exits 1 and writes no file.  In a new
+    # interpreter, with Python's default warning filters, stderr has the
+    # builder's step-window warning and no numpy RuntimeWarning
+    src = Path(rfilab.cli.__file__).resolve().parents[1]
+    script = ("import sys, rfilab.cli; rfilab.cli.usable_cpus = lambda: 2; "
+              "sys.exit(rfilab.cli.main(sys.argv[1:]))")
     for workers in (1, 2):
         cfg = write_config(tmp_path, scenario={"name": "sgd_linear_noise", "params": {"t": 100.0}},
                            ensemble_size=50, iterations=400, record_every=100, workers=workers)
         out = tmp_path / str(workers)
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
-        assert capsys.readouterr().err == ("failure: ValueError: the chain diverged at or before step 200: "
-                                           "non-finite coordinates in euclidean points\n")
+        done = subprocess.run([sys.executable, "-B", "-c", script, "run", "--config", str(cfg), "--out", str(out)],
+                              env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_RUNTIME, done.stderr
+        assert done.stderr.endswith("failure: ValueError: the chain diverged at or before step 200: "
+                                    "non-finite coordinates in euclidean points\n")
+        assert "UserWarning: step 100.0 exceeds the nonexpansiveness window" in done.stderr
+        assert "RuntimeWarning" not in done.stderr, done.stderr
         assert list(out.iterdir()) == []
 
 
@@ -960,6 +966,30 @@ def test_cmd_rate_appends_fits(tmp_path, capsys):
     assert (out / "rates_series.csv").read_text().splitlines()[0] == "k,W2_to_pi,psi_hat,ratio"
 
 
+def test_cmd_rate_ratio_is_per_step(tmp_path, capsys):
+    # with record_every 4 consecutive rows are 4 steps apart, and
+    # rates_series.csv takes their ratio to the power 1/4, as the Q-linear
+    # fit does: q_rate is the largest ratio of its window.  The ratio of the
+    # two rows themselves is 0.063 (about 0.5^4) at k = 4, and q_rate 0.77
+    cfg = write_config(tmp_path, scenario={"name": "contraction", "params": {"r": 0.5}}, ensemble_size=2000,
+                       iterations=16, record_every=4, seed=3, diagnostics={"rates": True})
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert main(["rate", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    with (out / "rates_series.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["k"]) for row in rows] == [0, 4, 8, 12, 16]
+    assert rows[0]["ratio"] == ""
+    for prev, row in zip(rows, rows[1:]):
+        assert float(row["ratio"]) == pytest.approx((float(row["W2_to_pi"]) / float(prev["W2_to_pi"])) ** 0.25,
+                                                    rel=1e-12)
+    rates = json.loads((out / "report.json").read_text())["rates"]
+    lo, hi = rates["fit_window"]
+    assert rates["q_linear"]["rate"] == pytest.approx(max(float(row["ratio"]) for row in rows[lo + 1 : hi + 1]),
+                                                      rel=1e-12)
+
+
 def test_cmd_rate_on_one_step_is_not_converged(tmp_path, capsys):
     # K = 0 records one W2, far above the floor: too short to fit, and no
     # evidence of convergence
@@ -995,6 +1025,8 @@ def _report_with(**values) -> str:
     [
         ("series.csv", "k,W2_to_reference,psi_hat\n0,1.0,\n1,0.5\n", "series.csv:3: "),
         ("series.csv", "k,W2_to_reference,psi_hat\n0,abc,\n", "series.csv:2: "),
+        ("series.csv", "k,W2_to_reference,psi_hat\n0,1.0,\n2,0.5,\n2,0.25,\n",
+         "series.csv:4: step 2 does not follow step 2"),
         ("report.json", "{not json", "report.json:1:2: invalid JSON"),
         ("report.json", "[]", "report.json: report schema must be rfilab.report.v1"),
         ("series.csv", b"k,W2_to_reference,psi_hat\n0,1.0,\n1,0.\xff5,\n", "series.csv:3: "),
@@ -1008,7 +1040,7 @@ def _report_with(**values) -> str:
         ("report.json", _report_with(subregularity={"oops": 1}),
          "report.json: subregularity: expected null or an object with a number at r_hat"),
     ],
-    ids=["series_short_row", "series_non_numeric", "report_invalid_json", "report_not_a_report",
+    ids=["series_short_row", "series_non_numeric", "series_step_repeated", "report_invalid_json", "report_not_a_report",
          "series_non_utf8_row", "series_non_utf8_header", "report_non_utf8", "report_floor_string",
          "report_bound_list", "report_regularity_without_epsilon", "report_alpha_string",
          "report_subregularity_without_r_hat"],

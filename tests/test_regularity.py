@@ -9,6 +9,7 @@ from oracles import (
     SphereProjection,
     box_pairs_summed,
     check_submonotone,
+    psi_six_distance,
     regularity_block_separately,
     violation_block_whole,
 )
@@ -58,15 +59,18 @@ def test_psi_trivial_cancellations():
 def test_psi_displacement_identity_example():
     # both the six-term form and the displacement form give 1 here
     zero, one = R1.pack([0.0]), R1.pack([1.0])
-    val = psi_array(R1, zero, one, zero, zero)[0]
-    assert val == pytest.approx(1.0, abs=1e-12)
+    assert psi_six_distance(R1, zero, one, zero, zero)[0] == pytest.approx(1.0, abs=1e-12)
+    assert psi_array(R1, zero, one, zero, zero)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_psi_equals_displacement_form_bulk(rng):
+    # psi_array takes the displacement form on a Euclidean space: it agrees
+    # with the six-distance definition up to that form's cancellation noise
     n = 100_000
     X, X0, FX, FX0 = (rng.normal(size=(n, 3)) * 3 for _ in range(4))
-    six_term = psi_array(EuclideanSpace(3), X, X0, FX, FX0)
-    displacement = np.sum(((X - FX) - (X0 - FX0)) ** 2, axis=1)
+    six_term = psi_six_distance(EuclideanSpace(3), X, X0, FX, FX0)
+    displacement = psi_array(EuclideanSpace(3), X, X0, FX, FX0)
+    assert np.array_equal(displacement, np.sum(((X - FX) - (X0 - FX0)) ** 2, axis=1))
     scale = np.maximum(np.abs(six_term), np.abs(displacement))
     rel = np.abs(six_term - displacement) / np.maximum(scale, 1.0)
     assert np.max(rel) <= 1e-10

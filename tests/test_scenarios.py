@@ -1,4 +1,5 @@
 import inspect
+from typing import Optional, get_type_hints
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from rfilab.regularity import (
 )
 from rfilab.rfi import ChainConfig, derive_seed, run_ensemble
 from rfilab.scenarios import (
+    CONVERTERS,
     SCENARIO_BUILDERS,
     ParamError,
     build_scenario,
@@ -381,21 +383,41 @@ def test_build_scenario_registry():
 @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
 def test_scenario_function_is_its_one_declaration(name):
     # the registry builds with scenario_<name> itself, whose parameters are
-    # exactly the JSON keys, in order, with the defaults in its signature
-    build, params = SCENARIO_BUILDERS[name]
+    # exactly the JSON keys, in order, with the defaults in its signature and
+    # each converter picked by the parameter's annotation
+    build = SCENARIO_BUILDERS[name]
     assert build.__name__ == f"scenario_{name}"
-    assert list(inspect.signature(build).parameters) == list(params)
+    hints = get_type_hints(build)
+    for key in inspect.signature(build).parameters:
+        assert key in hints, f"{name}: parameter '{key}' has no annotation"
+        assert hints[key] in CONVERTERS, f"{name}: no JSON converter for '{key}: {hints[key]}'"
+
+
+def _keys(name):
+    return list(inspect.signature(SCENARIO_BUILDERS[name]).parameters)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
 def test_build_scenario_rejects_unknown_params(name):
     # {"R": 0.9} used to build contraction with r = 0.5, the default
-    assert "R" not in SCENARIO_BUILDERS[name].params
-    known = ", ".join(SCENARIO_BUILDERS[name].params) or "none"
+    assert "R" not in _keys(name)
+    known = ", ".join(_keys(name)) or "none"
     with pytest.raises(ParamError) as caught:
         build_scenario(name, {"R": 0.9, "r": "x"})
     # the unknown key is named before any value is converted
     assert caught.value.args == ("R", f"not a parameter of '{name}' (known: {known})")
+
+
+def test_a_parameter_added_to_a_signature_is_a_json_key(monkeypatch):
+    # the signature is the one declaration: no second list names the key
+    def scenario_dr_parallel_lines(gap: float = 2.0, init_scale: float = 1.0, tilt: Optional[int] = None):
+        return (gap, init_scale, tilt)
+
+    monkeypatch.setitem(SCENARIO_BUILDERS, "dr_parallel_lines", scenario_dr_parallel_lines)
+    assert build_scenario("dr_parallel_lines", {"tilt": 3, "gap": 1}) == (1.0, 1.0, 3)
+    with pytest.raises(ParamError) as caught:
+        build_scenario("dr_parallel_lines", {"tilt": 1.5})
+    assert caught.value.args == ("tilt", "expected an integer, got float")
 
 
 # a valid value of each declared key, with the keys it needs alongside
@@ -428,9 +450,7 @@ PARAM_SAMPLES = {
 }
 
 
-@pytest.mark.parametrize(
-    "name, key", [(name, key) for name, builder in SCENARIO_BUILDERS.items() for key in builder.params]
-)
+@pytest.mark.parametrize("name, key", [(name, key) for name in SCENARIO_BUILDERS for key in _keys(name)])
 def test_build_scenario_accepts_every_declared_key(name, key):
     params = PARAM_SAMPLES[name, key]
     assert key in params
