@@ -413,8 +413,9 @@ def _series_point(spec: tuple, space, ens: Path, reference: Path, want_w2: bool,
 
 
 def _floor_solve(space, reference: Path, sample: Path) -> float:
-    """The W2 of :func:`floor_draw`, which a run splits in two jobs: the
-    sample does not need the reference, and is drawn while it burns in."""
+    """One floor draw, the W2 from the reference to a :func:`floor_sample`,
+    which a run splits in two jobs: the sample does not need the reference,
+    and is drawn while it burns in."""
     return wasserstein(_load(space, reference), _load(space, sample), p=2.0)[0]
 
 
@@ -613,7 +614,6 @@ def cmd_run(config_path, out_dir) -> int:
         "floor": floor,
         "recorded_steps": steps,
         "versions": {"rfilab": __version__, "numpy": np.__version__, "scipy": transport.scipy_version()},
-        "seed": cfg["seed"],
         "wall_time_s": time.perf_counter() - started,
         "timings": pool.timings(),
         "notes": scenario.notes,

@@ -10,11 +10,12 @@ instance seed; the CLI addresses scenarios by name through
 
 from __future__ import annotations
 
+import inspect
 import math
 import statistics
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, get_type_hints
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +53,6 @@ __all__ = [
     "long_run_reference",
     "floor_source",
     "floor_sample",
-    "floor_draw",
     "monte_carlo_floor",
     "floor_seeds",
     "build_scenario",
@@ -71,8 +71,8 @@ class GroundTruth:
     ``invariant_sampler(n, seed)``, where there is one, returns n i.i.d.
     draws of the invariant measure, and distinct seeds give independent
     ensembles: the Monte-Carlo floor compares a reference with draws under
-    other seeds (see :func:`floor_draw`), so an ensemble that is the same
-    for every seed would read as a floor of 0.
+    other seeds (see :func:`monte_carlo_floor`), so an ensemble that is the
+    same for every seed would read as a floor of 0.
     """
 
     invariant_sampler: Optional[Callable[[int, int], Ensemble]] = None
@@ -83,6 +83,11 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A built scenario.  ``params``, which a run's manifest writes as
+    ``scenario_params``, is set by :func:`build_scenario` to every
+    parameter of the builder's signature, in order: the JSON value given,
+    else the default (None where the builder derives the value)."""
+
     name: str
     space: Space
     family: OperatorFamily
@@ -146,10 +151,11 @@ def scenario_contraction(r: float = 0.5, offset: float = 50.0) -> Scenario:
     The invariant measure is the law of sum_j r^j zeta_j with zeta = +-1
     uniform (uniform on [-2, 2] when r = 1/2); the ground-truth sampler
     truncates the series far below double precision.  It draws the signs in
-    blocks of 1024 rows: at r = 1/2 a block's signs and their indices take
-    0.9 MB, where one (N, depth) draw took 43 MB at N = 50,000.  The
-    generator's stream does not depend on the split, so the signs are those
-    of one (N, depth) draw.
+    blocks of at most 1024 rows and 1024**2 signs: at r = 1/2 (depth 54) a
+    block's signs and their indices take 0.9 MB, where one (N, depth) draw
+    took 43 MB at N = 50,000, and at r = 0.999 a draw peaks at 16 MiB,
+    where blocks of 1024 rows took 576 MiB.  The generator's stream does
+    not depend on the split, so the signs are those of one (N, depth) draw.
     """
     if not 0.0 < r < 1.0:
         raise ParamError("r", f"contraction factor must lie in (0, 1), got {r}")
@@ -167,11 +173,12 @@ def scenario_contraction(r: float = 0.5, offset: float = 50.0) -> Scenario:
         return Ensemble(space, offset + gen.uniform(-1.0, 1.0, size=(n, 1)))
 
     powers = r ** np.arange(depth)
+    rows = max(1, min(SAMPLER_ROWS, SAMPLER_ROWS**2 // depth))
 
     def invariant(n: int, seed: int) -> Ensemble:
         gen = _init_rng(seed)
         pts = np.empty((n, 1))
-        for lo, hi in row_blocks(n, SAMPLER_ROWS):
+        for lo, hi in row_blocks(n, rows):
             pts[lo:hi, 0] = gen.choice([-1.0, 1.0], size=(hi - lo, depth)) @ powers
         return Ensemble(space, pts)
 
@@ -181,7 +188,7 @@ def scenario_contraction(r: float = 0.5, offset: float = 50.0) -> Scenario:
         violation_bound=0.0,
         extras={"r": r, "subregularity_constant": 1.0 / (1.0 - r)},
     )
-    return Scenario("contraction", space, family, initial, truth, params={"r": r, "offset": offset})
+    return Scenario("contraction", space, family, initial, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +236,7 @@ def scenario_kaczmarz(A: Optional[np.ndarray] = None, b: Optional[np.ndarray] = 
             return Ensemble(space, np.tile(x_star, (n, 1)))
 
     truth = GroundTruth(invariant_sampler=invariant, alpha=0.5, violation_bound=0.0, extras=extras)
-    return Scenario("kaczmarz", space, family, initial, truth, params={"consistent": consistent})
+    return Scenario("kaczmarz", space, family, initial, truth)
 
 
 def random_kaczmarz_instance(m: int, n: int, consistent: bool, seed: int, perturbation: float = 1.0):
@@ -324,7 +331,7 @@ def scenario_sgd_linear_noise(Q: Optional[np.ndarray] = None, dim: int = 1, q: O
         violation_bound=fb_violation_bound(t, f.lipschitz, f.tau, 0.0),
         extras=extras,
     )
-    return Scenario("sgd_linear_noise", space, family, initial, truth, params={"t": t}, notes=notes)
+    return Scenario("sgd_linear_noise", space, family, initial, truth, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +387,7 @@ def scenario_phase_retrieval(
             "tau_f": 0.0,
         },
     )
-    return Scenario(
-        "phase_retrieval",
-        space,
-        family,
-        initial,
-        truth,
-        params={"n": n, "n_masks": n_masks, "instance_seed": instance_seed, "relax": relax},
-    )
+    return Scenario("phase_retrieval", space, family, initial, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +395,7 @@ def scenario_phase_retrieval(
 # ---------------------------------------------------------------------------
 
 def scenario_spider_frechet(
-    anchors: Sequence[SpiderPoint] = (SpiderPoint(0, 1.0), SpiderPoint(1, 1.0), SpiderPoint(2, 1.0)),
+    anchors: Sequence[SpiderPoint] = ((0, 1.0), (1, 1.0), (2, 1.0)),
     lam: float = 0.1,
     legs: Optional[int] = None,
 ) -> Scenario:
@@ -429,7 +429,7 @@ def scenario_spider_frechet(
         violation_bound=0.0,
         extras={"anchors": anchors, "frechet_mean": mean, "lam": lam},
     )
-    return Scenario("spider_frechet", space, family, initial, truth, params={"lam": lam, "legs": space.legs})
+    return Scenario("spider_frechet", space, family, initial, truth)
 
 
 def spider_frechet_mean(space: SpiderSpace, points: np.ndarray) -> SpiderPoint:
@@ -479,7 +479,7 @@ def scenario_dr_parallel_lines(gap: float = 2.0, init_scale: float = 1.0) -> Sce
         return Ensemble(space, init_scale * gen.normal(size=(n, 2)))
 
     truth = GroundTruth(alpha=0.5, violation_bound=dr_violation_bound(0.0, 0.0), extras={"gap": gap})
-    return Scenario("dr_parallel_lines", space, family, initial, truth, params={"gap": gap})
+    return Scenario("dr_parallel_lines", space, family, initial, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -513,24 +513,19 @@ def floor_sample(scenario: Scenario, n: int, steps: int, seed: int) -> Ensemble:
     return scenario.ground_truth.invariant_sampler(n, seed)
 
 
-def floor_draw(scenario: Scenario, n: int, steps: int, reference: Ensemble, seed: int) -> float:
-    """One floor draw: W2 from ``reference`` to a fresh sample
-    (:func:`floor_sample` under ``seed``).  Against the reference a W2 series
-    is measured to, it is one draw of the level that series settles at once
-    the chain has reached the invariant measure, E[W2(sample, reference) |
-    reference]."""
-    return wasserstein(reference, floor_sample(scenario, n, steps, seed), p=2.0)[0]
-
-
 def monte_carlo_floor(scenario: Scenario, n: int, steps: int, seed: int, repeats: int = 3) -> float:
     """The resolution limit of W2 estimates against a reference of N
-    particles: the median of ``repeats`` floor draws (:func:`floor_draw`,
-    under :func:`floor_seeds`) against a reference that is itself a fresh
-    sample, drawn under the first seed, ``derive_seed(seed, 11)``.  A
-    single draw fluctuates by a factor of 2-3, hence the median.  A run
-    measures its floor against its own reference instead (``cli.cmd_run``)."""
+    particles: the median of ``repeats`` floor draws, each the W2 from the
+    reference to a fresh sample (:func:`floor_sample` under one of
+    :func:`floor_seeds`), which estimates E[W2(sample, reference) |
+    reference], the level a W2 series settles at once the chain is
+    invariant.  The reference is itself a fresh sample, drawn under
+    ``derive_seed(seed, 11)``.  A single draw fluctuates by a factor of
+    2-3, hence the median.  A run measures its floor against its own
+    reference instead (``cli.cmd_run``)."""
     reference = floor_sample(scenario, n, steps, derive_seed(seed, 11))
-    return statistics.median([floor_draw(scenario, n, steps, reference, s) for s in floor_seeds(seed, repeats)])
+    return statistics.median([wasserstein(reference, floor_sample(scenario, n, steps, s), p=2.0)[0]
+                              for s in floor_seeds(seed, repeats)])
 
 
 def floor_seeds(seed: int, repeats: int = 3) -> list:
@@ -593,7 +588,7 @@ CONVERTERS = {
 
 # scenario <name> is built by scenario_<name>, whose signature declares the
 # scenario's JSON keys, in order, their converters (by annotation, through
-# CONVERTERS) and their defaults
+# CONVERTERS) and their defaults, and so what the manifest records
 SCENARIO_BUILDERS = {
     build.__name__.removeprefix("scenario_"): build
     for build in (scenario_two_point, scenario_contraction, scenario_kaczmarz, scenario_sgd_linear_noise,
@@ -602,16 +597,18 @@ SCENARIO_BUILDERS = {
 
 
 def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
-    """Scenario ``name`` built from the JSON values ``params``.  A key the
-    scenario does not take, or a value its converter rejects, is a
-    :class:`ParamError` naming the key (the first unknown key, in sorted
-    order, before any value is converted)."""
+    """Scenario ``name`` built from the JSON values ``params``, which its
+    ``params`` record (see :class:`Scenario`).  A key the scenario does not
+    take, or a value its converter rejects, is a :class:`ParamError` naming
+    the key (the first unknown key, in sorted order, before any value is
+    converted)."""
     if name not in SCENARIO_BUILDERS:
         known = ", ".join(sorted(SCENARIO_BUILDERS))
         raise ValueError(f"unknown scenario '{name}' (known: {known})")
     params = dict(params or {})
     build = SCENARIO_BUILDERS[name]
-    converters = {key: CONVERTERS[kind] for key, kind in get_type_hints(build).items() if key != "return"}
+    signature = inspect.signature(build, eval_str=True).parameters
+    converters = {key: CONVERTERS[param.annotation] for key, param in signature.items()}
     unknown = sorted(set(params) - set(converters))
     if unknown:
         known = ", ".join(converters) or "none"
@@ -622,4 +619,5 @@ def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
             converted[key] = converters[key](value)
         except (TypeError, ValueError, LookupError, OverflowError) as exc:
             raise ParamError(key, str(exc)) from exc
-    return build(**converted)
+    record = {key: params.get(key, param.default) for key, param in signature.items()}
+    return replace(build(**converted), params=record)

@@ -390,9 +390,44 @@ def test_run_writes_all_outputs(tmp_path):
     assert report["regularity"]["in_expectation"]["epsilon_hat"] <= 1e-8
     assert report["rates"] is not None
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 7
+    assert manifest["config"]["seed"] == 7
     assert manifest["reference"]["mode"] == "burn_in"
     assert "numpy" in manifest["versions"]
+
+
+# a config's params for each scenario: some keys given, the rest defaulted
+GIVEN_PARAMS = {
+    "two_point": {},
+    "contraction": {"r": 0.7},
+    "kaczmarz": {"A": [[1.0, 0.0], [1.0, 1.0]], "b": [1, 2], "consistent": True},
+    "sgd_linear_noise": {"dim": 2, "t": 0.25},
+    "phase_retrieval": {"n": 8, "n_masks": 2},
+    "spider_frechet": {"anchors": [[0, 2.0], [3, 1.0]]},
+    "dr_parallel_lines": {"gap": 1},
+}
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_manifest_scenario_params_record_every_builder_parameter(tmp_path, name):
+    # every parameter of the builder's signature, at the config's JSON value
+    # where one is given and else at the signature's default, which is null
+    # where the builder derives the value (kaczmarz A and b, sgd Q, q and
+    # atoms, spider legs)
+    import inspect
+
+    from rfilab.scenarios import SCENARIO_BUILDERS
+
+    given = GIVEN_PARAMS[name]
+    cfg = write_config(tmp_path, scenario={"name": name, "params": given}, ensemble_size=20, iterations=2,
+                       diagnostics={"wasserstein": False, "psi": False})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    recorded = json.loads((tmp_path / "o" / "manifest.json").read_text())["scenario_params"]
+    signature = inspect.signature(SCENARIO_BUILDERS[name]).parameters
+    assert sorted(recorded) == sorted(signature)
+    for key, param in signature.items():
+        assert recorded[key] == json.loads(json.dumps(given.get(key, param.default))), key
+    if name == "spider_frechet":
+        assert recorded == {"anchors": [[0, 2.0], [3, 1.0]], "lam": 0.1, "legs": None}
 
 
 def test_run_k0_outputs_initial_only(tmp_path):
@@ -470,6 +505,30 @@ def test_run_solves_one_assignment_per_recorded_step(tmp_path, monkeypatch):
         if workers == 1:
             assert len(solves) == recorded + 3
     assert len(solves) == recorded + 3  # none made in this process at 2 workers
+
+
+def test_run_psi_without_w2_solves_its_own_coupling(tmp_path, monkeypatch):
+    # with W2 off, each recorded step's Psi solves the assignment that it
+    # would otherwise take from the W2 solve: the same psi_hat bytes and the
+    # same solve count as with both on, in process and on 2 workers
+    monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
+    scenario = {"name": "kaczmarz", "params": {"m": 3, "n": 2, "consistent": False, "instance_seed": 0}}
+    for workers in (1, 2):
+        runs = {}
+        for w2 in (True, False):
+            cfg = write_config(tmp_path, scenario=scenario, ensemble_size=30, iterations=4, workers=workers,
+                               diagnostics={"wasserstein": w2, "psi": True, "regularity": False, "rates": False})
+            out = tmp_path / f"w{workers}-{w2}"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            with (out / "series.csv").open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            solves = json.loads((out / "manifest.json").read_text())["timings"]["assignment_solves"]
+            runs[w2] = rows, solves
+        (both, both_solves), (psi_only, psi_only_solves) = runs[True], runs[False]
+        assert [row["W2_to_reference"] for row in psi_only] == [""] * 5
+        assert [row["psi_hat"] for row in psi_only] == [row["psi_hat"] for row in both]
+        assert all(row["psi_hat"] for row in both)
+        assert psi_only_solves == both_solves == 5
 
 
 def test_run_manifest_timings(tmp_path, monkeypatch):
@@ -795,7 +854,7 @@ def test_reference_factor_sets_the_floor_burn_in(tmp_path):
     # factor * max(iterations, 1) steps in every reference mode, mode file
     # included; with one, the factor does not move the floor
     from rfilab.geometry import EuclideanSpace
-    from rfilab.transport import Ensemble
+    from rfilab.transport import Ensemble, wasserstein
 
     Ensemble(EuclideanSpace(2), [[0.0, float(i)] for i in range(200)]).to_csv(tmp_path / "ref.csv")
     file_reference = Ensemble.from_csv(tmp_path / "ref.csv")
@@ -807,7 +866,7 @@ def test_reference_factor_sets_the_floor_burn_in(tmp_path):
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     scenario = rfilab.scenarios.build_scenario("kaczmarz", kaczmarz["params"])
-    draws = [rfilab.scenarios.floor_draw(scenario, 200, 3 * 10, file_reference, seed)
+    draws = [wasserstein(file_reference, rfilab.scenarios.floor_sample(scenario, 200, 3 * 10, seed), p=2.0)[0]
              for seed in rfilab.scenarios.floor_seeds(7)]
     assert manifest["floor"]["draws"] == draws
     assert manifest["floor"]["steps"] == 3 * 10
@@ -835,7 +894,7 @@ def test_manifest_records_where_the_floor_came_from(tmp_path, monkeypatch, scena
     # reference, in reference.csv, to that seed's sample.  Apart from the
     # worker count, timings, config path and wall time, the manifests at 1
     # and 2 workers are the same.
-    from rfilab.transport import Ensemble
+    from rfilab.transport import Ensemble, wasserstein
 
     monkeypatch.setattr(rfilab.cli, "usable_cpus", lambda: 2)
     built = rfilab.scenarios.build_scenario(scenario["name"], scenario.get("params", {}))
@@ -854,8 +913,8 @@ def test_manifest_records_where_the_floor_came_from(tmp_path, monkeypatch, scena
         assert statistics.median(floor["draws"]) == json.loads((out / "report.json").read_text())["floor"]
         assert floor.get("steps") == (10 * 10 if source == "burn_in" else None)
         run_reference = Ensemble.from_csv(out / "reference.csv", built.space)
-        assert floor["draws"] == [rfilab.scenarios.floor_draw(built, 200, 10 * 10, run_reference, seed)
-                                  for seed in floor["seeds"]]
+        assert floor["draws"] == [wasserstein(run_reference, rfilab.scenarios.floor_sample(built, 200, 10 * 10, seed),
+                                              p=2.0)[0] for seed in floor["seeds"]]
         assert manifest["config"].pop("workers") == workers
         manifests.append({k: v for k, v in manifest.items() if k not in ("timings", "config_path", "wall_time_s")})
     assert manifests[0] == manifests[1]

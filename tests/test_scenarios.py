@@ -1,4 +1,6 @@
 import inspect
+import json
+import tracemalloc
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -29,7 +31,7 @@ from rfilab.scenarios import (
     SCENARIO_BUILDERS,
     ParamError,
     build_scenario,
-    floor_draw,
+    floor_sample,
     floor_seeds,
     floor_source,
     long_run_reference,
@@ -409,12 +411,18 @@ def test_build_scenario_rejects_unknown_params(name):
 
 
 def test_a_parameter_added_to_a_signature_is_a_json_key(monkeypatch):
-    # the signature is the one declaration: no second list names the key
+    # the signature is the one declaration: no second list names the key,
+    # and the scenario's params (the manifest's scenario_params) record it
+    built = []
+
     def scenario_dr_parallel_lines(gap: float = 2.0, init_scale: float = 1.0, tilt: Optional[int] = None):
-        return (gap, init_scale, tilt)
+        built.append((gap, init_scale, tilt))
+        return scenario_two_point()
 
     monkeypatch.setitem(SCENARIO_BUILDERS, "dr_parallel_lines", scenario_dr_parallel_lines)
-    assert build_scenario("dr_parallel_lines", {"tilt": 3, "gap": 1}) == (1.0, 1.0, 3)
+    sc = build_scenario("dr_parallel_lines", {"tilt": 3, "gap": 1})
+    assert built == [(1.0, 1.0, 3)]
+    assert list(sc.params.items()) == [("gap", 1), ("init_scale", 1.0), ("tilt", 3)]
     with pytest.raises(ParamError) as caught:
         build_scenario("dr_parallel_lines", {"tilt": 1.5})
     assert caught.value.args == ("tilt", "expected an integer, got float")
@@ -564,14 +572,28 @@ def test_builder_range_check_is_not_a_param_error():
 )
 def test_spider_legs_default_to_what_the_anchors_need(params, legs):
     # a given `legs` is kept as given; below the need it is a ParamError.  The
-    # params (the manifest's scenario_params) record the leg count that ran.
+    # params (the manifest's scenario_params) record `legs` as given, and
+    # null where the builder derives it from the anchors.
     sc = build_scenario("spider_frechet", params)
-    assert sc.space.legs == sc.params["legs"] == legs
+    assert sc.space.legs == legs
+    assert sc.params["legs"] == params.get("legs")
 
 
 def test_boolean_parameter_takes_json_booleans():
-    assert build_scenario("kaczmarz", {"consistent": False}).params == {"consistent": False}
-    assert build_scenario("kaczmarz", {"consistent": True}).params == {"consistent": True}
+    for consistent in (False, True):
+        sc = build_scenario("kaczmarz", {"consistent": consistent})
+        assert sc.ground_truth.extras["consistent"] is sc.params["consistent"] is consistent
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_params_record_every_signature_parameter_in_order(name):
+    # the defaults are the signature's, None where the builder derives the
+    # value, and each one is already a JSON value
+    sc = build_scenario(name)
+    signature = inspect.signature(SCENARIO_BUILDERS[name]).parameters
+    assert list(sc.params.items()) == [(key, param.default) for key, param in signature.items()]
+    json.dumps(sc.params)  # a value that is not JSON raises here
+    assert SCENARIO_BUILDERS[name]().params == {}  # a builder called directly records nothing
 
 
 def test_monte_carlo_floor_is_the_median_of_floor_draws_against_its_own_reference():
@@ -583,7 +605,7 @@ def test_monte_carlo_floor_is_the_median_of_floor_draws_against_its_own_referenc
     draws = [wasserstein(reference, sample(40, seed))[0] for seed in floor_seeds(9, 3)]
     assert floor_source(sc) == "invariant_sampler"
     assert floor_seeds(9, 3) == [derive_seed(9, 12), derive_seed(9, 13), derive_seed(9, 14)]
-    assert [floor_draw(sc, 40, 5, reference, seed) for seed in floor_seeds(9, 3)] == draws
+    assert [wasserstein(reference, floor_sample(sc, 40, 5, seed), p=2.0)[0] for seed in floor_seeds(9, 3)] == draws
     assert monte_carlo_floor(sc, 40, 5, seed=9) == float(np.median(draws))
     assert len(set(draws)) == 3 and min(draws) > 0
 
@@ -594,7 +616,7 @@ def test_monte_carlo_floor_without_a_sampler_is_the_median_over_burn_in_draws():
     reference = long_run_reference(sc, 40, 5, derive_seed(9, 11))
     draws = [wasserstein(reference, long_run_reference(sc, 40, 5, seed))[0] for seed in floor_seeds(9, 3)]
     assert floor_source(sc) == "burn_in"
-    assert [floor_draw(sc, 40, 5, reference, seed) for seed in floor_seeds(9, 3)] == draws
+    assert [wasserstein(reference, floor_sample(sc, 40, 5, seed), p=2.0)[0] for seed in floor_seeds(9, 3)] == draws
     assert monte_carlo_floor(sc, 40, 5, seed=9) == float(np.median(draws))
     assert len(set(draws)) == 3 and min(draws) > 0
 
@@ -607,6 +629,21 @@ def test_contraction_sampler_draws_the_unblocked_values(n, r):
     # the last bit, up to the benchmark's n = 50,000
     got = scenario_contraction(r).ground_truth.invariant_sampler(n, 4).points
     assert got.tobytes() == contraction_invariant_unblocked(r, n, 4).tobytes()
+
+
+def test_contraction_sampler_memory_is_bounded_near_r_1():
+    # at r = 0.999 (depth 36,825) a block holds 1024**2 // depth = 28 rows:
+    # one draw of 256 peaks at about 16 MiB, where blocks of 1024 rows took
+    # 144 MiB.  Blocks of fewer rows can round the sums differently.
+    sample = scenario_contraction(0.999).ground_truth.invariant_sampler
+    tracemalloc.start()
+    try:
+        got = sample(256, 4).points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    np.testing.assert_allclose(got, contraction_invariant_unblocked(0.999, 256, 4), rtol=1e-12)
 
 
 SGD_SAMPLER_PARAMS = [
